@@ -9,7 +9,7 @@ from .syntax import (parse, parse_program, parse_expression, parse_boolean,
 from .errors import ErrorInfo, ErrorKind, HybridError
 from .linearize import AffineSystem, fold_constants, to_affine
 from .odesolve import (Exact, RK4, Solution, NumericalOverflow, solve_exact,
-                       solve_rk4, at)
+                       solve_rk4)
 from .semantics import (Limits, Skip, Stop, Err, BoundReached, BoundKind,
                         Config, big_step, small_step, run_to_terminal,
                         applicable_rules, eval_expr, eval_bool)

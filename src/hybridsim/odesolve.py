@@ -22,7 +22,7 @@ from scipy.linalg import expm
 from .linearize import AffineSystem
 
 __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
-           "solve_exact", "solve_rk4", "at", "default_rk4_step"]
+           "solve_exact", "solve_rk4", "default_rk4_step"]
 
 
 class NumericalOverflow(Exception):
@@ -95,21 +95,7 @@ def _rk4_step(A: np.ndarray, b: np.ndarray, x: np.ndarray, h: float) -> np.ndarr
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
     """Classic RK4 with ceil(t/h) steps; the final step is shortened to land
     exactly on t.  Deterministic for fixed inputs."""
-    _check_time(t)
-    if not h > 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if t == 0.0:
-        return x
-    n = max(1, math.ceil(t / h))
-    for _ in range(n - 1):
-        x = _rk4_step(sys.A, sys.b, x, h)
-        if not np.isfinite(x).all():
-            raise NumericalOverflow("non-finite intermediate state")
-    x = _rk4_step(sys.A, sys.b, x, t - (n - 1) * h)
-    if not np.isfinite(x).all():
-        raise NumericalOverflow(f"non-finite state at t={t}")
-    return x
+    return Solution(sys, x0, RK4(h)).at(t)
 
 
 class Solution:
@@ -156,6 +142,3 @@ class Solution:
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
 
-
-def at(sol: Solution, t: float) -> np.ndarray:
-    return sol.at(t)

@@ -9,10 +9,12 @@ rules define no output there, and a caller (e.g. the sampler) wants the
 final state rather than an exception.
 
 `small_step` is the single-step machine over configurations (program, env,
-residual time); `run_to_terminal` is its iterated driver.  Both styles share
-one differential-statement solver and one residual-time arithmetic
-(subtraction only, never re-addition), so the two styles agree
-bit-for-bit on every outcome.
+residual time); `machine`, the one driver that iterates it, owns the
+while-unfolding budget, yields every step and returns the Outcome.
+`run_to_terminal` drains it; the trajectory sampler folds its steps into
+segments.  Both styles share one differential-statement solver and one
+residual-time arithmetic (subtraction only, never re-addition), so the two
+styles agree bit-for-bit on every outcome.
 
 Durations are evaluated once, at statement entry.  A negative duration is an
 error.  Assignments consume no time.
@@ -34,7 +36,7 @@ __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
     "Skip", "Stop", "Err", "BoundReached", "Outcome",
     "Config", "TSkip", "TStop", "TErr", "Terminal",
-    "big_step", "small_step", "run_to_terminal", "applicable_rules",
+    "big_step", "small_step", "machine", "run_to_terminal", "applicable_rules",
 ]
 
 _NOWHERE = Loc(0, 0, 0, 0)
@@ -307,13 +309,16 @@ def small_step(cfg: Config, mode: SolverMode):
     return _step(cfg, mode)[0]
 
 
-def run_to_terminal(cfg: Config, mode: SolverMode,
-                    limits: Limits = Limits()) -> Outcome:
-    """Iterate small steps until a terminal or the iteration budget trips."""
+def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
+    """Iterate small steps from `cfg` until a terminal or the iteration
+    budget trips.  Yields (pre-step config, successor, rule, detail) for
+    every step, the step that exceeds the budget included; returns the
+    Outcome."""
     t0 = cfg.residual
     iterations = 0
     while True:
-        r, rule, _ = _step(cfg, mode)
+        r, rule, det = _step(cfg, mode)
+        yield cfg, r, rule, det
         if rule == "wh-true":
             iterations += 1
             if iterations > limits.max_iterations:
@@ -329,6 +334,17 @@ def run_to_terminal(cfg: Config, mode: SolverMode,
         if isinstance(r, TStop):
             return Stop(r.env)
         return Err(r.info)
+
+
+def run_to_terminal(cfg: Config, mode: SolverMode,
+                    limits: Limits = Limits()) -> Outcome:
+    """The Outcome `machine` reaches from `cfg`."""
+    steps = machine(cfg, mode, limits)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Full simulations: expand initial-condition listings, run the machine once
 per environment, and sample the resulting piecewise trajectory for plotting.
 
-The driver makes one small-step pass per environment, recording a Continuous
-segment per differential statement (clipped at the time horizon), a Discrete
-segment per assignment, and a Terminal segment carrying the outcome.  After
+The driver makes one pass of the small-step `semantics.machine` per
+environment, recording a Continuous segment per differential statement
+(clipped at the time horizon), a Discrete segment per assignment, and a
+Terminal segment carrying the outcome the machine returns.  After
 an early completion the final values are held constant up to the horizon so
 plots span the full time range.  `consistency_check` re-derives sampled
 points from the big-step semantics, which serves as the per-instant oracle
@@ -15,8 +16,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .semantics import (BoundKind, BoundReached, Config, Env, Err, Limits,
-                        Outcome, Skip, Stop, TSkip, TStop, _step, big_step)
+from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
+                        Stop, TSkip, big_step, machine)
+# unused here; kept because bench/spans.py patches trajectory._step
+from .semantics import _step  # noqa: F401
 from .odesolve import Solution, SolverMode
 from .syntax import Assign, SourceUnit, VarList, desugar
 
@@ -143,61 +146,48 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
              dt: float) -> Trajectory:
     traj = Trajectory(label=label, initial_env=dict(env0))
     horizon = limits.max_time
-    cfg = Config(body, dict(env0), horizon)
-    iterations = 0
     _push_sample(traj.samples, 0.0, dict(env0))
+    steps = machine(Config(body, dict(env0), horizon), mode, limits)
     while True:
+        try:
+            cfg, r, rule, det = next(steps)
+        except StopIteration as done:
+            outcome = done.value
+            break
         # absolute position comes from the machine's residual clock, so the
         # final clipped segment lands exactly on the horizon
         now = horizon - cfg.residual
-        r, rule, det = _step(cfg, mode)
-        if rule == "wh-true":
-            iterations += 1
-            if iterations > limits.max_iterations:
-                outcome = BoundReached(BoundKind.MAX_ITERATIONS, cfg.env, now)
-                traj.segments.append(
-                    Segment(now, now, TerminalMark(outcome), cfg.env))
-                traj.outcome = outcome
-                return traj
-        if rule == "asg" and det is not None:
+        if rule == "asg":
             var, old, new = det
             traj.segments.append(
                 Segment(now, now, Discrete(var, old, new), cfg.env))
             _push_sample(traj.samples, now, dict(r.env))
-        elif rule in ("diff-skip", "diff-stop") and det is not None:
+        elif rule in ("diff-skip", "diff-stop"):
             sol, advanced, _duration = det
             rem_after = r.residual if isinstance(r, (Config, TSkip)) else 0.0
             seg = Segment(now, horizon - rem_after, Continuous(sol, advanced),
                           cfg.env)
             traj.segments.append(seg)
             _sample_continuous(traj, seg, dt)
-        if isinstance(r, Config):
-            cfg = r
-            continue
-        if isinstance(r, TSkip):
-            early = r.residual > 0.0
-            # elapsed via the machine's own residual subtraction, so the
-            # outcome compares equal to run_to_terminal's
-            elapsed = horizon - r.residual if early else horizon
-            outcome = Skip(r.env, elapsed=elapsed, early=early)
-            # hold the final values constant up to the horizon
-            traj.segments.append(
-                Segment(elapsed, horizon, TerminalMark(outcome), r.env))
-            if early:
-                k = 1
-                while elapsed + k * dt < horizon:
-                    _push_sample(traj.samples, elapsed + k * dt, dict(r.env))
-                    k += 1
-                _push_sample(traj.samples, horizon, dict(r.env))
-        elif isinstance(r, TStop):
-            outcome = Stop(r.env)
-            traj.segments.append(
-                Segment(horizon, horizon, TerminalMark(outcome), r.env))
-        else:
-            outcome = Err(r.info)
-            traj.segments.append(Segment(now, now, TerminalMark(outcome), cfg.env))
-        traj.outcome = outcome
-        return traj
+    traj.outcome = outcome
+    if isinstance(outcome, Skip):
+        # hold the final values constant up to the horizon
+        elapsed = outcome.elapsed
+        traj.segments.append(
+            Segment(elapsed, horizon, TerminalMark(outcome), outcome.env))
+        if outcome.early:
+            k = 1
+            while elapsed + k * dt < horizon:
+                _push_sample(traj.samples, elapsed + k * dt, dict(outcome.env))
+                k += 1
+            _push_sample(traj.samples, horizon, dict(outcome.env))
+    elif isinstance(outcome, Stop):
+        traj.segments.append(
+            Segment(horizon, horizon, TerminalMark(outcome), outcome.env))
+    else:
+        # an error or the iteration bound: marked where the last step began
+        traj.segments.append(Segment(now, now, TerminalMark(outcome), cfg.env))
+    return traj
 
 
 def simulate(unit: SourceUnit, mode: SolverMode, limits: Limits, dt: float,

@@ -17,7 +17,7 @@ from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import Exact, RK4, solve_exact, solve_rk4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  Skip, Stop, applicable_rules, big_step,
-                                 run_to_terminal, _step)
+                                 machine, run_to_terminal)
 from hybridsim.syntax import desugar, ordered_vars, parse, parse_program
 from hybridsim.syntax import desugar_program
 from hybridsim.trajectory import Discrete, simulate
@@ -104,20 +104,6 @@ def test_criterion_04_zeno_loop():
         assert time.perf_counter() - t0 < 1.0
 
 
-def _agree(big, small, tol=1e-9):
-    if type(big) is not type(small):
-        return False
-    if isinstance(big, (Skip, Stop)):
-        if isinstance(big, Skip) and big.early != small.early:
-            return False
-        if set(big.env) != set(small.env):
-            return False
-        return all(abs(big.env[k] - small.env[k]) <= tol for k in big.env)
-    if isinstance(big, Err):
-        return big.info.kind == small.info.kind
-    return big.kind == small.kind
-
-
 def test_criterion_05_semantics_equivalence():
     with criterion(5, "1000 random programs x 5 times: big == small"):
         t0 = time.perf_counter()
@@ -127,7 +113,7 @@ def test_criterion_05_semantics_equivalence():
             for t in randprog.gen_times(seed, 5):
                 big = big_step(program, env, t, EXACT)
                 small = run_to_terminal(Config(program, dict(env), t), EXACT)
-                if not _agree(big, small):
+                if big != small:
                     disagreements += 1
         assert disagreements == 0
         assert time.perf_counter() - t0 < 60.0
@@ -139,20 +125,10 @@ def test_criterion_06_machine_determinism():
         for seed in range(1000):
             program, env = randprog.gen_program(seed, depth=5)
             t = randprog.gen_times(seed, 1)[0]
-            cfg = Config(program, dict(env), t)
-            iters = 0
-            while True:
-                rules = applicable_rules(cfg, EXACT)
-                if len(rules) > 1:
+            for cfg, *_ in machine(Config(program, dict(env), t), EXACT,
+                                   Limits(max_iterations=200)):
+                if len(applicable_rules(cfg, EXACT)) > 1:
                     double_applicable += 1
-                r, rule, _ = _step(cfg, EXACT)
-                if rule == "wh-true":
-                    iters += 1
-                    if iters > 200:
-                        break
-                if not isinstance(r, Config):
-                    break
-                cfg = r
             a = run_to_terminal(Config(program, dict(env), t), EXACT)
             b = run_to_terminal(Config(program, dict(env), t), EXACT)
             assert type(a) is type(b)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hybridsim import corpus_path
 from hybridsim.cli import cli_main
 
@@ -151,3 +153,22 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file(capsys):
     assert cli_main(["run", "/nonexistent.lince", "--time", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["run", EQ1, "--time", "-1"], None),
+    (["run", EQ1, "--time", "nan"], None),
+    (["simulate", EQ1, "--dt", "0"], None),
+    (["simulate", EQ1, "--max-time", "inf"], None),
+    (["run", EQ1, "--time", "1", "--solver", "rk4", "--rk4-step", "0"], None),
+    (["run", EQ1, "--time", "1"], "abc"),
+    (["run", EQ1, "--time", "1"], "-3"),
+], ids=["time-negative", "time-nan", "dt-zero", "max-time-inf",
+        "rk4-step-zero", "cap-not-int", "cap-negative"])
+def test_bad_numeric_input_is_usage_error(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("HYBRIDSIM_MAX_PRODUCT", env)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err

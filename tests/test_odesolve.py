@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridsim.linearize import AffineSystem
-from hybridsim.odesolve import (Exact, NumericalOverflow, RK4, Solution, at,
+from hybridsim.odesolve import (Exact, NumericalOverflow, RK4, Solution,
                                 default_rk4_step, solve_exact, solve_rk4)
 from hybridsim.semantics import Limits
 from hybridsim.trajectory import Continuous, simulate
@@ -92,7 +92,7 @@ def test_overflow_detected():
 def test_solution_exact_mode_matches_solve_exact():
     sol = Solution(OSC, [1.0, 0.0], Exact())
     for t in (0.0, 0.3, 1.7, math.pi):
-        assert np.array_equal(at(sol, t), solve_exact(OSC, [1.0, 0.0], t))
+        assert np.array_equal(sol.at(t), solve_exact(OSC, [1.0, 0.0], t))
 
 
 def test_solution_rk4_monotone_cache_is_bitwise():

@@ -7,7 +7,7 @@ from hybridsim.syntax import parse
 from hybridsim.trajectory import (Continuous, Discrete, TerminalMark,
                                   VariabilityCapExceeded, consistency_check,
                                   expand_variability, interp_at, simulate)
-from conftest import load_corpus
+from conftest import load_core, load_corpus
 
 EXACT = Exact()
 
@@ -140,11 +140,23 @@ def test_sampling_refinement_is_superset_bitwise(eq1):
         assert fine_map[t] == env  # identical values at shared times
 
 
-def test_single_trajectory_outcome_matches_run_to_terminal(eq1):
+CORPUS = ("eq1", "eq2", "ex21", "zeno", "aeb", "aebom", "rlcs-under",
+          "rlcs-over", "pursuit")
+
+
+# at this horizon all four outcome kinds occur: eq1 completes exactly on it
+# and ex21 fails (terminates early under RK4), zeno hits the iteration bound,
+# and the rest are still running
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_single_trajectory_outcome_matches_run_to_terminal(name, mode):
+    unit = load_core(name)
     limits = Limits(max_time=2.0)
-    traj = simulate(eq1, EXACT, limits, dt=0.5)[0]
-    direct = run_to_terminal(Config(eq1.body, {}, limits.max_time), EXACT, limits)
-    assert traj.outcome == direct
+    for traj in simulate(unit, mode, limits, dt=0.5):
+        direct = run_to_terminal(
+            Config(unit.body, dict(traj.initial_env), limits.max_time),
+            mode, limits)
+        assert traj.outcome == direct, traj.label
 
 
 def test_interp_at_discrete_instant_reads_post_value():
