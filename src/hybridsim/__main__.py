@@ -1,0 +1,5 @@
+"""`python -m hybridsim ...` runs the command-line front end."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

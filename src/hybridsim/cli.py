@@ -39,22 +39,23 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-def _number(accept, what: str):
-    """An argparse `type=` that takes finite floats satisfying `accept`."""
-    def convert(raw: str) -> float:
+def _number(accept, what: str, kind=float):
+    """An argparse `type=` that takes finite `kind` values satisfying `accept`."""
+    def convert(raw: str):
         try:
-            v = float(raw)
+            v = kind(raw)
         except ValueError:
             v = math.nan
         if not (math.isfinite(v) and accept(v)):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number {what}, got {raw!r}")
+            raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}")
         return v
     return convert
 
 
-_non_negative = _number(lambda v: v >= 0.0, ">= 0")
-_positive = _number(lambda v: v > 0.0, "> 0")
+_non_negative = _number(lambda v: v >= 0.0, "a finite number >= 0")
+_positive = _number(lambda v: v > 0.0, "a finite number > 0")
+_count = _number(lambda v: v >= 0, "an integer >= 0", int)
+_positive_count = _number(lambda v: v >= 1, "an integer >= 1", int)
 
 
 def _cap() -> int:
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed RK4 step (default: min(1e-3, duration/16))")
         if time_flags:
             p.add_argument("--max-time", type=_positive, default=150.0)
-            p.add_argument("--max-iter", type=int, default=1000)
+            p.add_argument("--max-iter", type=_count, default=1000)
 
     p = sub.add_parser("check", help="parse and linearize")
     p.add_argument("file")
@@ -240,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="differential-test the semantics")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--times", type=int, default=5)
+    p.add_argument("--count", type=_positive_count, default=200)
+    p.add_argument("--times", type=_positive_count, default=5)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

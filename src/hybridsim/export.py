@@ -3,9 +3,10 @@
 CSV cells are written with 17 significant digits, so parsing a value back
 reproduces the original float bit-for-bit.  The JSON document carries the
 whole run (plot spec, solver, limits, per-trajectory segments, samples, and
-outcome) under schema version "1".  The plot script targets gnuplot: one
-output block per axis group, every trajectory overlaid, and dedicated
-start/end markers.
+outcome) under schema version "1"; under RK4 a continuous segment also
+says how it was solved ("rk4" and the step used, or "closed-form").  The
+plot script targets gnuplot: one output block per axis group, every
+trajectory overlaid, and dedicated start/end markers.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ErrorInfo
-from .odesolve import Exact, SolverMode
+from .odesolve import Exact, RK4, SolverMode
 from .semantics import Err, Limits, Outcome, Skip, Stop
 from .trajectory import Continuous, Discrete, Trajectory
 
@@ -174,8 +175,13 @@ def _outcome_json(out: Outcome) -> dict:
 
 def _segment_json(seg) -> dict:
     if isinstance(seg.kind, Continuous):
-        return {"kind": "continuous", "t_start": seg.t_start, "t_end": seg.t_end,
-                "vars": list(seg.kind.solution.system.vars)}
+        sol = seg.kind.solution
+        out = {"kind": "continuous", "t_start": seg.t_start, "t_end": seg.t_end,
+               "vars": list(sol.system.vars)}
+        if isinstance(sol.mode, RK4):
+            out.update({"solved": "closed-form"} if sol.closed_form
+                       else {"solved": "rk4", "step": sol.step})
+        return out
     if isinstance(seg.kind, Discrete):
         return {"kind": "discrete", "t": seg.t_start, "var": seg.kind.var,
                 "old": seg.kind.old, "new": seg.kind.new}

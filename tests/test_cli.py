@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hybridsim
 from hybridsim import corpus_path
 from hybridsim.cli import cli_main
 
@@ -25,6 +30,14 @@ def test_run_eq1_rk4(capsys):
 
 def test_run_ex21_late_fails(capsys):
     code = cli_main(["run", EX21, "--time", "1.5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "the divisor of the division '1/x' is zero" in out
+
+
+def test_run_ex21_rk4_fails_like_exact(capsys):
+    """RK4 drains x' = -1 to exactly 0, so 1/x fails as in exact mode."""
+    code = cli_main(["run", EX21, "--time", "2", "--solver", "rk4"])
     out = capsys.readouterr().out
     assert code == 1
     assert "the divisor of the division '1/x' is zero" in out
@@ -163,8 +176,13 @@ def test_missing_file(capsys):
     (["run", EQ1, "--time", "1", "--solver", "rk4", "--rk4-step", "0"], None),
     (["run", EQ1, "--time", "1"], "abc"),
     (["run", EQ1, "--time", "1"], "-3"),
+    (["run", ZENO, "--time", "1", "--max-iter", "-5"], None),
+    (["run", EQ1, "--time", "1", "--max-iter", "2.5"], None),
+    (["selftest", "--count", "-3"], None),
+    (["selftest", "--times", "0"], None),
 ], ids=["time-negative", "time-nan", "dt-zero", "max-time-inf",
-        "rk4-step-zero", "cap-not-int", "cap-negative"])
+        "rk4-step-zero", "cap-not-int", "cap-negative", "max-iter-negative",
+        "max-iter-not-int", "count-negative", "times-zero"])
 def test_bad_numeric_input_is_usage_error(argv, env, capsys, monkeypatch):
     if env is not None:
         monkeypatch.setenv("HYBRIDSIM_MAX_PRODUCT", env)
@@ -172,3 +190,14 @@ def test_bad_numeric_input_is_usage_error(argv, env, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hybridsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridsim",
+         "check", EQ1], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok:")

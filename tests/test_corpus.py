@@ -56,6 +56,18 @@ def test_aebom_manoeuvre_shape():
                 assert y > 1.0
 
 
+def test_aebom_rk4_loop_exits_match_exact():
+    """The cruise loop's constant-rate steps are closed-form under RK4 too,
+    so every trajectory unfolds its loops as often as in exact mode."""
+    unit = load_corpus("aebom")
+    limits = Limits(max_time=50.0, max_iterations=1000)
+    exact = simulate(unit, Exact(), limits, dt=0.1)
+    rk4 = simulate(unit, RK4(), limits, dt=0.1)
+    for a, b in zip(exact, rk4, strict=True):
+        assert len(b.segments) == len(a.segments), a.label
+        assert b.outcome.elapsed == a.outcome.elapsed, a.label
+
+
 def test_rlcs_regulates_towards_ten_volts():
     for name, var in (("rlcs-under", "under"), ("rlcs-over", "over")):
         unit = load_corpus(name)

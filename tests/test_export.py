@@ -8,7 +8,7 @@ import pytest
 from hybridsim.export import (AxisSyntaxError, PairAxis, TimeAxis, TripleAxis,
                               UnknownVariable, emit_plot_script, export_csv,
                               export_json, make_plot_spec, parse_axes)
-from hybridsim.odesolve import Exact
+from hybridsim.odesolve import Exact, RK4, default_rk4_step
 from hybridsim.semantics import Limits
 from hybridsim.syntax import desugar, ordered_vars, parse
 from hybridsim.trajectory import simulate
@@ -128,8 +128,28 @@ def test_json_structure():
     assert traj["outcome"]["variant"] == "skip"
     kinds = [s["kind"] for s in traj["segments"]]
     assert kinds == ["discrete", "discrete", "continuous", "continuous", "terminal"]
+    assert not any("solved" in s or "step" in s for s in traj["segments"])
     jumps = [s for s in traj["segments"] if s["kind"] == "discrete"]
     assert jumps[0]["var"] == "p" and jumps[0]["new"] == 0.0
+
+
+def test_json_records_the_rk4_step_used():
+    """Under RK4 each continuous segment says how it was solved: the step
+    min(1e-3, d/16) for its duration d, or the closed form for a
+    constant-rate flow; the top-level step stays the one requested."""
+    unit = desugar(parse(
+        "p := 0 ; v := 0 ; p' = v, v' = 2 for 1 ; p' = v, v' = -2 for 1 ;"
+        " p' = v, v' = 1 for 0.008 ; p' = 3 for 0.5"))
+    limits = Limits(max_time=3.0, max_iterations=100)
+    trajs = simulate(unit, RK4(), limits, dt=0.5)
+    spec = make_plot_spec([TimeAxis("p")], "scatter", ordered_vars(unit), limits)
+    doc = json.loads(export_json(trajs, spec, RK4(), limits, ordered_vars(unit)))
+    assert doc["solver"] == {"mode": "rk4", "step": None}
+    segs = [s for s in doc["trajectories"][0]["segments"] if s["kind"] == "continuous"]
+    assert [s["solved"] for s in segs] == ["rk4", "rk4", "rk4", "closed-form"]
+    assert [s["step"] for s in segs[:3]] == [default_rk4_step(d) for d in (1, 1, 0.008)]
+    assert segs[2]["step"] == 0.0005
+    assert "step" not in segs[3]
 
 
 def test_plot_script_golden():

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import (Exact, NumericalOverflow, RK4, Solution,
                                 default_rk4_step, solve_exact, solve_rk4)
-from hybridsim.semantics import Limits
+from hybridsim.semantics import Err, Limits, big_step
+from hybridsim.syntax import desugar, parse
 from hybridsim.trajectory import Continuous, simulate
 from conftest import load_corpus
 
@@ -87,6 +89,66 @@ def test_overflow_detected():
         solve_exact(growth, [1.0], 50.0)
     with pytest.raises(NumericalOverflow):
         solve_rk4(growth, [1e300], 10.0, 0.5)
+
+
+def test_overflow_in_one_decoupled_component_is_detected():
+    """Only y overflows, in an early step; the one check on the returned
+    state still sees it, through the cache as well as fresh."""
+    sys = _sys([[-1.0, 0.0], [0.0, 50.0]], [0.0, 0.0])
+    with pytest.raises(NumericalOverflow):
+        solve_rk4(sys, [1.0, 1e300], 10.0, 0.5)
+    sol = Solution(sys, [1.0, 1e300], RK4(0.5))
+    with pytest.raises(NumericalOverflow):
+        sol.at(1.2)
+    with pytest.raises(NumericalOverflow):
+        sol.at(10.0)
+
+
+def test_overflow_is_a_solver_failure_under_big_step():
+    body = desugar(parse("x := 1 ; y := 10 ; x' = -x, y' = 100*y for 10")).body
+    for mode in (Exact(), RK4()):
+        out = big_step(body, {}, 10.0, mode)
+        assert isinstance(out, Err) and out.info.kind == ErrorKind.SOLVER_FAILURE
+
+
+def test_constant_rate_flow_is_closed_form_in_both_modes():
+    """RK4 is exact on constant-rate flows and answers x0 + b t, without
+    the drift of 1000 steps of -1e-3."""
+    drain = _sys([[0.0]], [-1.0])
+    for mode in (Exact(), RK4(), RK4(1e-3)):
+        assert Solution(drain, [1.0], mode).at(1.0)[0] == 0.0
+
+
+def _four_stage_rk4(sys, x0, t, h):
+    """Reference: classic four-stage RK4 on x' = A x + b, ceil(t/h) steps,
+    the last shortened to land on t."""
+    A, b = sys.A, sys.b
+    x = np.asarray(x0, dtype=float)
+    n = max(1, math.ceil(t / h))
+    for i in range(n):
+        s = h if i < n - 1 else t - (n - 1) * h
+        k1 = A @ x + b
+        k2 = A @ (x + 0.5 * s * k1) + b
+        k3 = A @ (x + 0.5 * s * k2) + b
+        k4 = A @ (x + s * k3) + b
+        x = x + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def test_propagator_matches_four_stage_rk4():
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randrange(1, 5)
+        sys = _random_system(rng, dim)
+        shift = max(np.linalg.eigvals(sys.A).real) + rng.uniform(0.1, 1.0)
+        sys = AffineSystem(sys.vars, sys.A - shift * np.eye(dim), sys.b)
+        x0 = np.array([rng.uniform(-3, 3) for _ in range(dim)])
+        h = rng.choice((1e-3, 0.01, 0.05, 0.1))
+        sol = Solution(sys, x0, RK4(h))
+        for t in sorted(rng.uniform(0, 2.0) for _ in range(3)):
+            want = _four_stage_rk4(sys, x0, t, h)
+            got = sol.at(t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_solution_exact_mode_matches_solve_exact():

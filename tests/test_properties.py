@@ -5,8 +5,10 @@ under time shifts, and compatibility of single steps with full evaluations.
 import itertools
 import math
 
+import pytest
+
 from hybridsim import randprog
-from hybridsim.odesolve import Exact
+from hybridsim.odesolve import RK4, Exact
 from hybridsim.semantics import (BoundReached, Config, Skip, Stop, TErr, TStop,
                                  applicable_rules, big_step, machine,
                                  run_to_terminal, _step)
@@ -14,12 +16,13 @@ from hybridsim.semantics import (BoundReached, Config, Skip, Stop, TErr, TStop,
 EXACT = Exact()
 
 
-def test_big_and_small_agree_on_random_programs():
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+def test_big_and_small_agree_on_random_programs(mode):
     for seed in range(250):
         program, env = randprog.gen_program(seed)
         for t in randprog.gen_times(seed, 3):
-            big = big_step(program, env, t, EXACT)
-            small = run_to_terminal(Config(program, dict(env), t), EXACT)
+            big = big_step(program, env, t, mode)
+            small = run_to_terminal(Config(program, dict(env), t), mode)
             assert big == small, (seed, t, big, small)
 
 

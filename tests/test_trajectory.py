@@ -145,8 +145,8 @@ CORPUS = ("eq1", "eq2", "ex21", "zeno", "aeb", "aebom", "rlcs-under",
 
 
 # at this horizon all four outcome kinds occur: eq1 completes exactly on it
-# and ex21 fails (terminates early under RK4), zeno hits the iteration bound,
-# and the rest are still running
+# and ex21 fails, zeno hits the iteration bound, and the rest are still
+# running
 @pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
 @pytest.mark.parametrize("name", CORPUS)
 def test_single_trajectory_outcome_matches_run_to_terminal(name, mode):
