@@ -9,126 +9,64 @@ evaluated so that an undefined operand is never masked.
 from __future__ import annotations
 
 import math
+import operator
 
-from .errors import (arity_error, division_by_zero, domain_error,
-                     uninitialized)
-from .syntax import (And, Apply, BFalse, BTrue, BoolExpr, Cmp, Const, Expr,
-                     Leq, Loc, Or, Var, pretty_bool, pretty_expr)
+from .errors import ErrorKind, fail
+from .syntax import And, BFalse, BoolExpr, BTrue, Const, Expr, Leq, Not, Or, Var
 
 Env = dict
 
-_NOWHERE = Loc(0, 0, 0, 0)
-
-
-def _where(node) -> tuple:
-    loc = node.loc or _NOWHERE
-    return loc.line, loc.col
-
-
-def _src(node) -> str:
-    if node.src is not None:
-        return node.src
-    if isinstance(node, (Var, Const, Apply)):
-        return pretty_expr(node)
-    return pretty_bool(node)
+# function symbol -> (arity, operation); unary '-' is handled on its own.
+# Undefined operations raise ZeroDivisionError (a zero divisor), ValueError
+# or OverflowError (outside the domain).
+_FUNCTIONS = {
+    "+": (2, operator.add), "-": (2, operator.sub), "*": (2, operator.mul),
+    "/": (2, operator.truediv), "sqrt": (1, math.sqrt), "exp": (1, math.exp),
+    "ln": (1, math.log), "sin": (1, math.sin), "cos": (1, math.cos),
+    "tan": (1, math.tan), "min": (2, min), "max": (2, max), "pow": (2, math.pow),
+}
 
 
 def eval_expr(env: Env, e: Expr) -> float:
-    """Bottom-up strict evaluation; raises HybridError when undefined."""
+    """Bottom-up strict evaluation; raises HybridError when undefined.
+
+    Takes surface and desugared expressions alike: unary minus, which
+    `desugar_expr` rewrites to `0 - e`, is evaluated as negation."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         try:
             return env[e.name]
         except KeyError:
-            line, col = _where(e)
-            raise uninitialized(e.name, _src(e), line, col, env) from None
+            raise fail(ErrorKind.UNINITIALIZED_VARIABLE, e, env) from None
     args = [eval_expr(env, a) for a in e.args]
-    line, col = _where(e)
-    fn = e.fn
+    if e.fn == "-" and len(args) == 1:
+        return -args[0]
+    arity, op = _FUNCTIONS.get(e.fn, ("?", None))
+    if len(args) != arity:
+        raise fail(ErrorKind.ARITY_ERROR, e, env, want=arity, got=len(args))
     try:
-        if fn == "+":
-            _want(e, 2, args)
-            v = args[0] + args[1]
-        elif fn == "-":
-            if len(args) == 1:
-                v = -args[0]
-            else:
-                _want(e, 2, args)
-                v = args[0] - args[1]
-        elif fn == "*":
-            _want(e, 2, args)
-            v = args[0] * args[1]
-        elif fn == "/":
-            _want(e, 2, args)
-            if args[1] == 0.0:
-                raise division_by_zero(_src(e), line, col, env)
-            v = args[0] / args[1]
-        elif fn == "sqrt":
-            _want(e, 1, args)
-            if args[0] < 0.0:
-                raise domain_error(_src(e), line, col, env)
-            v = math.sqrt(args[0])
-        elif fn == "exp":
-            _want(e, 1, args)
-            v = math.exp(args[0])
-        elif fn == "ln":
-            _want(e, 1, args)
-            if args[0] <= 0.0:
-                raise domain_error(_src(e), line, col, env)
-            v = math.log(args[0])
-        elif fn == "sin":
-            _want(e, 1, args)
-            v = math.sin(args[0])
-        elif fn == "cos":
-            _want(e, 1, args)
-            v = math.cos(args[0])
-        elif fn == "tan":
-            _want(e, 1, args)
-            v = math.tan(args[0])
-        elif fn == "min":
-            _want(e, 2, args)
-            v = min(args)
-        elif fn == "max":
-            _want(e, 2, args)
-            v = max(args)
-        elif fn == "pow":
-            _want(e, 2, args)
-            v = math.pow(args[0], args[1])
-        else:
-            raise arity_error(fn, "?", len(args), _src(e), line, col)
+        v = op(*args)
+    except ZeroDivisionError:
+        raise fail(ErrorKind.DIVISION_BY_ZERO, e, env) from None
     except (ValueError, OverflowError):
-        raise domain_error(_src(e), line, col, env) from None
+        raise fail(ErrorKind.DOMAIN_ERROR, e, env) from None
     if not math.isfinite(v):
-        raise domain_error(_src(e), line, col, env)
+        raise fail(ErrorKind.DOMAIN_ERROR, e, env)
     return v
 
 
-def _want(e: Apply, n: int, args: list):
-    if len(args) != n:
-        line, col = _where(e)
-        raise arity_error(e.fn, str(n), len(args), _src(e), line, col)
-
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
 def eval_bool(env: Env, b: BoolExpr) -> bool:
-    """Evaluate a condition; both operands of &&/|| are always evaluated."""
+    """Evaluate a condition; both operands of &&/|| are always evaluated.
+
+    Takes core syntax only (`Leq`, `And`, `Or`, `Not`, `BTrue`, `BFalse`):
+    a surface comparison must go through `desugar_bool` first."""
     if isinstance(b, BTrue):
         return True
     if isinstance(b, BFalse):
         return False
     if isinstance(b, Leq):
         return eval_expr(env, b.lhs) <= eval_expr(env, b.rhs)
-    if isinstance(b, Cmp):
-        return _CMP[b.op](eval_expr(env, b.lhs), eval_expr(env, b.rhs))
     if isinstance(b, And):
         lhs = eval_bool(env, b.lhs)
         rhs = eval_bool(env, b.rhs)
@@ -137,4 +75,7 @@ def eval_bool(env: Env, b: BoolExpr) -> bool:
         lhs = eval_bool(env, b.lhs)
         rhs = eval_bool(env, b.rhs)
         return lhs or rhs
-    return not eval_bool(env, b.arg)
+    if isinstance(b, Not):
+        return not eval_bool(env, b.arg)
+    raise TypeError(f"eval_bool takes desugared conditions; pass this "
+                    f"{type(b).__name__} through desugar_bool first")

@@ -2,12 +2,14 @@
 
 Evaluation failures travel as `HybridError` exceptions inside a module and
 are folded into outcome values at the semantics boundary; they never escape
-the public evaluator interfaces.
+the public evaluator interfaces.  `fail` builds every one of them.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+from .syntax import Atom, Diff, pretty, pretty_expr
 
 
 class ErrorKind(enum.Enum):
@@ -43,36 +45,27 @@ class HybridError(Exception):
         self.info = info
 
 
-def division_by_zero(src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the divisor of the division '{src}' is zero"
-    return HybridError(ErrorInfo(ErrorKind.DIVISION_BY_ZERO, msg, src, line, col, dict(env)))
+_MESSAGES = {
+    ErrorKind.DIVISION_BY_ZERO: "the divisor of the division '{src}' is zero",
+    ErrorKind.DOMAIN_ERROR: "the expression '{src}' is undefined",
+    ErrorKind.UNINITIALIZED_VARIABLE: "the variable '{node.name}' is not initialised",
+    ErrorKind.NON_LINEAR_ODE:
+        "the ODEs contain non-linear expressions after de-sugaring: '{src}'",
+    ErrorKind.NEGATIVE_DURATION: "the duration '{src}' is negative",
+    ErrorKind.ARITY_ERROR:
+        "the function '{node.fn}' expects {want} argument(s), got {got}",
+    ErrorKind.SOLVER_FAILURE: "the solver failed on '{src}'",
+}
 
 
-def domain_error(src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the expression '{src}' is undefined"
-    return HybridError(ErrorInfo(ErrorKind.DOMAIN_ERROR, msg, src, line, col, dict(env)))
-
-
-def uninitialized(name: str, src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the variable '{name}' is not initialised"
-    return HybridError(ErrorInfo(ErrorKind.UNINITIALIZED_VARIABLE, msg, src, line, col, dict(env)))
-
-
-def non_linear_ode(src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the ODEs contain non-linear expressions after de-sugaring: '{src}'"
-    return HybridError(ErrorInfo(ErrorKind.NON_LINEAR_ODE, msg, src, line, col, dict(env)))
-
-
-def negative_duration(src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the duration '{src}' is negative"
-    return HybridError(ErrorInfo(ErrorKind.NEGATIVE_DURATION, msg, src, line, col, dict(env)))
-
-
-def arity_error(fn: str, want: str, got: int, src: str, line: int, col: int) -> HybridError:
-    msg = f"the function '{fn}' expects {want} argument(s), got {got}"
-    return HybridError(ErrorInfo(ErrorKind.ARITY_ERROR, msg, src, line, col, {}))
-
-
-def solver_failure(src: str, line: int, col: int, env: dict) -> HybridError:
-    msg = f"the solver failed on '{src}'"
-    return HybridError(ErrorInfo(ErrorKind.SOLVER_FAILURE, msg, src, line, col, dict(env)))
+def fail(kind: ErrorKind, node, env: dict, **detail) -> HybridError:
+    """The error of `kind` blamed on `node` (an expression or a differential
+    statement): its source text, pretty-printed when it has none, and its
+    position, 0:0 when it has none.  `detail` fills the rest of the message
+    (`want` and `got` for an arity error)."""
+    src = node.src
+    if src is None:
+        src = pretty(Atom(node)) if isinstance(node, Diff) else pretty_expr(node)
+    line, col = (node.loc.line, node.loc.col) if node.loc else (0, 0)
+    msg = _MESSAGES[kind].format(src=src, node=node, **detail)
+    return HybridError(ErrorInfo(kind, msg, src, line, col, dict(env)))

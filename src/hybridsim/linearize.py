@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._eval import Env, eval_expr
-from .errors import division_by_zero, domain_error, non_linear_ode
-from .syntax import Apply, Const, Diff, Expr, Loc, Var, expr_vars, pretty_expr
+from .errors import ErrorKind, fail
+from .syntax import Apply, Const, Diff, Expr, Var, expr_vars
 
 __all__ = ["AffineSystem", "fold_constants", "to_affine"]
-
-_NOWHERE = Loc(0, 0, 0, 0)
 
 
 @dataclass(eq=False)
@@ -38,15 +36,6 @@ class AffineSystem:
     @property
     def dim(self) -> int:
         return len(self.vars)
-
-
-def _where(node) -> tuple:
-    loc = node.loc or _NOWHERE
-    return loc.line, loc.col
-
-
-def _src(node) -> str:
-    return node.src if node.src is not None else pretty_expr(node)
 
 
 def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:
@@ -105,22 +94,18 @@ def _decompose(e: Expr, bound: tuple, env: Env) -> tuple:
             elif isinstance(args[1], Const):
                 scale, rest = args[1].value, args[0]
             else:
-                line, col = _where(node)
-                raise non_linear_ode(_src(node), line, col, env)
+                raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
             c1, k1 = go(rest)
             return {name: scale * v for name, v in c1.items()}, scale * k1
         if fn == "/" and len(args) == 2:
             if not isinstance(args[1], Const):
-                line, col = _where(node)
-                raise non_linear_ode(_src(node), line, col, env)
+                raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
             if args[1].value == 0.0:
-                line, col = _where(node)
-                raise division_by_zero(_src(node), line, col, env)
+                raise fail(ErrorKind.DIVISION_BY_ZERO, node, env)
             c1, k1 = go(args[0])
             d = args[1].value
             return {name: v / d for name, v in c1.items()}, k1 / d
-        line, col = _where(node)
-        raise non_linear_ode(_src(node), line, col, env)
+        raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
 
     return go(e)
 
@@ -143,6 +128,5 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
             A[i, bound.index(name)] = v
         b[i] = const
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        line, col = _where(diff)
-        raise domain_error(diff.src or "differential statement", line, col, env)
+        raise fail(ErrorKind.DOMAIN_ERROR, diff, env)
     return AffineSystem(bound, A, b, origin=diff)

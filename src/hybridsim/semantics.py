@@ -25,12 +25,10 @@ import enum
 from dataclasses import dataclass
 
 from ._eval import Env, eval_bool, eval_expr
-from .errors import (ErrorInfo, HybridError, negative_duration,
-                     solver_failure, uninitialized)
+from .errors import ErrorInfo, ErrorKind, HybridError, fail
 from .linearize import to_affine
 from .odesolve import NumericalOverflow, Solution, SolverMode
-from .syntax import (Assign, Atom, Diff, If, Loc, Program, Seq, pretty,
-                     pretty_expr)
+from .syntax import Assign, Atom, Diff, If, Program, Seq, Var
 
 __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
@@ -38,8 +36,6 @@ __all__ = [
     "Config", "TSkip", "TStop", "TErr", "Terminal",
     "big_step", "small_step", "machine", "run_to_terminal", "applicable_rules",
 ]
-
-_NOWHERE = Loc(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -125,27 +121,24 @@ def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
     Returns (duration, Solution); raises HybridError on any failure."""
     d = eval_expr(env, a.duration)
     if d < 0.0:
-        loc = a.duration.loc or _NOWHERE
-        src = a.duration.src or pretty_expr(a.duration)
-        raise negative_duration(src, loc.line, loc.col, env)
+        raise fail(ErrorKind.NEGATIVE_DURATION, a.duration, env)
     system = to_affine(a, env)
     x0 = []
     for name, _ in a.pairs:
         if name not in env:
-            loc = a.loc or _NOWHERE
-            raise uninitialized(name, name, loc.line, loc.col, env)
+            # blame the bare name, at the statement's position
+            blamed = Var(name, loc=a.loc, src=name)
+            raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env)
         x0.append(env[name])
     return d, Solution(system, x0, mode, duration=d)
 
 
 def _diff_state(a: Diff, sol: Solution, env: Env, tau: float) -> Env:
     """Environment after following the flow for local time tau."""
-    loc = a.loc or _NOWHERE
     try:
         x = sol.at(tau)
     except NumericalOverflow:
-        src = a.src or pretty(Atom(a))
-        raise solver_failure(src, loc.line, loc.col, env) from None
+        raise fail(ErrorKind.SOLVER_FAILURE, a, env) from None
     out = dict(env)
     for i, (name, _) in enumerate(a.pairs):
         out[name] = float(x[i])
@@ -155,60 +148,40 @@ def _diff_state(a: Diff, sol: Solution, env: Env, tau: float) -> Env:
 # ---------------------------------------------------------------------------
 # Big-step semantics
 
-# internal results: completion carries the REMAINING residual time, computed
-# by the same subtractions the machine performs
-@dataclass(frozen=True)
-class _Fin:
-    env: Env
-    rem: float
-
-
-@dataclass(frozen=True)
-class _StopR:
-    env: Env
-
-
-@dataclass(frozen=True)
-class _ErrR:
-    info: ErrorInfo
-
-
-@dataclass(frozen=True)
-class _BoundR:
-    kind: BoundKind
-    env: Env
-    rem: float
-
 
 def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
          counter: list):
+    """Run `p` to the machine's terminals: TSkip carries the REMAINING
+    residual time, computed by the same subtractions the machine performs.
+    A run stopped by the iteration budget ends in the Config where it
+    tripped."""
     if isinstance(p, Atom):
         a = p.atomic
         if isinstance(a, Assign):
             try:
                 v = eval_expr(env, a.expr)
             except HybridError as ex:
-                return _ErrR(ex.info)  # (asg-err)
+                return TErr(ex.info)  # (asg-err)
             out = dict(env)
             out[a.var] = v
-            return _Fin(out, t)  # (asg-skip): no time consumed
+            return TSkip(out, t)  # (asg-skip): no time consumed
         try:
             d, sol = _diff_enter(a, env, mode)
             if d > t:
-                return _StopR(_diff_state(a, sol, env, t))  # (diff-stop)
-            return _Fin(_diff_state(a, sol, env, d), t - d)  # (diff-skip)
+                return TStop(_diff_state(a, sol, env, t))  # (diff-stop)
+            return TSkip(_diff_state(a, sol, env, d), t - d)  # (diff-skip)
         except HybridError as ex:
-            return _ErrR(ex.info)  # (diff-err)
+            return TErr(ex.info)  # (diff-err)
     if isinstance(p, Seq):
         r = _big(p.first, env, t, mode, limits, counter)
-        if not isinstance(r, _Fin):
+        if not isinstance(r, TSkip):
             return r  # (seq-stop) / (seq-err) / bound
-        return _big(p.rest, r.env, r.rem, mode, limits, counter)  # (seq-skip)
+        return _big(p.rest, r.env, r.residual, mode, limits, counter)  # (seq-skip)
     if isinstance(p, If):
         try:
             g = eval_bool(env, p.cond)
         except HybridError as ex:
-            return _ErrR(ex.info)  # (if-err)
+            return TErr(ex.info)  # (if-err)
         branch = p.then if g else p.orelse
         return _big(branch, env, t, mode, limits, counter)
     # While: iterate (wh-true) unfoldings without growing the call stack
@@ -217,16 +190,30 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
         try:
             g = eval_bool(cur, p.cond)
         except HybridError as ex:
-            return _ErrR(ex.info)  # (wh-err)
+            return TErr(ex.info)  # (wh-err)
         if not g:
-            return _Fin(cur, rem)  # (wh-false)
+            return TSkip(cur, rem)  # (wh-false)
         counter[0] += 1
         if counter[0] > limits.max_iterations:
-            return _BoundR(BoundKind.MAX_ITERATIONS, cur, rem)
+            return Config(p, cur, rem)
         r = _big(p.body, cur, rem, mode, limits, counter)
-        if not isinstance(r, _Fin):
+        if not isinstance(r, TSkip):
             return r
-        cur, rem = r.env, r.rem
+        cur, rem = r.env, r.residual
+
+
+def _outcome(r, t0: float) -> Outcome:
+    """The Outcome of a run started with residual time `t0` that ended in
+    terminal `r`, or in the Config `r` where the iteration budget tripped."""
+    if isinstance(r, TSkip):
+        if r.residual == 0.0:
+            return Skip(r.env, elapsed=t0, early=False)
+        return Skip(r.env, elapsed=t0 - r.residual, early=True)
+    if isinstance(r, TStop):
+        return Stop(r.env)
+    if isinstance(r, TErr):
+        return Err(r.info)
+    return BoundReached(BoundKind.MAX_ITERATIONS, r.env, t0 - r.residual)
 
 
 def big_step(p: Program, env: Env, t: float, mode: SolverMode,
@@ -235,17 +222,7 @@ def big_step(p: Program, env: Env, t: float, mode: SolverMode,
     failure is folded into the Outcome."""
     if not t >= 0:
         raise ValueError("time instant must be non-negative")
-    counter = [0]
-    r = _big(p, dict(env), t, mode, limits, counter)
-    if isinstance(r, _Fin):
-        if r.rem == 0.0:
-            return Skip(r.env, elapsed=t, early=False)
-        return Skip(r.env, elapsed=t - r.rem, early=True)
-    if isinstance(r, _StopR):
-        return Stop(r.env)
-    if isinstance(r, _ErrR):
-        return Err(r.info)
-    return BoundReached(r.kind, r.env, t - r.rem)
+    return _outcome(_big(p, dict(env), t, mode, limits, [0]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +299,10 @@ def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
         if rule == "wh-true":
             iterations += 1
             if iterations > limits.max_iterations:
-                return BoundReached(BoundKind.MAX_ITERATIONS, cfg.env,
-                                    t0 - cfg.residual)
-        if isinstance(r, Config):
-            cfg = r
-            continue
-        if isinstance(r, TSkip):
-            if r.residual == 0.0:
-                return Skip(r.env, elapsed=t0, early=False)
-            return Skip(r.env, elapsed=t0 - r.residual, early=True)
-        if isinstance(r, TStop):
-            return Stop(r.env)
-        return Err(r.info)
+                return _outcome(cfg, t0)
+        if not isinstance(r, Config):
+            return _outcome(r, t0)
+        cfg = r
 
 
 def run_to_terminal(cfg: Config, mode: SolverMode,
@@ -352,47 +321,35 @@ def run_to_terminal(cfg: Config, mode: SolverMode,
 # determinism of the machine)
 
 
-def _defined_expr(env: Env, e) -> bool:
+def _value(evaluate, env: Env, node):
+    """evaluate(env, node), or None when it is undefined."""
     try:
-        eval_expr(env, e)
-        return True
-    except HybridError:
-        return False
-
-
-def _bool_value(env: Env, b):
-    """True/False, or None when the guard is undefined."""
-    try:
-        return eval_bool(env, b)
+        return evaluate(env, node)
     except HybridError:
         return None
 
 
+def _holding(*guards) -> tuple:
+    return tuple(rule for rule, holds in guards if holds)
+
+
 def applicable_rules(cfg: Config, mode: SolverMode) -> tuple:
     """Names of the machine rules whose guards hold in `cfg`, each guard
-    checked on its own.  Determinism = at most one name comes back."""
+    checked on its own (over one evaluation of the expression or condition
+    they share).  Determinism = at most one name comes back."""
     p, env, t = cfg.program, cfg.env, cfg.residual
-    out = []
     if isinstance(p, Atom):
         a = p.atomic
         if isinstance(a, Assign):
-            if _defined_expr(env, a.expr):
-                out.append("asg")
-            if not _defined_expr(env, a.expr):
-                out.append("asg-err")
-            return tuple(out)
-        ok = _defined_expr(env, a.duration)
-        d = eval_expr(env, a.duration) if ok else None
-        if ok and d >= 0.0 and d > t:
-            out.append("diff-stop")
-        if ok and d >= 0.0 and d <= t:
-            out.append("diff-skip")
-        if not ok or d < 0.0:
-            out.append("diff-err")
-        return tuple(out)
+            v = _value(eval_expr, env, a.expr)
+            return _holding(("asg", v is not None), ("asg-err", v is None))
+        d = _value(eval_expr, env, a.duration)
+        ok = d is not None and d >= 0.0
+        return _holding(("diff-stop", ok and d > t), ("diff-skip", ok and d <= t),
+                        ("diff-err", not ok))
     if isinstance(p, Seq):
-        inner = applicable_rules(Config(p.first, env, t), mode)
-        for rule in inner:
+        out = []
+        for rule in applicable_rules(Config(p.first, env, t), mode):
             if rule in ("diff-stop", "seq-stop"):
                 out.append("seq-stop")
             elif rule in ("asg", "diff-skip", "wh-false"):
@@ -403,18 +360,7 @@ def applicable_rules(cfg: Config, mode: SolverMode) -> tuple:
                 # the head steps to a non-terminal configuration
                 out.append("seq")
         return tuple(out)
-    if isinstance(p, If):
-        if _bool_value(env, p.cond) is True:
-            out.append("if-true")
-        if _bool_value(env, p.cond) is False:
-            out.append("if-false")
-        if _bool_value(env, p.cond) is None:
-            out.append("if-err")
-        return tuple(out)
-    if _bool_value(env, p.cond) is True:
-        out.append("wh-true")
-    if _bool_value(env, p.cond) is False:
-        out.append("wh-false")
-    if _bool_value(env, p.cond) is None:
-        out.append("wh-err")
-    return tuple(out)
+    g = _value(eval_bool, env, p.cond)
+    kw = "if" if isinstance(p, If) else "wh"
+    return _holding((f"{kw}-true", g is True), (f"{kw}-false", g is False),
+                    (f"{kw}-err", g is None))

@@ -22,6 +22,10 @@ line comment)::
     primary : NUMBER | 'pi' | 'euler' | FUNC '(' expr (',' expr)* ')'
             | IDENT | '(' expr ')'
 
+Nesting is limited to `MAX_NESTING` levels, counted across parentheses
+(a function call's included), prefix `-` and `!`, and `if`/`while`
+statements; deeper input raises `ParseError`.
+
 Variability listings (`x := {1, 2, 3}`) are only legal in the leading
 declaration section.  Scalar declarations stay in the program body as well
 (re-running an initial assignment consumes no time), so pretty-printing a
@@ -45,7 +49,7 @@ __all__ = [
     "parse", "parse_program", "parse_expression", "parse_boolean",
     "desugar", "desugar_program", "desugar_bool", "desugar_expr",
     "pretty", "pretty_unit", "pretty_expr", "pretty_bool",
-    "ordered_vars", "expr_vars", "FUNCTIONS",
+    "ordered_vars", "expr_vars", "FUNCTIONS", "MAX_NESTING",
 ]
 
 # function symbol -> arity; '-' is both unary and binary
@@ -58,6 +62,9 @@ NAMED_FUNCS = ("sqrt", "exp", "ln", "sin", "cos", "tan", "min", "max", "pow")
 KEYWORDS = ("if", "then", "else", "while", "do", "for", "tt", "ff")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
 RESERVED = set(KEYWORDS) | set(NAMED_FUNCS) | set(CONSTANTS)
+# deepest nesting the parser accepts; it keeps the recursive parser and the
+# recursive passes over the tree well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,7 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing
 
@@ -331,6 +339,12 @@ class _Parser:
         t = self.peek()
         shown = t.text if t.kind != "EOF" else "end of input"
         raise ParseError(message.replace("''", f"{shown!r}"), t.line, t.col, t.pos, expected)
+
+    def nest(self):
+        """Enter one nesting level; the caller leaves it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     def span(self, start_tok: Token, end_pos: int | None = None) -> tuple:
         end = end_pos if end_pos is not None else self.toks[self.pos - 1].pos + len(
@@ -362,8 +376,10 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at("-"):
+            self.nest()
             start = self.advance()
             arg = self.unary()
+            self.depth -= 1
             loc, src = self.span(start)
             if isinstance(arg, Const):
                 return Const(-arg.value, loc=loc, src=src)
@@ -385,6 +401,7 @@ class _Parser:
                 loc, src = self.span(t)
                 return Const(CONSTANTS[t.text], loc=loc, src=src)
             if t.text in NAMED_FUNCS:
+                self.nest()
                 self.advance()
                 self.eat("(")
                 args = [self.expression()]
@@ -392,6 +409,7 @@ class _Parser:
                     self.advance()
                     args.append(self.expression())
                 self.eat(")")
+                self.depth -= 1
                 loc, src = self.span(t)
                 want = FUNCTIONS[t.text]
                 if len(args) != want:
@@ -403,9 +421,11 @@ class _Parser:
             loc, src = self.span(t)
             return Var(t.text, loc=loc, src=src)
         if self.at("("):
+            self.nest()
             self.advance()
             e = self.expression()
             self.eat(")")
+            self.depth -= 1
             return e
         self.fail("unexpected token '' in expression",
                   ("a number", "a variable", "'('"))
@@ -434,8 +454,10 @@ class _Parser:
 
     def b_not(self) -> BoolExpr:
         if self.at("!"):
+            self.nest()
             start = self.advance()
             arg = self.b_not()
+            self.depth -= 1
             loc, src = self.span(start)
             return Not(arg, loc=loc, src=src)
         return self.b_atom()
@@ -453,14 +475,16 @@ class _Parser:
         if self.at("("):
             # '(' may open a parenthesised boolean or an arithmetic operand;
             # try the boolean reading first and rewind on failure.
-            saved = self.pos
+            saved = self.pos, self.depth
             try:
+                self.nest()
                 self.advance()
                 b = self.boolean()
                 self.eat(")")
+                self.depth -= 1
                 return b
             except ParseError:
-                self.pos = saved
+                self.pos, self.depth = saved
         return self.comparison()
 
     def comparison(self) -> BoolExpr:
@@ -482,21 +506,25 @@ class _Parser:
     def statement(self) -> Program:
         t = self.peek()
         if self.at("if"):
+            self.nest()
             self.advance()
             cond = self.boolean()
             self.eat("then")
             then = self.block()
             self.eat("else")
             orelse = self.block()
+            self.depth -= 1
             loc, src = self.span(t)
             return If(cond, then, orelse, loc=loc, src=src)
         if self.at("while"):
+            self.nest()
             self.advance()
             cond = self.boolean()
             self.eat("do")
             self.eat("{")
             body = self.statements()
             self.eat("}")
+            self.depth -= 1
             loc, src = self.span(t)
             return While(cond, body, loc=loc, src=src)
         if t.kind == "IDENT":

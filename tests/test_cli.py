@@ -201,3 +201,12 @@ def test_python_dash_m_runs_the_cli():
          "check", EQ1], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok:")
+
+
+def test_check_too_deeply_nested_program_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "deep.lince"
+    f.write_text("x := " + "(" * 3000 + "1" + ")" * 3000 + "\n")
+    assert cli_main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: nesting deeper than")
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridsim.errors import ErrorKind, HybridError
 from hybridsim.linearize import fold_constants, to_affine
-from hybridsim.syntax import (Apply, Const, Var, desugar_program, expr_vars,
+from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_vars,
                               parse_expression, parse_program)
 from hybridsim.semantics import eval_expr
 
@@ -87,6 +87,19 @@ def test_to_affine_division_by_zero_constant():
     with pytest.raises(HybridError) as exc:
         to_affine(a, {"c": 0.0})
     assert exc.value.info.kind == ErrorKind.DIVISION_BY_ZERO
+
+
+def test_to_affine_non_finite_coefficient_blames_the_statement():
+    # a hand-built statement has no source text: it is pretty-printed
+    a = Diff((("x", Apply("+", (Apply("*", (Const(1e308), Var("x"))),
+                                Apply("*", (Const(1e308), Var("x")))))),),
+             Const(1.0))
+    with pytest.raises(HybridError) as exc:
+        to_affine(a, {})
+    info = exc.value.info
+    assert info.kind == ErrorKind.DOMAIN_ERROR
+    assert info.src == "x' = 1e+308 * x + 1e+308 * x for 1.0"
+    assert (info.line, info.col) == (0, 0)
 
 
 def test_to_affine_division_by_nonzero_constant():

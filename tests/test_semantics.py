@@ -71,6 +71,13 @@ def test_eval_bool_basic():
     assert eval_bool({}, cond("tt && ff")) is False
 
 
+def test_eval_bool_takes_desugared_conditions_only():
+    surface = parse_boolean("x < 1")
+    with pytest.raises(TypeError, match="desugar_bool"):
+        eval_bool({"x": 0.0}, surface)
+    assert eval_bool({"x": 0.0}, desugar_bool(surface)) is True
+
+
 def test_eval_bool_does_not_short_circuit():
     # the left disjunct is undefined, so the whole condition is undefined
     # even though the right one is 'tt'

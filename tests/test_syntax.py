@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsim import randprog
-from hybridsim.syntax import (And, Apply, ArityError, Assign, Atom, BTrue,
-                              Cmp, Const, Diff, If, Leq, Not, ParseError, Seq,
-                              Var, VarList, While, desugar, desugar_bool,
-                              desugar_expr, ordered_vars, parse,
+from hybridsim.syntax import (MAX_NESTING, And, Apply, ArityError, Assign,
+                              Atom, BTrue, Cmp, Const, Diff, If, Leq, Not,
+                              ParseError, Seq, Var, VarList, While, desugar,
+                              desugar_bool, desugar_expr, ordered_vars, parse,
                               parse_boolean, parse_expression, parse_program,
                               pretty, pretty_unit)
 
@@ -229,3 +229,49 @@ def test_ordered_vars_first_occurrence():
 def test_while_body_braces_and_trailing_semicolon():
     p = parse_program("while x <= 2 do { x := x + 1 ; }")
     assert isinstance(p, While)
+
+
+# each form nests n levels; a condition sits inside an `if`, which is a
+# level of its own
+NESTING = {
+    "parentheses": lambda n: "x := " + "(" * n + "1" + ")" * n,
+    "call": lambda n: "x := " + "sqrt(" * n + "1" + ")" * n,
+    "minus": lambda n: "x := " + "-" * n + "y",
+    "not": lambda n: "if " + "!" * (n - 1) + "tt then x := 1 else x := 2",
+    "condition-parentheses":
+        lambda n: "if " + "(" * (n - 1) + "tt" + ")" * (n - 1) + " then x := 1 else x := 2",
+    "operand-parentheses":
+        lambda n: "if " + "(" * (n - 1) + "y" + ")" * (n - 1) + " <= 1 then x := 1 else x := 2",
+    "while": lambda n: "while y <= 0 do { " * n + "x := 1" + " }" * n,
+    "if-braced": lambda n: "if tt then { " * n + "x := 1" + " } else { x := 2 }" * n,
+    "if-bare": lambda n: "if tt then " * n + "x := 1" + " else x := 2" * n,
+    "mixed": lambda n: _mixed(n // 2, n // 4, n - n // 2 - n // 4),
+}
+
+
+def _mixed(loops, minus, parens):
+    return ("while tt do { " * loops + "x := " + "-" * minus + "(" * parens + "1"
+            + ")" * parens + " }" * loops)
+
+
+@pytest.mark.parametrize("form", NESTING.values(), ids=NESTING.keys())
+def test_nesting_up_to_the_limit_parses(form):
+    # the passes over the tree recurse too; they must cope with the deepest
+    # tree the parser accepts
+    unit = desugar(parse(form(MAX_NESTING)))
+    assert pretty(unit.body)
+
+
+@pytest.mark.parametrize("form", NESTING.values(), ids=NESTING.keys())
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_beyond_the_limit_is_a_parse_error(form, depth):
+    with pytest.raises(ParseError) as exc:
+        parse(form(depth))
+    assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
+
+
+def test_nesting_limit_survives_backtracking():
+    # a parenthesised operand is first tried as a condition and rewound;
+    # the rewind must not leave levels counted
+    ok = "if " + "(y) <= 1 && " * (2 * MAX_NESTING) + "tt then x := 1 else x := 2"
+    assert isinstance(parse(ok).body, If)

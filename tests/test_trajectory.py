@@ -184,7 +184,7 @@ def test_point_query_agrees_with_segment_interpolation():
     """Evaluating at one instant matches the simulated trajectory
     interpolated through its segment at that instant."""
     from hybridsim.semantics import big_step
-    unit = load_corpus("aeb")
+    unit = load_core("aeb")  # big_step takes desugared programs
     limits = Limits(max_time=10.0)
     traj = simulate(unit, EXACT, limits, dt=0.3)[0]
     for t in (0.05, 1.234, 3.3, 7.77):
