@@ -10,10 +10,23 @@ Accepted shapes after folding: +, binary/unary -, scalar * expression (the
 scalar on either side; it is commuted to the left), and division by a
 non-zero constant.  Anything else over a bound variable is rejected as
 non-linear.
+
+`to_affine` memoises its successful results.  The key is the statement's
+identity together with the exact bit pattern (`float.hex`) of each frozen
+variable's value, so -0.0 and 0.0 are different keys; the result never
+depends on anything else in the environment.  The cache holds the `Diff`
+itself in each entry, so its `id` cannot be reused while the entry lives,
+and keeps the AFFINE_CACHE_SIZE most recently used entries.  Failures are
+never cached (their error carries the environment), nor are calls whose
+frozen values are missing or not plain floats.  A cached system is shared
+by every caller, threads included (the cache is locked), so its arrays
+are read-only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,17 +34,44 @@ from ._eval import Env, eval_expr
 from .errors import ErrorKind, fail
 from .syntax import Apply, Const, Diff, Expr, Var, expr_vars
 
-__all__ = ["AffineSystem", "fold_constants", "to_affine"]
+__all__ = ["AffineSystem", "fold_constants", "to_affine", "AFFINE_CACHE_SIZE"]
+
+# The largest per-operation working set measured on the benchmark workloads
+# is 11 distinct (statement, frozen values) pairs (a selftest program), and
+# a whole point-query round over the corpus touches 30.
+AFFINE_CACHE_SIZE = 64
 
 
-@dataclass(eq=False)
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class AffineSystem:
-    """x' = A x + b over `vars` (the Diff-bound variables, in binding order)."""
+    """x' = A x + b over `vars` (the Diff-bound variables, in binding order).
+
+    Carries the augmented matrix M = [[A, b], [0, 0]], on which both solvers
+    act, and memos of the flow maps `odesolve` derives from it: expm(tau M)
+    keyed by tau in `exp_maps`, and the RK4 step map R(hM) keyed by h in
+    `rk4_maps`.  A, b and M are read-only copies, as systems are shared."""
 
     vars: tuple
     A: np.ndarray
     b: np.ndarray
     origin: Diff | None = None
+    M: np.ndarray = field(init=False, repr=False)
+    exp_maps: dict = field(init=False, repr=False, default_factory=dict)
+    rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        n = len(self.b)
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = self.A
+        M[:n, n] = self.b
+        for name, value in (("A", self.A), ("b", self.b), ("M", M)):
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def dim(self) -> int:
@@ -110,11 +150,55 @@ def _decompose(e: Expr, bound: tuple, env: Env) -> tuple:
     return go(e)
 
 
+# (id(diff), frozen value bits...) -> (diff, system), least recently used first
+_systems: OrderedDict = OrderedDict()
+# id(diff) -> (diff, its frozen variables' names), oldest first
+_frozen: dict = {}
+_lock = threading.Lock()
+
+
+def _frozen_names(diff: Diff) -> tuple:
+    entry = _frozen.get(id(diff))
+    if entry is None:
+        bound = {x for x, _ in diff.pairs}
+        names = set().union(*(expr_vars(e) for _, e in diff.pairs)) - bound
+        entry = _frozen[id(diff)] = (diff, tuple(sorted(names)))
+        if len(_frozen) > AFFINE_CACHE_SIZE:
+            del _frozen[next(iter(_frozen))]
+    return entry[1]
+
+
+def _cache_key(diff: Diff, env: Env) -> tuple | None:
+    key = [id(diff)]
+    for name in _frozen_names(diff):
+        v = env.get(name)
+        if type(v) is not float:
+            return None
+        key.append(v.hex())
+    return tuple(key)
+
+
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
     """Fold and decompose a differential statement's right-hand sides.
 
     Deterministic, and independent of the values the bound variables may
-    have in `env` (they are never read)."""
+    have in `env` (they are never read).  Memoised: see the module notes."""
+    with _lock:
+        key = _cache_key(diff, env)
+        hit = None if key is None else _systems.get(key)
+        if hit is not None:
+            _systems.move_to_end(key)
+            return hit[1]
+    system = _linearize(diff, env)
+    if key is not None:
+        with _lock:
+            _systems[key] = (diff, system)
+            if len(_systems) > AFFINE_CACHE_SIZE:
+                _systems.popitem(last=False)
+    return system
+
+
+def _linearize(diff: Diff, env: Env) -> AffineSystem:
     bound = tuple(x for x, _ in diff.pairs)
     bound_set = set(bound)
     n = len(bound)

@@ -1,23 +1,35 @@
 """Solution of affine systems x' = A x + b, exactly or by fixed-step RK4.
 
-Both backends act on (x, 1) through M = [[A, b], [0, 0]].  The exact one
-applies expm(M t) (scipy's scaling-and-squaring Pade implementation).  RK4
-is a propagator: one step of size h is exactly the linear map
-R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, built on a Solution's
-first full step, so each step is one matvec; the last step, cut short to
-land on t, applies R((t - (n-1) h) M).  Constant-rate flows (A == 0) take
-the exact closed form x0 + b t in both modes, on which RK4 is exact too.
-Overflow is checked once, on the state returned: a non-finite entry makes
-all of the next matvec non-finite (0 * inf = nan).
+Both backends act on (x, 1) through the system's augmented matrix
+M = [[A, b], [0, 0]].  The exact one applies expm(M t) (scipy's
+scaling-and-squaring Pade implementation).  RK4 is a propagator: one step
+of size h is exactly the linear map
+R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so each step is one
+matvec; the last step, cut short to land on t, applies R(tau M) to the
+state as Horner in tau M, four matvecs and no matrix product.
+Constant-rate flows (A == 0) take the exact closed form x0 + b t in both
+modes, on which RK4 is exact too.  Overflow is checked once, on the state
+returned: a non-finite entry makes all of the next matvec non-finite
+(0 * inf = nan).
+
+Flow maps are memoised on the system: expm(tau M) keyed by tau (positive
+and finite, so float equality is bit identity) and R(hM) keyed by h, at
+most MAPS_PER_SYSTEM of each, the oldest dropped first.  Every entry is one
+fresh `expm` or `_rk4_map` call, bit-identical to what a new call would
+return; nothing is derived from powers of another entry.  Systems come
+shared from `linearize.to_affine`, so these memos serve every Solution of
+a system, on any thread (insertion is locked); the cached maps are
+read-only.
 
 The RK4 prefix is memoised on the step grid, so increasing queries along
 one segment cost one pass and are bit-identical to one fresh integration.
-The cache is confined to the Solution instance; do not share one mutably
-across threads.
+That cache is confined to the Solution instance and not locked: do not
+share one Solution across threads.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +38,12 @@ from scipy.linalg import expm
 from .linearize import AffineSystem
 
 __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
-           "solve_exact", "solve_rk4", "default_rk4_step"]
+           "solve_exact", "solve_rk4", "default_rk4_step", "MAPS_PER_SYSTEM"]
+
+# Within one benchmark operation a system meets at most 18 distinct sampling
+# offsets (simulate-exact) and at most 2 distinct durations (point-query).
+MAPS_PER_SYSTEM = 32
+_lock = threading.Lock()
 
 
 class NumericalOverflow(Exception):
@@ -75,9 +92,31 @@ def _rk4_map(m: np.ndarray, h: float) -> np.ndarray:
     return eye + hm @ r
 
 
-def _rk4_step(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _rk4_step(r: np.ndarray, z: np.ndarray, tau: float | None = None) -> np.ndarray:
+    """One RK4 step of the augmented state z: r is the step map R(hM), or,
+    for a step of length tau, the matrix M itself, applied as
+    z + tau M(z + tau M/2 (z + tau M/3 (z + tau M/4 z)))."""
     # one call per step, looked up by name, so that a tracer can count steps
-    return r @ z
+    if tau is None:
+        return r @ z
+    w = z + (tau / 4.0) * (r @ z)
+    w = z + (tau / 3.0) * (r @ w)
+    w = z + (tau / 2.0) * (r @ w)
+    return z + tau * (r @ w)
+
+
+def _memo(maps: dict, key: float, build) -> np.ndarray:
+    """maps[key], built by `build()` on a miss, read-only, at most
+    MAPS_PER_SYSTEM entries."""
+    m = maps.get(key)
+    if m is None:
+        m = build()
+        m.flags.writeable = False
+        with _lock:
+            if len(maps) >= MAPS_PER_SYSTEM:
+                del maps[next(iter(maps))]
+            maps[key] = m
+    return m
 
 
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
@@ -102,8 +141,8 @@ class Solution:
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)
         else:
             self.step = None
-        # RK4: the map R(step * M) and the augmented state after _k steps
-        self._r = self._z = None
+        # RK4: the augmented state after _k steps
+        self._z = None
         self._k = 0
 
     @property
@@ -118,32 +157,28 @@ class Solution:
             return self.x0.copy()
         # overflow surfaces as a non-finite state, reported below
         with np.errstate(over="ignore", invalid="ignore"):
+            sys = self.system
             if self.closed_form:
-                x = self.x0 + self.system.b * t
+                x = self.x0 + sys.b * t
+            elif isinstance(self.mode, Exact):
+                n = sys.dim
+                e = _memo(sys.exp_maps, t, lambda: expm(sys.M * t))
+                x = e[:n, :n] @ self.x0 + e[:n, n]
             else:
-                n = self.system.dim
-                m = np.zeros((n + 1, n + 1))
-                m[:n, :n] = self.system.A
-                m[:n, n] = self.system.b
-                if isinstance(self.mode, Exact):
-                    e = expm(m * t)
-                    x = e[:n, :n] @ self.x0 + e[:n, n]
-                else:
-                    x = self._propagate(m, t)
+                x = self._propagate(t)
         if not np.isfinite(x).all():
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
 
-    def _propagate(self, m: np.ndarray, t: float) -> np.ndarray:
-        h = self.step
+    def _propagate(self, t: float) -> np.ndarray:
+        h, m = self.step, self.system.M
         n = max(1, math.ceil(t / h))
         if self._z is None or self._k > n - 1:
             self._k, self._z = 0, np.append(self.x0, 1.0)
         if self._k < n - 1:
-            if self._r is None:
-                self._r = _rk4_map(m, h)
-            z, r = self._z, self._r
+            r = _memo(self.system.rk4_maps, h, lambda: _rk4_map(m, h))
+            z = self._z
             for _ in range(n - 1 - self._k):
                 z = _rk4_step(r, z)
             self._k, self._z = n - 1, z
-        return _rk4_step(_rk4_map(m, t - (n - 1) * h), self._z)[:-1]
+        return _rk4_step(m, self._z, t - (n - 1) * h)[:-1]

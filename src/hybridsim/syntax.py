@@ -787,7 +787,9 @@ def pretty_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
             return f"({s})"
         return s
     if e.fn == "-" and len(e.args) == 1:
-        return f"-({pretty_expr(e.args[0])})"
+        # a prefix binds tighter than any binary operator, so only a binary
+        # operand needs parentheses
+        return "-" + pretty_expr(e.args[0], max(_PREC.values()) + 1)
     args = ", ".join(pretty_expr(a) for a in e.args)
     return f"{e.fn}({args})"
 
@@ -805,7 +807,7 @@ def pretty_bool(b: BoolExpr, parent_prec: int = 0) -> str:
     if isinstance(b, Cmp):
         return f"{pretty_expr(b.lhs)} {b.op} {pretty_expr(b.rhs)}"
     if isinstance(b, Not):
-        return f"!({pretty_bool(b.arg)})"
+        return "!" + pretty_bool(b.arg, max(_BPREC.values()) + 1)
     op = "&&" if isinstance(b, And) else "||"
     prec = _BPREC[op]
     s = f"{pretty_bool(b.lhs, prec)} {op} {pretty_bool(b.rhs, prec + 1)}"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsim.errors import ErrorKind, HybridError
-from hybridsim.linearize import fold_constants, to_affine
+from hybridsim import linearize
+from hybridsim.linearize import AFFINE_CACHE_SIZE, fold_constants, to_affine
 from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_vars,
                               parse_expression, parse_program)
 from hybridsim.semantics import eval_expr
@@ -129,6 +131,71 @@ def test_to_affine_independent_of_diff_values():
     env2 = {"c": 7.0, "x": 123.0, "y": -5.0}
     s1, s2 = to_affine(a, env1), to_affine(a, env2)
     assert np.array_equal(s1.A, s2.A) and np.array_equal(s1.b, s2.b)
+
+
+# -- the to_affine cache
+
+def test_cache_returns_the_shared_system_for_equal_frozen_bits():
+    a = _diff("x' = k*x + y, y' = -y for 1")
+    s1 = to_affine(a, {"k": 2.0, "x": 1.0})
+    s2 = to_affine(a, {"k": 2.0, "x": -7.0, "z": 3.0})
+    assert s2 is s1
+    assert to_affine(a, {"k": 3.0}) is not s1
+    # an equal but distinct statement is another key
+    assert to_affine(_diff("x' = k*x + y, y' = -y for 1"), {"k": 2.0}) is not s1
+
+
+def test_cache_keys_on_bit_patterns_not_equality():
+    a = _diff("x' = k*x for 1")
+    neg = to_affine(a, {"k": -0.0})
+    pos = to_affine(a, {"k": 0.0})
+    assert math.copysign(1.0, neg.A[0, 0]) == -1.0
+    assert math.copysign(1.0, pos.A[0, 0]) == 1.0
+
+
+def test_cache_never_holds_a_failure():
+    a = _diff("x' = x / k for 1")
+    good = to_affine(a, {"k": 2.0})
+    assert good.A[0, 0] == 0.5
+    for env in ({"k": 0.0}, {"k": 0.0, "x": 4.0}):
+        with pytest.raises(HybridError) as exc:
+            to_affine(a, env)
+        assert exc.value.info.kind == ErrorKind.DIVISION_BY_ZERO
+        assert exc.value.info.env == env
+    assert to_affine(a, {"k": 2.0}) is good
+
+
+def test_uncacheable_frozen_values_still_linearize():
+    a = _diff("x' = k*x for 1")
+    assert to_affine(a, {"k": 2}).A[0, 0] == 2.0  # not a float: not cached
+    with pytest.raises(HybridError) as exc:
+        to_affine(a, {})
+    assert exc.value.info.kind == ErrorKind.UNINITIALIZED_VARIABLE
+
+
+def test_shared_system_is_read_only():
+    sys = to_affine(_diff("x' = k*x + 1 for 1"), {"k": 2.0})
+    for arr in (sys.A, sys.b, sys.M):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    assert np.array_equal(sys.M, [[2.0, 1.0], [0.0, 0.0]])
+
+
+def test_cache_size_stays_at_its_bound():
+    linearize._systems.clear()
+    a = _diff("x' = k*x for 1")
+    made = [to_affine(a, {"k": float(i)}) for i in range(AFFINE_CACHE_SIZE + 10)]
+    assert len(linearize._systems) == AFFINE_CACHE_SIZE
+    # least recently used goes first: a hit on k = 10 makes k = 11 the oldest
+    assert to_affine(a, {"k": 10.0}) is made[10]
+    to_affine(a, {"k": -1.0})
+    assert len(linearize._systems) == AFFINE_CACHE_SIZE
+    assert to_affine(a, {"k": 10.0}) is made[10]
+    assert to_affine(a, {"k": 11.0}) is not made[11]
+    for _ in range(AFFINE_CACHE_SIZE + 10):
+        to_affine(_diff("x' = k*x for 1"), {"k": 1.0})
+    assert len(linearize._systems) == AFFINE_CACHE_SIZE
+    assert len(linearize._frozen) <= AFFINE_CACHE_SIZE
 
 
 # -- randomized properties

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from hybridsim import odesolve
 from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
-from hybridsim.odesolve import (Exact, NumericalOverflow, RK4, Solution,
-                                default_rk4_step, solve_exact, solve_rk4)
+from hybridsim.odesolve import (MAPS_PER_SYSTEM, Exact, NumericalOverflow, RK4,
+                                Solution, default_rk4_step, solve_exact, solve_rk4)
 from hybridsim.semantics import Err, Limits, big_step
 from hybridsim.syntax import desugar, parse
 from hybridsim.trajectory import Continuous, simulate
@@ -175,6 +176,64 @@ def test_solution_rk4_non_monotone_query_restarts():
     b = sol.at(0.25)  # going backwards restarts from x0
     assert np.array_equal(b, solve_rk4(OSC, [1.0, 0.0], 0.25, 0.05))
     assert np.array_equal(sol.at(1.0), a)
+
+
+def _counting_expm(monkeypatch) -> list:
+    calls = []
+    real = odesolve.expm
+
+    def expm(m):
+        calls.append(m.copy())
+        return real(m)
+    monkeypatch.setattr(odesolve, "expm", expm)
+    return calls
+
+
+def test_expm_is_memoised_per_system_and_tau(monkeypatch):
+    calls = _counting_expm(monkeypatch)
+    sys = _sys([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
+    fresh = Solution(sys, [1.0, 0.0], Exact()).at(0.7)
+    again = Solution(sys, [2.0, -1.0], Exact()).at(0.7)
+    assert len(calls) == 1 and np.array_equal(calls[0], 0.7 * sys.M)
+    e = sys.exp_maps[0.7]
+    assert np.array_equal(again, e[:2, :2] @ np.array([2.0, -1.0]) + e[:2, 2])
+    Solution(sys, [1.0, 0.0], Exact()).at(0.7000000000000001)
+    assert len(calls) == 2
+    # the memo answers with the bits a fresh call gives
+    other = _sys([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
+    assert np.array_equal(Solution(other, [1.0, 0.0], Exact()).at(0.7), fresh)
+
+
+def test_flow_maps_are_read_only_and_bounded():
+    sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
+    for k in range(1, MAPS_PER_SYSTEM + 6):
+        Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
+        Solution(sys, [1.0, 1.0], RK4(0.001 * k)).at(0.05)
+    assert len(sys.exp_maps) == MAPS_PER_SYSTEM
+    assert len(sys.rk4_maps) == MAPS_PER_SYSTEM
+    assert 0.01 not in sys.exp_maps  # the oldest went first
+    for m in (*sys.exp_maps.values(), *sys.rk4_maps.values()):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_system_copies_the_arrays_it_is_given():
+    A, b = np.array([[1.0]]), np.array([2.0])
+    sys = AffineSystem(("x",), A, b)
+    A[0, 0] = 5.0  # the caller's arrays stay writable and unshared
+    assert sys.A[0, 0] == 1.0
+    assert np.array_equal(sys.M, [[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        sys.M[0, 0] = 3.0
+
+
+def test_rk4_step_map_is_shared_across_solutions():
+    sys = _sys([[-1.0]], [0.5])
+    a = Solution(sys, [1.0], RK4(0.01)).at(0.5)
+    assert list(sys.rk4_maps) == [0.01]
+    r = sys.rk4_maps[0.01]
+    b = Solution(sys, [1.0], RK4(0.01)).at(0.5)
+    assert sys.rk4_maps[0.01] is r and np.array_equal(a, b)
 
 
 def test_default_step_rule():

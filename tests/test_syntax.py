@@ -275,3 +275,25 @@ def test_nesting_limit_survives_backtracking():
     # the rewind must not leave levels counted
     ok = "if " + "(y) <= 1 && " * (2 * MAX_NESTING) + "tt then x := 1 else x := 2"
     assert isinstance(parse(ok).body, If)
+
+
+@pytest.mark.parametrize("text", [
+    "x := 0 ; if " + "!" * 99 + "tt then x := 1 else x := 2",
+    "x := " + "-" * 99 + "y",
+])
+def test_prefix_chains_pretty_print_to_parseable_text(text):
+    # one parenthesis level per prefix would push the printed text past
+    # MAX_NESTING; prefixes print bare
+    for body in (parse_program(text), desugar(parse(text)).body):
+        assert parse_program(pretty(body)) == body
+
+
+def test_prefix_operand_keeps_parentheses_only_when_binary():
+    assert pretty(parse_program("x := -(a+b)")) == "x := -(a + b)"
+    assert pretty(parse_program("x := -(a*b)")) == "x := -(a * b)"
+    assert pretty(parse_program("x := -a * b")) == "x := -a * b"
+    assert pretty(parse_program("x := --sqrt(y)")) == "x := --sqrt(y)"
+    cond = "if !(a <= 1 && tt) || !!ff then x := 1 else x := 2"
+    assert pretty(parse_program(cond)).startswith("if !(a <= 1.0 && tt) || !!ff then")
+    for text in ("x := -(a+b)", "x := -a * b", cond):
+        assert parse_program(pretty(parse_program(text))) == parse_program(text)
