@@ -39,7 +39,12 @@ def eval_expr(env: Env, e: Expr) -> float:
             return env[e.name]
         except KeyError:
             raise fail(ErrorKind.UNINITIALIZED_VARIABLE, e, env) from None
-    args = [eval_expr(env, a) for a in e.args]
+    return apply_fn(env, e, [eval_expr(env, a) for a in e.args])
+
+
+def apply_fn(env: Env, e: Expr, args: list) -> float:
+    """The value of the operation at `e` on its evaluated arguments `args`;
+    a failure raises HybridError blamed on `e`."""
     if e.fn == "-" and len(args) == 1:
         return -args[0]
     arity, op = _FUNCTIONS.get(e.fn, ("?", None))

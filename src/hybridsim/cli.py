@@ -25,8 +25,8 @@ from .errors import HybridError
 from .odesolve import Exact, RK4
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
                         run_to_terminal, Config)
-from .syntax import (Atom, Diff, If, ParseError, Seq, SourceUnit, VarList,
-                     While, desugar, ordered_vars, parse)
+from .syntax import (Diff, ParseError, SourceUnit, VarList, desugar, nodes,
+                     ordered_vars, parse)
 from .linearize import to_affine
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
                          expand_variability, simulate)
@@ -87,27 +87,12 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
-def _collect_diffs(p, out: list):
-    if isinstance(p, Atom):
-        if isinstance(p.atomic, Diff):
-            out.append(p.atomic)
-    elif isinstance(p, Seq):
-        _collect_diffs(p.first, out)
-        _collect_diffs(p.rest, out)
-    elif isinstance(p, If):
-        _collect_diffs(p.then, out)
-        _collect_diffs(p.orelse, out)
-    elif isinstance(p, While):
-        _collect_diffs(p.body, out)
-
-
 def cmd_check(args) -> int:
     unit = desugar(_load(args.file))
     env = {}
     for d in unit.declarations:
         env[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
-    diffs: list = []
-    _collect_diffs(unit.body, diffs)
+    diffs = [node for node in nodes(unit.body) if type(node) is Diff]
     failures = 0
     for diff in diffs:
         try:
@@ -259,10 +244,7 @@ def cli_main(argv) -> int:
         print(f"parse error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except (AxisSyntaxError, UnknownVariable, VariabilityCapExceeded,
-            argparse.ArgumentTypeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as ex:
+            argparse.ArgumentTypeError, OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .syntax import Atom, Diff, pretty, pretty_expr
+from .syntax import pretty
 
 
 class ErrorKind(enum.Enum):
@@ -65,7 +65,7 @@ def fail(kind: ErrorKind, node, env: dict, **detail) -> HybridError:
     (`want` and `got` for an arity error)."""
     src = node.src
     if src is None:
-        src = pretty(Atom(node)) if isinstance(node, Diff) else pretty_expr(node)
+        src = pretty(node)
     line, col = (node.loc.line, node.loc.col) if node.loc else (0, 0)
     msg = _MESSAGES[kind].format(src=src, node=node, **detail)
     return HybridError(ErrorInfo(kind, msg, src, line, col, dict(env)))

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._eval import Env, eval_expr
+from ._eval import Env, apply_fn, eval_expr
 from .errors import ErrorKind, fail
-from .syntax import Apply, Const, Diff, Expr, Var, expr_vars
+from .syntax import Apply, Const, Diff, Expr, Var, expr_vars, fold, nodes
 
 __all__ = ["AffineSystem", "fold_constants", "to_affine", "AFFINE_CACHE_SIZE"]
 
@@ -80,74 +80,86 @@ class AffineSystem:
 
 def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:
     """Replace each maximal subexpression with no un-frozen variable by the
-    constant it evaluates to.  Scalars end up on the left of '*'."""
+    constant it evaluates to.  Scalars end up on the left of '*'.
+
+    One bottom-up fold: a frozen node becomes a `Const` as soon as its
+    children are, so evaluation runs in the order (and fails at the node)
+    `eval_expr` would on each maximal frozen subexpression."""
     frozen = set(frozen)
 
-    def live(vs: set) -> bool:
-        return bool(vs - frozen)
-
-    def fold(node: Expr) -> Expr:
-        if isinstance(node, Const):
+    def combine(node: Expr, kids: list) -> Expr:
+        t = type(node)
+        if t is Const:
             return node
-        if isinstance(node, Var):
+        if t is Var:
             if node.name in frozen:
                 return Const(eval_expr(env, node), loc=node.loc, src=node.src)
             return node
-        if not live(expr_vars(node)):
-            return Const(eval_expr(env, node), loc=node.loc, src=node.src)
-        args = tuple(fold(a) for a in node.args)
-        if (node.fn == "*" and len(args) == 2
-                and isinstance(args[1], Const) and not isinstance(args[0], Const)):
-            args = (args[1], args[0])
-        return Apply(node.fn, args, loc=node.loc, src=node.src)
+        if all(type(k) is Const for k in kids):
+            value = apply_fn(env, node, [k.value for k in kids])
+            return Const(value, loc=node.loc, src=node.src)
+        if (node.fn == "*" and len(kids) == 2
+                and type(kids[1]) is Const and type(kids[0]) is not Const):
+            kids = kids[::-1]
+        return Apply(node.fn, tuple(kids), loc=node.loc, src=node.src)
 
-    return fold(e)
+    return fold(e, combine)
 
 
-def _decompose(e: Expr, bound: tuple, env: Env) -> tuple:
-    """Folded expression -> (coefficient per bound variable, constant term)."""
+# operator -> arities an affine form accepts
+_AFFINE = {"+": (2,), "-": (1, 2), "*": (2,), "/": (2,)}
 
-    def go(node: Expr) -> tuple:
-        if isinstance(node, Const):
-            return {}, node.value
-        if isinstance(node, Var):
-            return {node.name: 1.0}, 0.0
-        fn, args = node.fn, node.args
-        if fn == "+" and len(args) == 2:
-            c1, k1 = go(args[0])
-            c2, k2 = go(args[1])
-            for name, v in c2.items():
-                c1[name] = c1.get(name, 0.0) + v
-            return c1, k1 + k2
-        if fn == "-" and len(args) == 2:
-            c1, k1 = go(args[0])
-            c2, k2 = go(args[1])
-            for name, v in c2.items():
-                c1[name] = c1.get(name, 0.0) - v
-            return c1, k1 - k2
-        if fn == "-" and len(args) == 1:
-            c1, k1 = go(args[0])
-            return {name: -v for name, v in c1.items()}, -k1
-        if fn == "*" and len(args) == 2:
-            if isinstance(args[0], Const):
-                scale, rest = args[0].value, args[1]
-            elif isinstance(args[1], Const):
-                scale, rest = args[1].value, args[0]
-            else:
-                raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
-            c1, k1 = go(rest)
-            return {name: scale * v for name, v in c1.items()}, scale * k1
-        if fn == "/" and len(args) == 2:
-            if not isinstance(args[1], Const):
-                raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
-            if args[1].value == 0.0:
-                raise fail(ErrorKind.DIVISION_BY_ZERO, node, env)
-            c1, k1 = go(args[0])
-            d = args[1].value
-            return {name: v / d for name, v in c1.items()}, k1 / d
-        raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
 
-    return go(e)
+def _rejection(node: Expr):
+    """The ErrorKind that keeps `node` out of an affine form, or None."""
+    if type(node) is not Apply:
+        return None
+    fn, args = node.fn, node.args
+    if (len(args) not in _AFFINE.get(fn, ())
+            or fn == "*" and Const not in (type(args[0]), type(args[1]))
+            or fn == "/" and type(args[1]) is not Const):
+        return ErrorKind.NON_LINEAR_ODE
+    if fn == "/" and args[1].value == 0.0:
+        return ErrorKind.DIVISION_BY_ZERO
+    return None
+
+
+def _affine_parts(node: Expr, kids: list) -> tuple:
+    """(coefficient per variable, constant term) of an accepted node."""
+    t = type(node)
+    if t is Const:
+        return {}, node.value
+    if t is Var:
+        return {node.name: 1.0}, 0.0
+    if len(kids) == 1:  # unary minus
+        c1, k1 = kids[0]
+        return {name: -v for name, v in c1.items()}, -k1
+    (c1, k1), (c2, k2) = kids
+    fn, args = node.fn, node.args
+    if fn in ("+", "-"):
+        sign = 1.0 if fn == "+" else -1.0  # a - b is a + (-b), bit for bit
+        for name, v in c2.items():
+            c1[name] = c1.get(name, 0.0) + sign * v
+        return c1, k1 + sign * k2
+    if fn == "*":
+        # the scalar side, the left one when both are constants
+        if type(args[0]) is Const:
+            scale, c1, k1 = args[0].value, c2, k2
+        else:
+            scale = args[1].value
+        return {name: scale * v for name, v in c1.items()}, scale * k1
+    d = args[1].value  # '/' by a non-zero constant
+    return {name: v / d for name, v in c1.items()}, k1 / d
+
+
+def _decompose(e: Expr, env: Env) -> tuple:
+    """Folded expression -> (coefficient per bound variable, constant term).
+    The first rejected node in pre-order is the one blamed."""
+    for node in nodes(e):
+        kind = _rejection(node)
+        if kind is not None:
+            raise fail(kind, node, env)
+    return fold(e, _affine_parts)
 
 
 # (id(diff), frozen value bits...) -> (diff, system), least recently used first
@@ -168,9 +180,9 @@ def _frozen_names(diff: Diff) -> tuple:
     return entry[1]
 
 
-def _cache_key(diff: Diff, env: Env) -> tuple | None:
+def _cache_key(diff: Diff, frozen: tuple, env: Env) -> tuple | None:
     key = [id(diff)]
-    for name in _frozen_names(diff):
+    for name in frozen:
         v = env.get(name)
         if type(v) is not float:
             return None
@@ -184,12 +196,13 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
     Deterministic, and independent of the values the bound variables may
     have in `env` (they are never read).  Memoised: see the module notes."""
     with _lock:
-        key = _cache_key(diff, env)
+        frozen = _frozen_names(diff)
+        key = _cache_key(diff, frozen, env)
         hit = None if key is None else _systems.get(key)
         if hit is not None:
             _systems.move_to_end(key)
             return hit[1]
-    system = _linearize(diff, env)
+    system = _linearize(diff, frozen, env)
     if key is not None:
         with _lock:
             _systems[key] = (diff, system)
@@ -198,16 +211,14 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
     return system
 
 
-def _linearize(diff: Diff, env: Env) -> AffineSystem:
+def _linearize(diff: Diff, frozen: tuple, env: Env) -> AffineSystem:
     bound = tuple(x for x, _ in diff.pairs)
-    bound_set = set(bound)
     n = len(bound)
     A = np.zeros((n, n))
     b = np.zeros(n)
     for i, (_, rhs) in enumerate(diff.pairs):
-        frozen = expr_vars(rhs) - bound_set
         folded = fold_constants(rhs, env, frozen)
-        coeffs, const = _decompose(folded, bound, env)
+        coeffs, const = _decompose(folded, env)
         for name, v in coeffs.items():
             A[i, bound.index(name)] = v
         b[i] = const

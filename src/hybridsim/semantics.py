@@ -155,6 +155,11 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
     residual time, computed by the same subtractions the machine performs.
     A run stopped by the iteration budget ends in the Config where it
     tripped."""
+    while isinstance(p, Seq):  # a Seq spine: (seq-skip) steps along it
+        r = _big(p.first, env, t, mode, limits, counter)
+        if not isinstance(r, TSkip):
+            return r  # (seq-stop) / (seq-err) / bound
+        p, env, t = p.rest, r.env, r.residual
     if isinstance(p, Atom):
         a = p.atomic
         if isinstance(a, Assign):
@@ -172,11 +177,6 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
             return TSkip(_diff_state(a, sol, env, d), t - d)  # (diff-skip)
         except HybridError as ex:
             return TErr(ex.info)  # (diff-err)
-    if isinstance(p, Seq):
-        r = _big(p.first, env, t, mode, limits, counter)
-        if not isinstance(r, TSkip):
-            return r  # (seq-stop) / (seq-err) / bound
-        return _big(p.rest, r.env, r.residual, mode, limits, counter)  # (seq-skip)
     if isinstance(p, If):
         try:
             g = eval_bool(env, p.cond)

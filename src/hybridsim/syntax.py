@@ -24,7 +24,11 @@ line comment)::
 
 Nesting is limited to `MAX_NESTING` levels, counted across parentheses
 (a function call's included), prefix `-` and `!`, and `if`/`while`
-statements; deeper input raises `ParseError`.
+statements; deeper input raises `ParseError`.  Length is bounded by memory
+alone: statement sequences and operator chains are parsed in loops, and
+every pass over the tree (desugaring, pretty-printing, the variable
+inventory, the linearizer's folds) is a `fold` or a filter over `nodes`,
+which walk an explicit stack instead of recursing.
 
 Variability listings (`x := {1, 2, 3}`) are only legal in the leading
 declaration section.  Scalar declarations stay in the program body as well
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 __all__ = [
     "Loc", "Expr", "Var", "Const", "Apply",
@@ -49,6 +54,7 @@ __all__ = [
     "parse", "parse_program", "parse_expression", "parse_boolean",
     "desugar", "desugar_program", "desugar_bool", "desugar_expr",
     "pretty", "pretty_unit", "pretty_expr", "pretty_bool",
+    "children", "nodes", "fold",
     "ordered_vars", "expr_vars", "FUNCTIONS", "MAX_NESTING",
 ]
 
@@ -62,8 +68,9 @@ NAMED_FUNCS = ("sqrt", "exp", "ln", "sin", "cos", "tan", "min", "max", "pow")
 KEYWORDS = ("if", "then", "else", "while", "do", "for", "tt", "ff")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
 RESERVED = set(KEYWORDS) | set(NAMED_FUNCS) | set(CONSTANTS)
-# deepest nesting the parser accepts; it keeps the recursive parser and the
-# recursive passes over the tree well inside Python's recursion limit
+# deepest nesting the parser accepts; it keeps the recursive-descent parser,
+# and the semantics' recursion into nested if/while bodies, well inside
+# Python's recursion limit
 MAX_NESTING = 100
 
 
@@ -600,15 +607,12 @@ class _Parser:
         return VarList(name, tuple(values), loc=loc, src=src)
 
     def number(self) -> float:
-        neg = False
-        if self.at("-"):
+        neg = self.at("-")
+        if neg:
             self.advance()
-            neg = True
-        t = self.peek()
-        if t.kind != "NUMBER":
+        if self.peek().kind != "NUMBER":
             self.fail("expected a numeric literal", ("a number",))
-        self.advance()
-        v = float(t.text)
+        v = self.primary().value  # a finite literal, as in an expression
         return -v if neg else v
 
     def _varlist_ahead(self) -> bool:
@@ -700,62 +704,109 @@ def parse_boolean(text: str) -> BoolExpr:
 
 
 # ---------------------------------------------------------------------------
+# Traversal: every pass over the tree is a fold or a filter over these
+
+# node type -> its children, left to right.  A differential statement's
+# children are its (variable, right-hand side) pairs and then its duration;
+# a pair's one child is its right-hand side.  Leaves are absent.
+_CHILDREN = {
+    **dict.fromkeys((Leq, Cmp, And, Or), attrgetter("lhs", "rhs")),
+    Apply: attrgetter("args"),
+    Not: lambda n: (n.arg,),
+    Assign: lambda n: (n.expr,),
+    Diff: lambda n: (*n.pairs, n.duration),
+    tuple: lambda pair: (pair[1],),
+    Atom: lambda n: (n.atomic,),
+    Seq: attrgetter("first", "rest"),
+    If: attrgetter("cond", "then", "orelse"),
+    While: attrgetter("cond", "body"),
+}
+
+
+def children(node) -> tuple:
+    """The children of a syntax node (or of a differential statement's
+    (variable, right-hand side) pair), left to right."""
+    return _CHILDREN.get(type(node), _leaf)(node)
+
+
+def _leaf(node) -> tuple:
+    return ()
+
+
+def nodes(root):
+    """Every node under `root`, `root` first, in pre-order (left to right)."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(children(node)))
+
+
+def fold(root, combine):
+    """Fold the tree under `root` bottom-up and return the root's value:
+    `combine(node, values)` gets the values of the node's children, left to
+    right.  Like `nodes`, it loops over an explicit stack, so a tree's size
+    is bounded by memory, not by the recursion limit."""
+    kids_of = _CHILDREN.get  # `children`, inlined in the hottest loop
+    order = []  # (node, number of children): parents first, right to left
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        kids = kids_of(type(node), _leaf)(node)
+        order.append((node, len(kids)))
+        todo += kids
+    values = []
+    for node, n in reversed(order):  # children first, left to right
+        if n:
+            values[-n:] = [combine(node, values[-n:])]
+        else:
+            values.append(combine(node, ()))
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
 # Desugaring
 
 
-def desugar_expr(e: Expr) -> Expr:
-    if isinstance(e, (Var, Const)):
-        return e
-    if e.fn == "-" and len(e.args) == 1:
-        arg = desugar_expr(e.args[0])
-        if isinstance(arg, Const):
-            return Const(-arg.value, loc=e.loc, src=e.src)
-        zero = Const(0.0, loc=e.loc, src=e.src)
-        return Apply("-", (zero, arg), loc=e.loc, src=e.src)
-    return Apply(e.fn, tuple(desugar_expr(a) for a in e.args), loc=e.loc, src=e.src)
+def _desugar(node, kids):
+    """`node` rebuilt over its desugared children, in the core language."""
+    t = type(node)
+    if t is Var or t is Const or t is BTrue or t is BFalse:
+        return node
+    if t is tuple:
+        return node[0], kids[0]
+    loc, src = node.loc, node.src
+    if t is Apply:
+        if node.fn == "-" and len(kids) == 1:
+            arg = kids[0]
+            if type(arg) is Const:
+                return Const(-arg.value, loc=loc, src=src)
+            return Apply("-", (Const(0.0, loc=loc, src=src), arg), loc=loc, src=src)
+        return Apply(node.fn, tuple(kids), loc=loc, src=src)
+    if t is Cmp:
+        lhs, rhs = kids
+        le, ge = Leq(lhs, rhs, loc=loc, src=src), Leq(rhs, lhs, loc=loc, src=src)
+        if node.op == ">=":
+            return ge
+        if node.op in (">", "<"):
+            return Not(le if node.op == ">" else ge, loc=loc, src=src)
+        eq = And(le, ge, loc=loc, src=src)
+        return eq if node.op == "==" else Not(eq, loc=loc, src=src)  # '!='
+    if t is Assign:
+        return Assign(node.var, kids[0], loc=loc, src=src)
+    if t is Diff:
+        return Diff(tuple(kids[:-1]), kids[-1], loc=loc, src=src)
+    # the remaining forms take their children as their leading fields
+    return t(*kids, loc=loc, src=src)
 
 
-def desugar_bool(b: BoolExpr) -> BoolExpr:
-    if isinstance(b, (BTrue, BFalse)):
-        return b
-    if isinstance(b, Leq):
-        return Leq(desugar_expr(b.lhs), desugar_expr(b.rhs), loc=b.loc, src=b.src)
-    if isinstance(b, Cmp):
-        lhs, rhs = desugar_expr(b.lhs), desugar_expr(b.rhs)
-        loc, src = b.loc, b.src
-        if b.op == ">=":
-            return Leq(rhs, lhs, loc=loc, src=src)
-        if b.op == ">":
-            return Not(Leq(lhs, rhs, loc=loc, src=src), loc=loc, src=src)
-        if b.op == "<":
-            return Not(Leq(rhs, lhs, loc=loc, src=src), loc=loc, src=src)
-        eq = And(Leq(lhs, rhs, loc=loc, src=src),
-                 Leq(rhs, lhs, loc=loc, src=src), loc=loc, src=src)
-        if b.op == "==":
-            return eq
-        return Not(eq, loc=loc, src=src)  # '!='
-    if isinstance(b, And):
-        return And(desugar_bool(b.lhs), desugar_bool(b.rhs), loc=b.loc, src=b.src)
-    if isinstance(b, Or):
-        return Or(desugar_bool(b.lhs), desugar_bool(b.rhs), loc=b.loc, src=b.src)
-    return Not(desugar_bool(b.arg), loc=b.loc, src=b.src)
+def desugar_program(node):
+    """Rewrite surface comparisons and unary minus into the core language,
+    in a program, a condition or an expression alike."""
+    return fold(node, _desugar)
 
 
-def desugar_program(p: Program) -> Program:
-    if isinstance(p, Atom):
-        a = p.atomic
-        if isinstance(a, Assign):
-            a2 = Assign(a.var, desugar_expr(a.expr), loc=a.loc, src=a.src)
-        else:
-            pairs = tuple((x, desugar_expr(e)) for x, e in a.pairs)
-            a2 = Diff(pairs, desugar_expr(a.duration), loc=a.loc, src=a.src)
-        return Atom(a2, loc=p.loc, src=p.src)
-    if isinstance(p, Seq):
-        return Seq(desugar_program(p.first), desugar_program(p.rest), loc=p.loc, src=p.src)
-    if isinstance(p, If):
-        return If(desugar_bool(p.cond), desugar_program(p.then),
-                  desugar_program(p.orelse), loc=p.loc, src=p.src)
-    return While(desugar_bool(p.cond), desugar_program(p.body), loc=p.loc, src=p.src)
+desugar_expr = desugar_bool = desugar_program
 
 
 def desugar(unit: SourceUnit) -> SourceUnit:
@@ -766,71 +817,71 @@ def desugar(unit: SourceUnit) -> SourceUnit:
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
+# binding strength of each infix operator; atoms, calls and prefixes bind
+# tightest (_TIGHT), so a prefix's operand is parenthesised only when infix
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHT = 3
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def pretty_expr(e: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return _fmt(e.value)
-    if e.fn in _PREC and len(e.args) == 2:
-        prec = _PREC[e.fn]
-        lhs = pretty_expr(e.args[0], prec, False)
-        rhs = pretty_expr(e.args[1], prec, True)
-        s = f"{lhs} {e.fn} {rhs}"
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({s})"
-        return s
-    if e.fn == "-" and len(e.args) == 1:
-        # a prefix binds tighter than any binary operator, so only a binary
-        # operand needs parentheses
-        return "-" + pretty_expr(e.args[0], max(_PREC.values()) + 1)
-    args = ", ".join(pretty_expr(a) for a in e.args)
-    return f"{e.fn}({args})"
+def _operand(kid: tuple, below: int) -> str:
+    """A child's text, parenthesised when it binds weaker than `below`."""
+    text, strength = kid
+    return f"({text})" if strength < below else text
 
 
-_BPREC = {"||": 1, "&&": 2}
+def _infix(op: str, prec: int, kids: list) -> tuple:
+    # left-associative: an equally strong right operand keeps its parentheses
+    lhs, rhs = kids
+    return f"{_operand(lhs, prec)} {op} {_operand(rhs, prec + 1)}", prec
 
 
-def pretty_bool(b: BoolExpr, parent_prec: int = 0) -> str:
-    if isinstance(b, BTrue):
-        return "tt"
-    if isinstance(b, BFalse):
-        return "ff"
-    if isinstance(b, Leq):
-        return f"{pretty_expr(b.lhs)} <= {pretty_expr(b.rhs)}"
-    if isinstance(b, Cmp):
-        return f"{pretty_expr(b.lhs)} {b.op} {pretty_expr(b.rhs)}"
-    if isinstance(b, Not):
-        return "!" + pretty_bool(b.arg, max(_BPREC.values()) + 1)
-    op = "&&" if isinstance(b, And) else "||"
-    prec = _BPREC[op]
-    s = f"{pretty_bool(b.lhs, prec)} {op} {pretty_bool(b.rhs, prec + 1)}"
-    if prec < parent_prec:
-        return f"({s})"
-    return s
+# the other forms, over their children's texts ({0}, {1}, ...) and the node
+# itself (n)
+_TEMPLATES = {
+    Leq: "{0} <= {1}", Cmp: "{0} {n.op} {1}", BTrue: "tt", BFalse: "ff",
+    Assign: "{n.var} := {0}", tuple: "{n[0]}' = {0}", Atom: "{0}",
+    Seq: "{0} ; {1}", If: "if {0} then {{ {1} }} else {{ {2} }}",
+    While: "while {0} do {{ {1} }}",
+}
 
 
-def pretty(p: Program) -> str:
-    """Render a program; `parse_program(pretty(p)) == p` for canonical
-    (right-nested) trees."""
-    if isinstance(p, Atom):
-        a = p.atomic
-        if isinstance(a, Assign):
-            return f"{a.var} := {pretty_expr(a.expr)}"
-        eqs = ", ".join(f"{x}' = {pretty_expr(e)}" for x, e in a.pairs)
-        return f"{eqs} for {pretty_expr(a.duration)}"
-    if isinstance(p, Seq):
-        return f"{pretty(p.first)} ; {pretty(p.rest)}"
-    if isinstance(p, If):
-        return (f"if {pretty_bool(p.cond)} then {{ {pretty(p.then)} }} "
-                f"else {{ {pretty(p.orelse)} }}")
-    return f"while {pretty_bool(p.cond)} do {{ {pretty(p.body)} }}"
+def _pretty(node, kids) -> tuple:
+    """(text, binding strength) of `node`, given its children's."""
+    t = type(node)
+    if t is Var:
+        return node.name, _TIGHT
+    if t is Const:
+        return _fmt(node.value), _TIGHT
+    if t is Apply:
+        fn = node.fn
+        if len(kids) == 2 and fn in _PREC:
+            return _infix(fn, _PREC[fn], kids)
+        if len(kids) == 1 and fn == "-":
+            return "-" + _operand(kids[0], _TIGHT), _TIGHT
+        return f"{fn}({', '.join(text for text, _ in kids)})", _TIGHT
+    if t is And:
+        return _infix("&&", 2, kids)
+    if t is Or:
+        return _infix("||", 1, kids)
+    if t is Not:
+        return "!" + _operand(kids[0], _TIGHT), _TIGHT
+    texts = [text for text, _ in kids]
+    if t is Diff:
+        return f"{', '.join(texts[:-1])} for {texts[-1]}", _TIGHT
+    return _TEMPLATES[t].format(*texts, n=node), _TIGHT
+
+
+def pretty(node) -> str:
+    """Render a program, a statement, a condition or an expression;
+    `parse_program(pretty(p)) == p` for canonical (right-nested) programs."""
+    return fold(node, _pretty)[0]
+
+
+pretty_expr = pretty_bool = pretty
 
 
 def pretty_unit(unit: SourceUnit) -> str:
@@ -849,71 +900,20 @@ def pretty_unit(unit: SourceUnit) -> str:
 # Variable inventory
 
 
-def expr_vars(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    out = set()
-    for a in e.args:
-        out |= expr_vars(a)
-    return out
-
-
-def _bool_vars(b: BoolExpr, out: list):
-    if isinstance(b, (BTrue, BFalse)):
-        return
-    if isinstance(b, (Leq, Cmp)):
-        _expr_vars_ordered(b.lhs, out)
-        _expr_vars_ordered(b.rhs, out)
-    elif isinstance(b, Not):
-        _bool_vars(b.arg, out)
-    else:
-        _bool_vars(b.lhs, out)
-        _bool_vars(b.rhs, out)
-
-
-def _expr_vars_ordered(e: Expr, out: list):
-    if isinstance(e, Var):
-        out.append(e.name)
-    elif isinstance(e, Apply):
-        for a in e.args:
-            _expr_vars_ordered(a, out)
-
-
-def _program_vars(p: Program, out: list):
-    if isinstance(p, Atom):
-        a = p.atomic
-        if isinstance(a, Assign):
-            out.append(a.var)
-            _expr_vars_ordered(a.expr, out)
-        else:
-            for x, e in a.pairs:
-                out.append(x)
-                _expr_vars_ordered(e, out)
-            _expr_vars_ordered(a.duration, out)
-    elif isinstance(p, Seq):
-        _program_vars(p.first, out)
-        _program_vars(p.rest, out)
-    elif isinstance(p, If):
-        _bool_vars(p.cond, out)
-        _program_vars(p.then, out)
-        _program_vars(p.orelse, out)
-    else:
-        _bool_vars(p.cond, out)
-        _program_vars(p.body, out)
+def expr_vars(node) -> set:
+    """The names of the variables read under `node`."""
+    return {n.name for n in nodes(node) if type(n) is Var}
 
 
 def ordered_vars(unit: SourceUnit) -> list:
     """All variable names in first-occurrence order (declarations, then body)."""
-    seen = []
-    for d in unit.declarations:
-        name = d.var
-        if name not in seen:
-            seen.append(name)
-    raw: list = []
-    _program_vars(unit.body, raw)
-    for name in raw:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    names = [d.var for d in unit.declarations]
+    for node in nodes(unit.body):
+        t = type(node)
+        if t is Var:
+            names.append(node.name)
+        elif t is Assign:
+            names.append(node.var)
+        elif t is tuple:
+            names.append(node[0])
+    return list(dict.fromkeys(names))

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hybridsim
 from hybridsim import corpus_path
@@ -163,9 +165,44 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_missing_file(capsys):
-    assert cli_main(["run", "/nonexistent.lince", "--time", "1"]) == 2
+# the parser's vocabulary, so that random soups of it reach past the tokenizer
+TOKENS = ("1 0 2.5 1e999 .5 x y pi sqrt min tt ff if then else while do for "
+          ":= ' = + - * / ( ) { } , ; <= < > >= == != && || ! // \n").split(" ")
+
+
+@given(contents=st.one_of(st.binary(), st.lists(st.sampled_from(TOKENS))
+                          .map(" ".join).map(str.encode)))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_check_exits_with_a_documented_code_on_any_file(contents, tmp_path, capsys):
+    f = tmp_path / "any.lince"
+    f.write_bytes(contents)
+    assert cli_main(["check", str(f)]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def test_missing_file(tmp_path, capsys):
+    assert cli_main(["run", "/nonexistent.lince", "--time", "1"]) == 2
+    assert cli_main(["check", str(tmp_path)]) == 2  # a directory
+    bad = tmp_path / "latin1.lince"
+    bad.write_bytes(b"x := 1 ; // caf\xe9\n")
+    assert cli_main(["check", str(bad)]) == 2
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["simulate", EQ1, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4
+    assert "Traceback" not in err
+
+
+def test_out_of_range_literal_in_a_listing_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "huge.lince"
+    f.write_text("x := {1e999, 2} ; x' = -x for 1\n")
+    for argv in (["check", str(f)], ["run", str(f), "--time", "0.5"],
+                 ["simulate", str(f), "--out", str(tmp_path)]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "parse error: numeric literal out of range")
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -192,15 +229,61 @@ def test_bad_numeric_input_is_usage_error(argv, env, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """Run a fresh interpreter on this package, at its default recursion
+    limit."""
     src = str(Path(hybridsim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridsim",
-         "check", EQ1], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python("-W", "error::RuntimeWarning", "-m", "hybridsim", "check", EQ1)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok:")
+
+
+LONG = 10_000
+# (program, `check` output, `run --time 1` output, its body printed, whether
+# to parse the printed text again: a long operator chain's re-parse would hold
+# every prefix of its text as a `src`, some 300 MB here)
+LONG_PROGRAMS = {
+    "statements": ("x := 0 ;\n" + " ;\n".join(["x := x + 1"] * LONG),
+                   "ok: 0 differential", "x = 10000",
+                   "x := 0.0" + " ; x := x + 1.0" * LONG, "reparse"),
+    "rhs-terms": ("x := 0 ;\nx' = x" + "+1" * LONG + " for 1",
+                  "ok: 1 differential", "x = 17182.8182846",  # 1e4 (e - 1)
+                  "x := 0.0 ; x' = x" + " + 1.0" * LONG + " for 1.0", ""),
+}
+
+# prints the parsed body, then, if asked, that text parsed and printed again
+ROUND_TRIP = """
+import sys
+from hybridsim.syntax import parse_program, pretty
+printed = pretty(parse_program(open(sys.argv[1]).read()))
+print(printed)
+if sys.argv[2]:
+    print(pretty(parse_program(printed)))
+"""
+
+
+@pytest.mark.parametrize("case", LONG_PROGRAMS.values(), ids=LONG_PROGRAMS.keys())
+def test_long_programs_run_under_the_default_recursion_limit(case, tmp_path):
+    text, checked, value, printed, reparse = case
+    f = tmp_path / "long.lince"
+    f.write_text(text + "\n")
+    for argv, want in ((["check"], checked), (["run", "--time", "1"], value),
+                       (["simulate", "--max-time", "20", "--out", str(tmp_path)],
+                        "trajectory: ")):
+        done = _python("-m", "hybridsim", argv[0], str(f), *argv[1:])
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stderr == ""
+        assert want in done.stdout
+    done = _python("-c", ROUND_TRIP, str(f), reparse)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [printed] * (2 if reparse else 1)
 
 
 def test_check_too_deeply_nested_program_is_a_parse_error(tmp_path, capsys):

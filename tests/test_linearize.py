@@ -70,6 +70,22 @@ def test_to_affine_nonlinear_product():
     assert exc.value.info.src == "x*x"
 
 
+def test_first_failure_is_blamed_in_source_order():
+    # folding: of two failing frozen parts, the leftmost, though the right
+    # one sits deeper under a live node
+    e = parse_expression("a/b + (c/d)*x")
+    with pytest.raises(HybridError) as exc:
+        fold_constants(e, {"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0}, {"a", "b", "c", "d"})
+    assert exc.value.info.src == "a/b"
+    # decomposing: the outermost non-linear node, before the ones inside it
+    for text, blamed in (("x' = (x*x)/y, y' = 1 for 1", "(x*x)/y"),
+                         ("x' = x*x + sqrt(x) for 1", "x*x")):
+        with pytest.raises(HybridError) as exc:
+            to_affine(_diff(text), {})
+        assert exc.value.info.kind == ErrorKind.NON_LINEAR_ODE
+        assert exc.value.info.src == blamed
+
+
 def test_to_affine_constant_rate():
     a = _diff("x' = -1 for 1")
     sys = to_affine(a, {"x": 5.0})

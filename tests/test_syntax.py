@@ -61,9 +61,27 @@ def test_parse_error_carries_location_inside_input():
     assert err.expected  # the expected-token set is populated
 
 
+# the parser's vocabulary, so that random soups of it reach past the tokenizer
+TOKENS = ("1 0 2.5 1e999 .5 x y pi sqrt min tt ff if then else while do for "
+          ":= ' = + - * / ( ) { } , ; <= < > >= == != && || ! // \n").split(" ")
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TOKENS)).map(" ".join)))
+@settings(max_examples=400, deadline=None)
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
 def test_literal_out_of_range():
-    with pytest.raises(ParseError):
-        parse_program("x := 1e999")
+    for text in ("x := 1e999",
+                 "x := {1e999, 2} ; x' = -x for 1",
+                 "x := {2, -1e999} ; x' = -x for 1"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.message == "numeric literal out of range"
 
 
 @pytest.mark.parametrize("text", [
@@ -224,6 +242,9 @@ def test_desugar_unit_idempotent():
 def test_ordered_vars_first_occurrence():
     u = parse("b := 1 ; a := b ; a' = c, c' = a for 1")
     assert ordered_vars(u) == ["b", "a", "c"]
+    # a differential statement's variables interleave with its right-hand sides'
+    u = parse("x' = z, y' = w for v ; if u <= 1 then t := 1 else s := 2")
+    assert ordered_vars(u) == ["x", "z", "y", "w", "v", "u", "t", "s"]
 
 
 def test_while_body_braces_and_trailing_semicolon():
@@ -256,8 +277,8 @@ def _mixed(loops, minus, parens):
 
 @pytest.mark.parametrize("form", NESTING.values(), ids=NESTING.keys())
 def test_nesting_up_to_the_limit_parses(form):
-    # the passes over the tree recurse too; they must cope with the deepest
-    # tree the parser accepts
+    # desugar and pretty walk an explicit stack; the parser that built the
+    # tree is what recurses, and the limit keeps it within Python's
     unit = desugar(parse(form(MAX_NESTING)))
     assert pretty(unit.body)
 
