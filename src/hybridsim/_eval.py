@@ -12,7 +12,7 @@ import math
 import operator
 
 from .errors import ErrorKind, fail
-from .syntax import And, BFalse, BoolExpr, BTrue, Const, Expr, Leq, Not, Or, Var
+from .syntax import And, Apply, BFalse, BoolExpr, BTrue, Const, Expr, Leq, Not, Or, Var
 
 Env = dict
 
@@ -31,15 +31,28 @@ def eval_expr(env: Env, e: Expr) -> float:
     """Bottom-up strict evaluation; raises HybridError when undefined.
 
     Takes surface and desugared expressions alike: unary minus, which
-    `desugar_expr` rewrites to `0 - e`, is evaluated as negation."""
-    if isinstance(e, Const):
+    `desugar_expr` rewrites to `0 - e`, is evaluated as negation.  A
+    left-nested chain of binary operations, which the parser builds for
+    `a + b + ...`, is walked down its left spine in a loop, so its length is
+    bounded by memory, not by the recursion limit."""
+    t = type(e)
+    if t is Const:
         return e.value
-    if isinstance(e, Var):
+    if t is Var:
         try:
             return env[e.name]
         except KeyError:
             raise fail(ErrorKind.UNINITIALIZED_VARIABLE, e, env) from None
-    return apply_fn(env, e, [eval_expr(env, a) for a in e.args])
+    if len(e.args) != 2:
+        return apply_fn(env, e, [eval_expr(env, a) for a in e.args])
+    spine = []
+    while type(e) is Apply and len(e.args) == 2:
+        spine.append(e)
+        e = e.args[0]
+    value = eval_expr(env, e)  # the leftmost operand, off the spine
+    for node in reversed(spine):  # innermost first, as recursion would
+        value = apply_fn(env, node, [value, eval_expr(env, node.args[1])])
+    return value
 
 
 def apply_fn(env: Env, e: Expr, args: list) -> float:
@@ -66,21 +79,24 @@ def eval_bool(env: Env, b: BoolExpr) -> bool:
 
     Takes core syntax only (`Leq`, `And`, `Or`, `Not`, `BTrue`, `BFalse`):
     a surface comparison must go through `desugar_bool` first."""
-    if isinstance(b, BTrue):
-        return True
-    if isinstance(b, BFalse):
-        return False
-    if isinstance(b, Leq):
+    t = type(b)
+    if t is Leq:
         return eval_expr(env, b.lhs) <= eval_expr(env, b.rhs)
-    if isinstance(b, And):
-        lhs = eval_bool(env, b.lhs)
-        rhs = eval_bool(env, b.rhs)
-        return lhs and rhs
-    if isinstance(b, Or):
-        lhs = eval_bool(env, b.lhs)
-        rhs = eval_bool(env, b.rhs)
-        return lhs or rhs
-    if isinstance(b, Not):
+    if t is BTrue:
+        return True
+    if t is BFalse:
+        return False
+    if t is Not:
         return not eval_bool(env, b.arg)
-    raise TypeError(f"eval_bool takes desugared conditions; pass this "
-                    f"{type(b).__name__} through desugar_bool first")
+    if t is not And and t is not Or:
+        raise TypeError(f"eval_bool takes desugared conditions; pass this "
+                        f"{t.__name__} through desugar_bool first")
+    spine = []
+    while type(b) is And or type(b) is Or:
+        spine.append(b)
+        b = b.lhs
+    value = eval_bool(env, b)  # the leftmost operand, off the spine
+    for node in reversed(spine):  # the right operand is always evaluated
+        rhs = eval_bool(env, node.rhs)
+        value = value and rhs if type(node) is And else value or rhs
+    return value

@@ -29,7 +29,7 @@ from .syntax import (Diff, ParseError, SourceUnit, VarList, desugar, nodes,
                      ordered_vars, parse)
 from .linearize import to_affine
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
-                         expand_variability, simulate)
+                         expand_variability, fmt_value, simulate)
 from .export import (AxisSyntaxError, TimeAxis, UnknownVariable, emit_plot_script,
                      export_csv, export_json, make_plot_spec, parse_axes)
 
@@ -83,10 +83,6 @@ def _limits(args) -> Limits:
     return Limits(max_time=args.max_time, max_iterations=args.max_iter)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".12g")
-
-
 def cmd_check(args) -> int:
     unit = desugar(_load(args.file))
     env = {}
@@ -122,15 +118,15 @@ def cmd_run(args) -> int:
             print(f"[{label}]")
         if isinstance(outcome, (Skip, Stop)):
             if isinstance(outcome, Skip) and outcome.early:
-                print(f"terminated early at t={_fmt(outcome.elapsed)}")
+                print(f"terminated early at t={fmt_value(outcome.elapsed)}")
             for name in variables:
                 if name in outcome.env:
-                    print(f"{name} = {_fmt(outcome.env[name])}")
+                    print(f"{name} = {fmt_value(outcome.env[name])}")
         elif isinstance(outcome, Err):
             print(outcome.info.render())
             code = _worst(code, EXIT_PROGRAM_ERROR)
         else:
-            print(f"bound reached ({outcome.kind.value}) at t={_fmt(outcome.elapsed)}")
+            print(f"bound reached ({outcome.kind.value}) at t={fmt_value(outcome.elapsed)}")
             code = _worst(code, EXIT_BOUND)
     return code
 
@@ -163,12 +159,12 @@ def cmd_simulate(args) -> int:
             print(f"{name}: {out.info.render()}")
             code = _worst(code, EXIT_PROGRAM_ERROR)
         elif isinstance(out, BoundReached):
-            print(f"{name}: bound reached ({out.kind.value}) at t={_fmt(out.elapsed)}")
+            print(f"{name}: bound reached ({out.kind.value}) at t={fmt_value(out.elapsed)}")
             code = _worst(code, EXIT_BOUND)
         elif isinstance(out, Stop):
             print(f"{name}: still running at the time horizon")
         else:
-            print(f"{name}: completed at t={_fmt(out.elapsed)}")
+            print(f"{name}: completed at t={fmt_value(out.elapsed)}")
     return code
 
 

@@ -46,26 +46,28 @@ class HybridError(Exception):
 
 
 _MESSAGES = {
-    ErrorKind.DIVISION_BY_ZERO: "the divisor of the division '{src}' is zero",
-    ErrorKind.DOMAIN_ERROR: "the expression '{src}' is undefined",
+    ErrorKind.DIVISION_BY_ZERO: "the divisor of the division '{text}' is zero",
+    ErrorKind.DOMAIN_ERROR: "the expression '{text}' is undefined",
     ErrorKind.UNINITIALIZED_VARIABLE: "the variable '{node.name}' is not initialised",
     ErrorKind.NON_LINEAR_ODE:
-        "the ODEs contain non-linear expressions after de-sugaring: '{src}'",
-    ErrorKind.NEGATIVE_DURATION: "the duration '{src}' is negative",
+        "the ODEs contain non-linear expressions after de-sugaring: '{text}'",
+    ErrorKind.NEGATIVE_DURATION: "the duration '{text}' is negative",
     ErrorKind.ARITY_ERROR:
         "the function '{node.fn}' expects {want} argument(s), got {got}",
-    ErrorKind.SOLVER_FAILURE: "the solver failed on '{src}'",
+    ErrorKind.SOLVER_FAILURE: "the solver failed on '{text}'",
 }
 
 
 def fail(kind: ErrorKind, node, env: dict, **detail) -> HybridError:
     """The error of `kind` blamed on `node` (an expression or a differential
-    statement): its source text, pretty-printed when it has none, and its
-    position, 0:0 when it has none.  `detail` fills the rest of the message
-    (`want` and `got` for an arity error)."""
-    src = node.src
-    if src is None:
-        src = pretty(node)
-    line, col = (node.loc.line, node.loc.col) if node.loc else (0, 0)
-    msg = _MESSAGES[kind].format(src=src, node=node, **detail)
-    return HybridError(ErrorInfo(kind, msg, src, line, col, dict(env)))
+    statement): its source text, the span its `loc` marks in the parsed
+    text, and its position; a node with no `loc` is pretty-printed and
+    placed at 0:0.  `detail` fills the rest of the message (`want` and
+    `got` for an arity error).  This is the only reader of source text."""
+    loc = node.loc
+    if loc is None:
+        text, line, col = pretty(node), 0, 0
+    else:
+        text, line, col = loc.text[loc.start:loc.end], loc.line, loc.col
+    msg = _MESSAGES[kind].format(text=text, node=node, **detail)
+    return HybridError(ErrorInfo(kind, msg, text, line, col, dict(env)))

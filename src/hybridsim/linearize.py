@@ -93,15 +93,15 @@ def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:
             return node
         if t is Var:
             if node.name in frozen:
-                return Const(eval_expr(env, node), loc=node.loc, src=node.src)
+                return Const(eval_expr(env, node), loc=node.loc)
             return node
         if all(type(k) is Const for k in kids):
             value = apply_fn(env, node, [k.value for k in kids])
-            return Const(value, loc=node.loc, src=node.src)
+            return Const(value, loc=node.loc)
         if (node.fn == "*" and len(kids) == 2
                 and type(kids[1]) is Const and type(kids[0]) is not Const):
             kids = kids[::-1]
-        return Apply(node.fn, tuple(kids), loc=node.loc, src=node.src)
+        return Apply(node.fn, tuple(kids), loc=node.loc)
 
     return fold(e, combine)
 

@@ -28,7 +28,7 @@ from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
 from .linearize import to_affine
 from .odesolve import NumericalOverflow, Solution, SolverMode
-from .syntax import Assign, Atom, Diff, If, Program, Seq, Var
+from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var
 
 __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
@@ -127,22 +127,26 @@ def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
     for name, _ in a.pairs:
         if name not in env:
             # blame the bare name, at the statement's position
-            blamed = Var(name, loc=a.loc, src=name)
+            loc = a.loc and Loc(a.loc.line, a.loc.col, 0, len(name), name)
+            blamed = Var(name, loc=loc)
             raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env)
         x0.append(env[name])
     return d, Solution(system, x0, mode, duration=d)
 
 
+def flow_env(sol: Solution, env: Env, tau: float) -> Env:
+    """`env` after following the flow `sol` for local time `tau`."""
+    out = dict(env)
+    out.update(zip(sol.system.vars, sol.at(tau).tolist()))
+    return out
+
+
 def _diff_state(a: Diff, sol: Solution, env: Env, tau: float) -> Env:
-    """Environment after following the flow for local time tau."""
+    """`flow_env`, with an overflow blamed on the statement `a`."""
     try:
-        x = sol.at(tau)
+        return flow_env(sol, env, tau)
     except NumericalOverflow:
         raise fail(ErrorKind.SOLVER_FAILURE, a, env) from None
-    out = dict(env)
-    for i, (name, _) in enumerate(a.pairs):
-        out[name] = float(x[i])
-    return out
 
 
 # ---------------------------------------------------------------------------

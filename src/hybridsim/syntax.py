@@ -30,6 +30,11 @@ every pass over the tree (desugaring, pretty-printing, the variable
 inventory, the linearizer's folds) is a `fold` or a filter over `nodes`,
 which walk an explicit stack instead of recursing.
 
+The parser gives every node a `Loc`: a span into the parsed text, which
+all nodes of one parse share, so the text is held once however long an
+operator chain grows.  A node's source text is sliced from its span only
+when an error is reported (`errors.fail`).
+
 Variability listings (`x := {1, 2, 3}`) are only legal in the leading
 declaration section.  Scalar declarations stay in the program body as well
 (re-running an initial assignment consumes no time), so pretty-printing a
@@ -76,10 +81,15 @@ MAX_NESTING = 100
 
 @dataclass(frozen=True)
 class Loc:
+    """A span of the parsed text: it starts at `line`:`col` (offset `start`)
+    and ends before offset `end`.  Every node parsed from one text shares
+    that text, so a node's source is `text[start:end]`, sliced on demand."""
+
     line: int
     col: int
     start: int
     end: int
+    text: str = field(compare=False, repr=False)
 
 
 def _meta():
@@ -94,14 +104,12 @@ def _meta():
 class Var:
     name: str
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
 class Const:
     value: float
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,6 @@ class Apply:
     fn: str
     args: tuple
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 Expr = Var | Const | Apply
@@ -120,7 +127,6 @@ class Leq:
     lhs: Expr
     rhs: Expr
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,6 @@ class Cmp:
     lhs: Expr
     rhs: Expr
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,6 @@ class And:
     lhs: "BoolExpr"
     rhs: "BoolExpr"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -147,26 +151,22 @@ class Or:
     lhs: "BoolExpr"
     rhs: "BoolExpr"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
 class Not:
     arg: "BoolExpr"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
 class BTrue:
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
 class BFalse:
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 BoolExpr = Leq | Cmp | And | Or | Not | BTrue | BFalse
@@ -177,7 +177,6 @@ class Assign:
     var: str
     expr: Expr
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ class Diff:
     pairs: tuple  # tuple[(str, Expr), ...]
     duration: Expr
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 Atomic = Assign | Diff
@@ -198,7 +196,6 @@ Atomic = Assign | Diff
 class Atom:
     atomic: Atomic
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,6 @@ class Seq:
     first: "Program"
     rest: "Program"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,6 @@ class If:
     then: "Program"
     orelse: "Program"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,6 @@ class While:
     cond: BoolExpr
     body: "Program"
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 Program = Atom | Seq | If | While
@@ -236,14 +230,12 @@ class VarList:
     var: str
     values: tuple  # tuple[float, ...]
     loc: Loc | None = _meta()
-    src: str | None = _meta()
 
 
 @dataclass(frozen=True)
 class SourceUnit:
     declarations: tuple  # tuple[Assign | VarList, ...]
     body: Program
-    source: str = field(default="", compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +308,10 @@ def tokenize(text: str) -> list:
 # Parser
 
 
+def _binary(op: str, lhs: Expr, rhs: Expr, loc: Loc) -> Apply:
+    return Apply(op, (lhs, rhs), loc=loc)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -353,33 +349,29 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
-    def span(self, start_tok: Token, end_pos: int | None = None) -> tuple:
-        end = end_pos if end_pos is not None else self.toks[self.pos - 1].pos + len(
-            self.toks[self.pos - 1].text)
-        loc = Loc(start_tok.line, start_tok.col, start_tok.pos, end)
-        return loc, self.text[start_tok.pos:end]
+    def span(self, start: Token) -> Loc:
+        """The span from token `start` to the end of the last token taken."""
+        last = self.toks[self.pos - 1]
+        return Loc(start.line, start.col, start.pos, last.pos + len(last.text), self.text)
+
+    def chain(self, operand, ops: tuple, build):
+        """A left-associative chain `operand (op operand)*`, parsed in a loop;
+        `build(op, lhs, rhs, loc)` makes each link, spanning from the
+        chain's start."""
+        start = self.peek()
+        node = operand()
+        while self.peek().text in ops and self.peek().kind == "OP":
+            op = self.advance().text
+            node = build(op, node, operand(), self.span(start))
+        return node
 
     # -- expressions
 
     def expression(self) -> Expr:
-        start = self.peek()
-        e = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            rhs = self.term()
-            loc, src = self.span(start)
-            e = Apply(op, (e, rhs), loc=loc, src=src)
-        return e
+        return self.chain(self.term, ("+", "-"), _binary)
 
     def term(self) -> Expr:
-        start = self.peek()
-        e = self.unary()
-        while self.at("*") or self.at("/"):
-            op = self.advance().text
-            rhs = self.unary()
-            loc, src = self.span(start)
-            e = Apply(op, (e, rhs), loc=loc, src=src)
-        return e
+        return self.chain(self.unary, ("*", "/"), _binary)
 
     def unary(self) -> Expr:
         if self.at("-"):
@@ -387,10 +379,10 @@ class _Parser:
             start = self.advance()
             arg = self.unary()
             self.depth -= 1
-            loc, src = self.span(start)
+            loc = self.span(start)
             if isinstance(arg, Const):
-                return Const(-arg.value, loc=loc, src=src)
-            return Apply("-", (arg,), loc=loc, src=src)
+                return Const(-arg.value, loc=loc)
+            return Apply("-", (arg,), loc=loc)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -400,13 +392,11 @@ class _Parser:
             value = float(t.text)
             if not math.isfinite(value):
                 raise ParseError("numeric literal out of range", t.line, t.col, t.pos)
-            loc, src = self.span(t)
-            return Const(value, loc=loc, src=src)
+            return Const(value, loc=self.span(t))
         if t.kind == "IDENT":
             if t.text in CONSTANTS:
                 self.advance()
-                loc, src = self.span(t)
-                return Const(CONSTANTS[t.text], loc=loc, src=src)
+                return Const(CONSTANTS[t.text], loc=self.span(t))
             if t.text in NAMED_FUNCS:
                 self.nest()
                 self.advance()
@@ -417,16 +407,14 @@ class _Parser:
                     args.append(self.expression())
                 self.eat(")")
                 self.depth -= 1
-                loc, src = self.span(t)
                 want = FUNCTIONS[t.text]
                 if len(args) != want:
                     raise ArityError(
                         f"the function '{t.text}' expects {want} argument(s), "
                         f"got {len(args)}", t.line, t.col, t.pos)
-                return Apply(t.text, tuple(args), loc=loc, src=src)
+                return Apply(t.text, tuple(args), loc=self.span(t))
             self.advance()
-            loc, src = self.span(t)
-            return Var(t.text, loc=loc, src=src)
+            return Var(t.text, loc=self.span(t))
         if self.at("("):
             self.nest()
             self.advance()
@@ -440,24 +428,10 @@ class _Parser:
     # -- boolean expressions
 
     def boolean(self) -> BoolExpr:
-        start = self.peek()
-        b = self.b_and()
-        while self.at("||"):
-            self.advance()
-            rhs = self.b_and()
-            loc, src = self.span(start)
-            b = Or(b, rhs, loc=loc, src=src)
-        return b
+        return self.chain(self.b_and, ("||",), lambda op, lhs, rhs, loc: Or(lhs, rhs, loc=loc))
 
     def b_and(self) -> BoolExpr:
-        start = self.peek()
-        b = self.b_not()
-        while self.at("&&"):
-            self.advance()
-            rhs = self.b_not()
-            loc, src = self.span(start)
-            b = And(b, rhs, loc=loc, src=src)
-        return b
+        return self.chain(self.b_not, ("&&",), lambda op, lhs, rhs, loc: And(lhs, rhs, loc=loc))
 
     def b_not(self) -> BoolExpr:
         if self.at("!"):
@@ -465,20 +439,17 @@ class _Parser:
             start = self.advance()
             arg = self.b_not()
             self.depth -= 1
-            loc, src = self.span(start)
-            return Not(arg, loc=loc, src=src)
+            return Not(arg, loc=self.span(start))
         return self.b_atom()
 
     def b_atom(self) -> BoolExpr:
         t = self.peek()
         if self.at("tt"):
             self.advance()
-            loc, src = self.span(t)
-            return BTrue(loc=loc, src=src)
+            return BTrue(loc=self.span(t))
         if self.at("ff"):
             self.advance()
-            loc, src = self.span(t)
-            return BFalse(loc=loc, src=src)
+            return BFalse(loc=self.span(t))
         if self.at("("):
             # '(' may open a parenthesised boolean or an arithmetic operand;
             # try the boolean reading first and rewind on failure.
@@ -503,10 +474,10 @@ class _Parser:
                       ("'<='", "'<'", "'>'", "'>='", "'=='", "'!='"))
         self.advance()
         rhs = self.expression()
-        loc, src = self.span(start)
+        loc = self.span(start)
         if t.text == "<=":
-            return Leq(lhs, rhs, loc=loc, src=src)
-        return Cmp(t.text, lhs, rhs, loc=loc, src=src)
+            return Leq(lhs, rhs, loc=loc)
+        return Cmp(t.text, lhs, rhs, loc=loc)
 
     # -- statements
 
@@ -521,8 +492,7 @@ class _Parser:
             self.eat("else")
             orelse = self.block()
             self.depth -= 1
-            loc, src = self.span(t)
-            return If(cond, then, orelse, loc=loc, src=src)
+            return If(cond, then, orelse, loc=self.span(t))
         if self.at("while"):
             self.nest()
             self.advance()
@@ -532,8 +502,7 @@ class _Parser:
             body = self.statements()
             self.eat("}")
             self.depth -= 1
-            loc, src = self.span(t)
-            return While(cond, body, loc=loc, src=src)
+            return While(cond, body, loc=self.span(t))
         if t.kind == "IDENT":
             if t.text in RESERVED:
                 self.fail(f"reserved name {t.text!r} cannot start a statement")
@@ -542,8 +511,8 @@ class _Parser:
                 return self.differential(t, name)
             self.eat(":=")
             e = self.expression()
-            loc, src = self.span(t)
-            return Atom(Assign(name, e, loc=loc, src=src), loc=loc, src=src)
+            loc = self.span(t)
+            return Atom(Assign(name, e, loc=loc), loc=loc)
         self.fail("unexpected token '' at statement start",
                   ("a variable", "'if'", "'while'"))
 
@@ -568,8 +537,8 @@ class _Parser:
             name = self.advance().text
         self.eat("for")
         duration = self.expression()
-        loc, src = self.span(start)
-        return Atom(Diff(tuple(pairs), duration, loc=loc, src=src), loc=loc, src=src)
+        loc = self.span(start)
+        return Atom(Diff(tuple(pairs), duration, loc=loc), loc=loc)
 
     def block(self) -> Program:
         if self.at("{"):
@@ -586,10 +555,7 @@ class _Parser:
             if self.at("}") or self.peek().kind == "EOF":
                 break  # tolerate a trailing ';'
             stmts.append(self.statement())
-        p = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            p = Seq(s, p, loc=s.loc, src=s.src)
-        return p
+        return _seq(stmts)
 
     # -- declarations and the whole unit
 
@@ -603,8 +569,7 @@ class _Parser:
             self.advance()
             values.append(self.number())
         self.eat("}")
-        loc, src = self.span(start)
-        return VarList(name, tuple(values), loc=loc, src=src)
+        return VarList(name, tuple(values), loc=self.span(start))
 
     def number(self) -> float:
         neg = self.at("-")
@@ -660,47 +625,50 @@ class _Parser:
             break
         # the rest of the program
         if self.peek().kind != "EOF":
-            rest = self.statements()
-            body_stmts.append(rest)
-        if self.peek().kind != "EOF":
-            self.fail("unexpected token '' after program end", ("';'", "end of input"))
+            body_stmts.append(self.statements())
         if not body_stmts:
             t = self.peek()
             raise ParseError("program body is empty", t.line, t.col, t.pos)
-        body = body_stmts[-1]
-        for s in reversed(body_stmts[:-1]):
-            body = Seq(s, body, loc=s.loc, src=s.src)
-        return SourceUnit(tuple(declarations), body, source=self.text)
+        return SourceUnit(tuple(declarations), _seq(body_stmts))
+
+
+def _seq(stmts: list) -> Program:
+    """The statements as a right-nested `Seq`; each link is located at its
+    first statement."""
+    p = stmts[-1]
+    for s in reversed(stmts[:-1]):
+        p = Seq(s, p, loc=s.loc)
+    return p
+
+
+def _whole(text: str, rule, what: str, expected: tuple = ()):
+    """`rule` of a parser over `text`, which must consume all of it."""
+    p = _Parser(text)
+    tree = rule(p)
+    if p.peek().kind != "EOF":
+        p.fail(f"unexpected token '' after {what}", expected)
+    return tree
+
+
+_AFTER_PROGRAM = ("program end", ("';'", "end of input"))
 
 
 def parse(text: str) -> SourceUnit:
     """Parse a full source unit (declarations followed by the program body)."""
-    return _Parser(text).unit()
+    return _whole(text, _Parser.unit, *_AFTER_PROGRAM)
 
 
 def parse_program(text: str) -> Program:
     """Parse `text` as a bare program, with no declaration extraction."""
-    p = _Parser(text)
-    body = p.statements()
-    if p.peek().kind != "EOF":
-        p.fail("unexpected token '' after program end", ("';'", "end of input"))
-    return body
+    return _whole(text, _Parser.statements, *_AFTER_PROGRAM)
 
 
 def parse_expression(text: str) -> Expr:
-    p = _Parser(text)
-    e = p.expression()
-    if p.peek().kind != "EOF":
-        p.fail("unexpected token '' after expression")
-    return e
+    return _whole(text, _Parser.expression, "expression")
 
 
 def parse_boolean(text: str) -> BoolExpr:
-    p = _Parser(text)
-    b = p.boolean()
-    if p.peek().kind != "EOF":
-        p.fail("unexpected token '' after condition")
-    return b
+    return _whole(text, _Parser.boolean, "condition")
 
 
 # ---------------------------------------------------------------------------
@@ -775,29 +743,29 @@ def _desugar(node, kids):
         return node
     if t is tuple:
         return node[0], kids[0]
-    loc, src = node.loc, node.src
+    loc = node.loc
     if t is Apply:
         if node.fn == "-" and len(kids) == 1:
             arg = kids[0]
             if type(arg) is Const:
-                return Const(-arg.value, loc=loc, src=src)
-            return Apply("-", (Const(0.0, loc=loc, src=src), arg), loc=loc, src=src)
-        return Apply(node.fn, tuple(kids), loc=loc, src=src)
+                return Const(-arg.value, loc=loc)
+            return Apply("-", (Const(0.0, loc=loc), arg), loc=loc)
+        return Apply(node.fn, tuple(kids), loc=loc)
     if t is Cmp:
         lhs, rhs = kids
-        le, ge = Leq(lhs, rhs, loc=loc, src=src), Leq(rhs, lhs, loc=loc, src=src)
+        le, ge = Leq(lhs, rhs, loc=loc), Leq(rhs, lhs, loc=loc)
         if node.op == ">=":
             return ge
         if node.op in (">", "<"):
-            return Not(le if node.op == ">" else ge, loc=loc, src=src)
-        eq = And(le, ge, loc=loc, src=src)
-        return eq if node.op == "==" else Not(eq, loc=loc, src=src)  # '!='
+            return Not(le if node.op == ">" else ge, loc=loc)
+        eq = And(le, ge, loc=loc)
+        return eq if node.op == "==" else Not(eq, loc=loc)  # '!='
     if t is Assign:
-        return Assign(node.var, kids[0], loc=loc, src=src)
+        return Assign(node.var, kids[0], loc=loc)
     if t is Diff:
-        return Diff(tuple(kids[:-1]), kids[-1], loc=loc, src=src)
+        return Diff(tuple(kids[:-1]), kids[-1], loc=loc)
     # the remaining forms take their children as their leading fields
-    return t(*kids, loc=loc, src=src)
+    return t(*kids, loc=loc)
 
 
 def desugar_program(node):
@@ -811,7 +779,7 @@ desugar_expr = desugar_bool = desugar_program
 
 def desugar(unit: SourceUnit) -> SourceUnit:
     """Rewrite surface comparisons and unary minus into the core language."""
-    return SourceUnit(unit.declarations, desugar_program(unit.body), source=unit.source)
+    return SourceUnit(unit.declarations, desugar_program(unit.body))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
-                        Stop, TSkip, big_step, machine)
+                        Stop, TSkip, big_step, flow_env, machine)
 # unused here; kept because bench/spans.py patches trajectory._step
 from .semantics import _step  # noqa: F401
 from .odesolve import Solution, SolverMode
@@ -79,7 +79,8 @@ class Trajectory:
     initial_env: Env = field(default_factory=dict)
 
 
-def _fmt_value(v: float) -> str:
+def fmt_value(v: float) -> str:
+    """A value as labels and the command line print it: 12 significant digits."""
     return format(v, ".12g")
 
 
@@ -105,7 +106,7 @@ def expand_variability(unit: SourceUnit,
                 env[d.var] = chosen[d.var]
             elif isinstance(d, Assign):
                 env[d.var] = d.expr.value
-        label = " ".join(f"{name}={_fmt_value(chosen[name])}" for name, _ in grid)
+        label = " ".join(f"{name}={fmt_value(chosen[name])}" for name, _ in grid)
         out.append((env, label))
     return out
 
@@ -121,25 +122,16 @@ def _sample_continuous(traj: Trajectory, seg: Segment, dt: float):
     """Sample at t_start, t_start+dt, ..., and exactly t_end (the endpoint
     carries the same state the machine advanced to)."""
     sol: Solution = seg.kind.solution
-    names = sol.system.vars
     length = seg.kind.duration
-
-    def state(tau):
-        x = sol.at(tau)
-        env = dict(seg.env_at_start)
-        for i, name in enumerate(names):
-            env[name] = float(x[i])
-        return env
-
     k = 0
     while True:
         tau = k * dt
         t_abs = seg.t_start + tau
         if tau >= length or t_abs >= seg.t_end:
             break
-        _push_sample(traj.samples, t_abs, state(tau))
+        _push_sample(traj.samples, t_abs, flow_env(sol, seg.env_at_start, tau))
         k += 1
-    _push_sample(traj.samples, seg.t_end, state(length))
+    _push_sample(traj.samples, seg.t_end, flow_env(sol, seg.env_at_start, length))
 
 
 def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
@@ -214,11 +206,7 @@ def interp_at(traj: Trajectory, t: float) -> Env:
             raise ValueError(f"time {t} precedes the trajectory")
     kind = chosen.kind
     if isinstance(kind, Continuous):
-        env = dict(chosen.env_at_start)
-        x = kind.solution.at(t - chosen.t_start)
-        for i, name in enumerate(kind.solution.system.vars):
-            env[name] = float(x[i])
-        return env
+        return flow_env(kind.solution, chosen.env_at_start, t - chosen.t_start)
     if isinstance(kind, Discrete):
         env = dict(chosen.env_at_start)
         env[kind.var] = kind.new

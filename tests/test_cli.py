@@ -246,32 +246,43 @@ def test_python_dash_m_runs_the_cli():
 
 
 LONG = 10_000
-# (program, `check` output, `run --time 1` output, its body printed, whether
-# to parse the printed text again: a long operator chain's re-parse would hold
-# every prefix of its text as a `src`, some 300 MB here)
+CHAIN = "+1" * LONG
+GUARD = " && ".join(["x <= 1"] * 2000)
+# (program, `check` output, `run --time 1` output, its body printed)
 LONG_PROGRAMS = {
     "statements": ("x := 0 ;\n" + " ;\n".join(["x := x + 1"] * LONG),
                    "ok: 0 differential", "x = 10000",
-                   "x := 0.0" + " ; x := x + 1.0" * LONG, "reparse"),
-    "rhs-terms": ("x := 0 ;\nx' = x" + "+1" * LONG + " for 1",
+                   "x := 0.0" + " ; x := x + 1.0" * LONG),
+    "rhs-terms": ("x := 0 ;\nx' = x" + CHAIN + " for 1",
                   "ok: 1 differential", "x = 17182.8182846",  # 1e4 (e - 1)
-                  "x := 0.0 ; x' = x" + " + 1.0" * LONG + " for 1.0", ""),
+                  "x := 0.0 ; x' = x" + " + 1.0" * LONG + " for 1.0"),
+    "assignment-terms": ("x := 0" + CHAIN, "ok: 0 differential", "x = 10000",
+                         "x := 0.0" + " + 1.0" * LONG),
+    "guard-terms": ("x := 0 ;\nif 0" + CHAIN + " <= x then x := 1 else x := 2",
+                    "ok: 0 differential", "x = 2",
+                    "x := 0.0 ; if 0.0" + " + 1.0" * LONG
+                    + " <= x then { x := 1.0 } else { x := 2.0 }"),
+    "duration-terms": ("x := 0 ;\nx' = 1 for 0" + CHAIN, "ok: 1 differential", "x = 1",
+                       "x := 0.0 ; x' = 1.0 for 0.0" + " + 1.0" * LONG),
+    "and-guard": ("x := 0 ;\nif " + GUARD + " then x := 1 else x := 2",
+                  "ok: 0 differential", "x = 1",
+                  "x := 0.0 ; if " + GUARD.replace("1", "1.0")
+                  + " then { x := 1.0 } else { x := 2.0 }"),
 }
 
-# prints the parsed body, then, if asked, that text parsed and printed again
+# prints the parsed body, then that text parsed and printed again
 ROUND_TRIP = """
 import sys
 from hybridsim.syntax import parse_program, pretty
 printed = pretty(parse_program(open(sys.argv[1]).read()))
 print(printed)
-if sys.argv[2]:
-    print(pretty(parse_program(printed)))
+print(pretty(parse_program(printed)))
 """
 
 
 @pytest.mark.parametrize("case", LONG_PROGRAMS.values(), ids=LONG_PROGRAMS.keys())
 def test_long_programs_run_under_the_default_recursion_limit(case, tmp_path):
-    text, checked, value, printed, reparse = case
+    text, checked, value, printed = case
     f = tmp_path / "long.lince"
     f.write_text(text + "\n")
     for argv, want in ((["check"], checked), (["run", "--time", "1"], value),
@@ -281,9 +292,9 @@ def test_long_programs_run_under_the_default_recursion_limit(case, tmp_path):
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stderr == ""
         assert want in done.stdout
-    done = _python("-c", ROUND_TRIP, str(f), reparse)
+    done = _python("-c", ROUND_TRIP, str(f))
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines() == [printed] * (2 if reparse else 1)
+    assert done.stdout.splitlines() == [printed] * 2
 
 
 def test_check_too_deeply_nested_program_is_a_parse_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -318,3 +319,17 @@ def test_prefix_operand_keeps_parentheses_only_when_binary():
     assert pretty(parse_program(cond)).startswith("if !(a <= 1.0 && tt) || !!ff then")
     for text in ("x := -(a+b)", "x := -a * b", cond):
         assert parse_program(pretty(parse_program(text))) == parse_program(text)
+
+
+def test_long_chain_holds_its_text_once():
+    # each node of the chain holds a span into the one parsed text, so the
+    # tree grows linearly with the chain
+    text = "x := 0 ;\nx' = x" + "+1" * 10_000 + " for 1\n"
+    tracemalloc.start()
+    try:
+        unit = parse(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(unit.body, Seq)
+    assert held < 16e6
