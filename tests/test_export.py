@@ -185,3 +185,46 @@ def test_plot_script_empty_samples_still_wellformed():
     assert opened == closed == 3  # trajectory block + start/end marker blocks
     assert "$g1_t0 << EOD\nEOD" in script  # empty data block
     assert "plot " in script
+
+
+def _golden_run(text, mode, limits, dt, axes, graph="scatter"):
+    unit = desugar(parse(text))
+    trajs = simulate(unit, mode, limits, dt=dt)
+    spec = make_plot_spec(parse_axes(axes), graph, ordered_vars(unit), limits)
+    return unit, trajs, spec
+
+
+# Goldens written by the exporter before its rows and JSON text were
+# rewritten for speed; every value in them is exact in binary, so no
+# platform's rounding can move them.
+GOLDEN_PLOTS = {
+    # two trajectories; `late` is assigned at t = 1 in one of them and never
+    # in the other, so its time-axis and pair groups skip rows and leave an
+    # empty block
+    "late.gp": ("x := {0, 1} ; x' = 1 for 1 ;"
+                " if x <= 1.5 then late := x else x := x ; x' = 1 for 1",
+                Limits(max_time=3.0, max_iterations=50), 0.5,
+                "[x, late, (x, late)]", "scatter"),
+    "triple.gp": ("x := 0 ; y := -1 ; z := 0 ; x' = 1, y' = 0.1, z' = -2 for 1",
+                  Limits(max_time=1.0, max_iterations=10), 0.25,
+                  "[(x,y,z)]", "scatter3d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLOTS))
+def test_plot_script_goldens(name):
+    text, limits, dt, axes, graph = GOLDEN_PLOTS[name]
+    _, trajs, spec = _golden_run(text, Exact(), limits, dt, axes, graph)
+    assert emit_plot_script(trajs, spec) == (GOLDEN / name).read_text()
+
+
+def test_json_golden_rk4_bound():
+    """Top-level `"step": null`, `rk4` and `closed-form` segments, and a
+    run that ends on the iteration bound; steps of 2**-11 keep RK4 exact."""
+    limits = Limits(max_time=5.0, max_iterations=2)
+    unit, trajs, spec = _golden_run(
+        "p := 0 ; v := 1 ;"
+        " while p > -100 do { p' = v, v' = 1 for 0.0078125 ; p' = 2 for 0.00390625 }",
+        RK4(), limits, 0.00390625, "[(p,v)]")
+    doc = export_json(trajs, spec, RK4(), limits, ordered_vars(unit))
+    assert doc == (GOLDEN / "rk4_bound.json").read_bytes()
