@@ -137,6 +137,9 @@ def cmd_simulate(args) -> int:
     limits = _limits(args)
     mode = _mode(args)
     dt = args.dt if args.dt is not None else limits.max_time / 500.0
+    if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
+        raise argparse.ArgumentTypeError(
+            f"sampling interval max-time/500 is {dt!r}; give --dt")
     axes = parse_axes(args.axes) if args.axes else [TimeAxis(v) for v in variables]
     spec = make_plot_spec(axes, args.graph, variables, limits)
     trajs = simulate(unit, mode, limits, dt, cap=_cap())

@@ -5,18 +5,24 @@ reproduces the original float bit-for-bit.  The JSON document carries the
 whole run (plot spec, solver, limits, per-trajectory segments, samples, and
 outcome) under schema version "1"; under RK4 a continuous segment also
 says how it was solved ("rk4" and the step used, or "closed-form").  The
+module writes JSON with its own writer, byte-identical to
+`json.dumps(doc, indent=2)`: any `indent` makes the standard library skip
+its C encoder for a pure-Python one, which took as long as simulating.  The
 plot script targets gnuplot: one output block per axis group, every
 trajectory overlaid, and dedicated start/end markers.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _jstr
+from math import isfinite
+from operator import add, itemgetter
 
 from .errors import ErrorInfo
 from .odesolve import Exact, RK4, SolverMode
 from .semantics import Err, Limits, Outcome, Skip, Stop
-from .trajectory import Continuous, Discrete, Trajectory
+from .trajectory import Continuous, Discrete
 
 __all__ = [
     "TimeAxis", "PairAxis", "TripleAxis", "PlotSpec",
@@ -218,24 +224,53 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
             for traj in trajs
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (_dumps(doc) + "\n").encode("utf-8")
+
+
+def _dumps(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for str-keyed documents.
+
+    A dict whose values are all finite floats (every sample's environment)
+    is written with one join over C-level maps of its key prefixes, which
+    are built once per key tuple and indent.
+    """
+    prefixes = {}
+
+    def write(o, indent: str) -> str:
+        if isinstance(o, str):
+            return _jstr(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if isfinite(o):
+                return float.__repr__(o)
+            return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        inner = indent + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[" + ",".join([inner + write(v, inner) for v in o]) + indent + "]"
+        if not isinstance(o, dict):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return "{}"
+        vals = o.values()
+        if all(map(isinstance, vals, repeat(float))) and all(map(isfinite, vals)):
+            keys = tuple(o)
+            pre = prefixes.get((inner, keys))
+            if pre is None:
+                pre = prefixes[inner, keys] = [inner + _jstr(k) + ": " for k in keys]
+            return "{" + ",".join(map(add, pre, map(float.__repr__, vals))) + indent + "}"
+        return "{" + ",".join([inner + _jstr(k) + ": " + write(v, inner)
+                               for k, v in o.items()]) + indent + "}"
+
+    return write(doc, "\n")
 
 
 # ---------------------------------------------------------------------------
 # gnuplot script
-
-
-def _rows_for_group(traj: Trajectory, g) -> list:
-    names = _group_vars(g)
-    rows = []
-    for t, env in traj.samples:
-        if any(name not in env for name in names):
-            continue
-        if isinstance(g, TimeAxis):
-            rows.append((t, env[g.var]))
-        else:
-            rows.append(tuple(env[name] for name in names))
-    return rows
 
 
 def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
@@ -247,17 +282,22 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         "set key outside",
         "set grid",
     ]
+    # each trajectory's sample times, formatted once for every time-axis group
+    stamps = [[_cell(t) + " " for t, _ in traj.samples] for traj in trajs]
     plot_cmds = []
     for gi, g in enumerate(spec.axes, start=1):
         names = _group_vars(g)
+        need, get = set(names), itemgetter(*names)
+        fmt = " ".join(["%.17g"] * len(names))  # as _cell, one value per column
         series = []
         starts, ends = [], []
         for ti, traj in enumerate(trajs):
             block = f"$g{gi}_t{ti}"
-            rows = _rows_for_group(traj, g)
+            pre = stamps[ti] if isinstance(g, TimeAxis) else repeat("")
+            rows = [p + fmt % get(env) for p, (_, env) in zip(pre, traj.samples)
+                    if need <= env.keys()]
             lines.append(f"{block} << EOD")
-            for row in rows:
-                lines.append(" ".join(_cell(v) for v in row))
+            lines.extend(rows)
             lines.append("EOD")
             title = traj.label if traj.label else "trajectory"
             series.append((block, title))
@@ -267,8 +307,7 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         for mark, pts in (("start", starts), ("end", ends)):
             block = f"$g{gi}_{mark}"
             lines.append(f"{block} << EOD")
-            for row in pts:
-                lines.append(" ".join(_cell(v) for v in row))
+            lines.extend(pts)
             lines.append("EOD")
         ncols = 2 if isinstance(g, (TimeAxis, PairAxis)) else 3
         use = ":".join(str(i + 1) for i in range(ncols))

@@ -210,6 +210,8 @@ def test_out_of_range_literal_in_a_listing_is_a_parse_error(tmp_path, capsys):
     (["run", EQ1, "--time", "nan"], None),
     (["simulate", EQ1, "--dt", "0"], None),
     (["simulate", EQ1, "--max-time", "inf"], None),
+    (["simulate", EQ1, "--max-time", "5e-324"], None),
+    (["simulate", EQ1, "--max-time", "1e-321"], None),
     (["run", EQ1, "--time", "1", "--solver", "rk4", "--rk4-step", "0"], None),
     (["run", EQ1, "--time", "1"], "abc"),
     (["run", EQ1, "--time", "1"], "-3"),
@@ -218,6 +220,7 @@ def test_out_of_range_literal_in_a_listing_is_a_parse_error(tmp_path, capsys):
     (["selftest", "--count", "-3"], None),
     (["selftest", "--times", "0"], None),
 ], ids=["time-negative", "time-nan", "dt-zero", "max-time-inf",
+        "max-time-subnormal", "max-time-tiny",
         "rk4-step-zero", "cap-not-int", "cap-negative", "max-iter-negative",
         "max-iter-not-int", "count-negative", "times-zero"])
 def test_bad_numeric_input_is_usage_error(argv, env, capsys, monkeypatch):

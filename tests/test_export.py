@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import load_core
 from hybridsim.export import (AxisSyntaxError, PairAxis, TimeAxis, TripleAxis,
-                              UnknownVariable, emit_plot_script, export_csv,
-                              export_json, make_plot_spec, parse_axes)
+                              UnknownVariable, _dumps, emit_plot_script,
+                              export_csv, export_json, make_plot_spec,
+                              parse_axes)
 from hybridsim.odesolve import Exact, RK4, default_rk4_step
 from hybridsim.semantics import Limits
 from hybridsim.syntax import desugar, ordered_vars, parse
@@ -205,6 +210,11 @@ GOLDEN_PLOTS = {
                 " if x <= 1.5 then late := x else x := x ; x' = 1 for 1",
                 Limits(max_time=3.0, max_iterations=50), 0.5,
                 "[x, late, (x, late)]", "scatter"),
+    # the trajectories jump at different instants, so their sample times
+    # differ from t = 1 on
+    "stagger.gp": ("x := {0, 1} ; x' = 1 for 1 + x/4 ; y := x ; x' = 1, y' = -1 for 1",
+                   Limits(max_time=3.0, max_iterations=50), 0.5,
+                   "[y, (x, y)]", "scatter"),
     "triple.gp": ("x := 0 ; y := -1 ; z := 0 ; x' = 1, y' = 0.1, z' = -2 for 1",
                   Limits(max_time=1.0, max_iterations=10), 0.25,
                   "[(x,y,z)]", "scatter3d"),
@@ -228,3 +238,47 @@ def test_json_golden_rk4_bound():
         RK4(), limits, 0.00390625, "[(p,v)]")
     doc = export_json(trajs, spec, RK4(), limits, ordered_vars(unit))
     assert doc == (GOLDEN / "rk4_bound.json").read_bytes()
+
+
+# `json.dumps(o, indent=2)` is the oracle of the module's JSON writer.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals
+_FLAT = st.dictionaries(st.text(), _FINITE, min_size=1)  # a sample's env
+# a flat float dict with one value among its floats that must take it off
+# the fast path
+_SPOILT = st.builds(lambda before, key, bad, after: {**before, key: bad, **after},
+                    _FLAT, st.text(), st.sampled_from(
+                        [0, -7, 2**70, True, None, math.nan, math.inf, -math.inf,
+                         "x", []]), _FLAT)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**200, 2**200)
+            | st.floats() | st.text())
+_JSON = st.recursive(
+    _SCALARS | _FLAT | _SPOILT,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text(), kids)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_json_writer_matches_json_dumps(o):
+    assert _dumps(o) == json.dumps(o, indent=2)
+
+
+@pytest.mark.parametrize("o", [{1, 2}, {"a": object()}, [1j], {"k": {"x": 1.0, 1: 2.0}}])
+def test_json_writer_rejects_what_it_cannot_write(o):
+    with pytest.raises(TypeError):
+        _dumps(o)
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", ["eq1", "eq2", "ex21", "zeno", "aeb", "aebom",
+                                  "rlcs-under", "rlcs-over", "pursuit"])
+def test_json_export_of_the_corpus_matches_json_dumps(name, mode):
+    unit = load_core(name)
+    limits = Limits(max_time=50.0)
+    variables = ordered_vars(unit)
+    spec = make_plot_spec([TimeAxis(v) for v in variables], "scatter",
+                          variables, limits)
+    doc = export_json(simulate(unit, mode, limits, dt=0.1), spec, mode, limits,
+                      variables)
+    assert doc == (json.dumps(json.loads(doc), indent=2) + "\n").encode()
