@@ -181,6 +181,94 @@ def test_empty_body_rejected():
         parse("x := {1, 2}")
 
 
+# The declaration section, pinned case by case: the declarations as
+# (variable, value or listing) pairs and the pretty-printed body, or the
+# exact message of the ParseError.
+DECLARATION_SECTION = {
+    "statement after ';'": (
+        "x := 1 ; }",
+        "unexpected token '}' at statement start at 1:10 "
+        "(expected a variable, 'if', 'while')"),
+    "after program end": (
+        "x := 1 ; x' = 1 for 1 ; }",
+        "unexpected token '}' after program end at 1:25 (expected ';', end of input)"),
+    "listing only": ("x := {1,2} ;", "program body is empty at 1:13"),
+    "listing without ';' only": ("x := {1,2}", "program body is empty at 1:11"),
+    "listing after a non-literal": (
+        "x := y ; z := {1}",
+        "unexpected token '{' in expression at 1:15 "
+        "(expected a number, a variable, '(')"),
+    "reserved listing": ("pi := {1}", "reserved name 'pi' cannot be declared at 1:1"),
+    "keyword listing": (
+        "if := {1} ; x' = 1 for 1",
+        "unexpected token ':=' in expression at 1:4 "
+        "(expected a number, a variable, '(')"),
+    "duplicate listing": (
+        "x := {1} ; x := {2} ; x' = 1 for 1",
+        "variable 'x' has more than one variability listing at 1:12"),
+    "empty": ("", "program body is empty at 1:1"),
+    "semicolon": (
+        ";", "unexpected token ';' at statement start at 1:1 "
+        "(expected a variable, 'if', 'while')"),
+    "two semicolons after a listing": (
+        "x := {1, 2} ; ; x' = 1 for 1",
+        "unexpected token ';' at statement start at 1:15 "
+        "(expected a variable, 'if', 'while')"),
+    "listing after a literal": (
+        "x := 1 ; y := {1,2} ; x' = y for 1",
+        ((("x", 1.0), ("y", (1.0, 2.0))), "x := 1.0 ; x' = y for 1.0")),
+    "literal between listings": (
+        "x := {1} ; y := 2 ; z := {3} ; x' = 1 for 1",
+        ((("x", (1.0,)), ("y", 2.0), ("z", (3.0,))), "y := 2.0 ; x' = 1.0 for 1.0")),
+    "negative values": (
+        "x := -1 ; y := {-2, 3} ; y' = x for 1",
+        ((("x", -1.0), ("y", (-2.0, 3.0))), "x := -1.0 ; y' = x for 1.0")),
+    "repeated literal": (
+        "x := 1 ; x := 2 ; x' = 1 for 1",
+        ((("x", 1.0), ("x", 2.0)), "x := 1.0 ; x := 2.0 ; x' = 1.0 for 1.0")),
+    "literal only": ("x := 1 ;", ((("x", 1.0),), "x := 1.0")),
+    "literal without ';' only": ("x := 1", ((("x", 1.0),), "x := 1.0")),
+    "listing in a loop body": (
+        "x := 1 ; while tt do { x := {1} }",
+        "unexpected token '{' in expression at 1:29 "
+        "(expected a number, a variable, '(')"),
+    "empty listing": (
+        "x := {} ; x' = 1 for 1", "expected a numeric literal at 1:7 (expected a number)"),
+    "listing out of range": (
+        "x := {1e999} ; x' = 1 for 1", "numeric literal out of range at 1:7"),
+    # a declaration's ';' is optional, and a declaration without it ends the
+    # declaration section
+    "literal without ';'": (
+        "x := 1 x' = 1 for 1", ((("x", 1.0),), "x := 1.0 ; x' = 1.0 for 1.0")),
+    "listing without ';'": (
+        "x := {1,2} x' = 1 for 1", ((("x", (1.0, 2.0)),), "x' = 1.0 for 1.0")),
+    "literal without ';', then a literal": (
+        "x := 1 y := 2 ; x' = y for 1",
+        ((("x", 1.0),), "x := 1.0 ; y := 2.0 ; x' = y for 1.0")),
+    "listing without ';', then a listing": (
+        "x := {1} y := {2} x' = 1 for 1",
+        "unexpected token '{' in expression at 1:15 "
+        "(expected a number, a variable, '(')"),
+    "literal without ';', then '}'": (
+        "x := 1 }", "unexpected token '}' at statement start at 1:8 "
+        "(expected a variable, 'if', 'while')"),
+}
+
+
+@pytest.mark.parametrize("text, expected", DECLARATION_SECTION.values(),
+                         ids=DECLARATION_SECTION.keys())
+def test_declaration_section(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == expected
+        return
+    unit = parse(text)
+    declared = tuple((d.var, d.values if isinstance(d, VarList) else d.expr.value)
+                     for d in unit.declarations)
+    assert (declared, pretty(unit.body)) == expected
+
+
 # -- desugaring
 
 def test_desugar_neq():
