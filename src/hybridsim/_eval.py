@@ -9,22 +9,12 @@ evaluated so that an undefined operand is never masked.
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import ErrorKind, fail
-from .syntax import And, Apply, BFalse, BoolExpr, BTrue, Const, Expr, Leq, Not, Or, Var
+from .syntax import (FUNCTIONS, And, Apply, BFalse, BoolExpr, BTrue, Const, Expr,
+                     Leq, Not, Or, Var)
 
 Env = dict
-
-# function symbol -> (arity, operation); unary '-' is handled on its own.
-# Undefined operations raise ZeroDivisionError (a zero divisor), ValueError
-# or OverflowError (outside the domain).
-_FUNCTIONS = {
-    "+": (2, operator.add), "-": (2, operator.sub), "*": (2, operator.mul),
-    "/": (2, operator.truediv), "sqrt": (1, math.sqrt), "exp": (1, math.exp),
-    "ln": (1, math.log), "sin": (1, math.sin), "cos": (1, math.cos),
-    "tan": (1, math.tan), "min": (2, min), "max": (2, max), "pow": (2, math.pow),
-}
 
 
 def eval_expr(env: Env, e: Expr) -> float:
@@ -60,7 +50,7 @@ def apply_fn(env: Env, e: Expr, args: list) -> float:
     a failure raises HybridError blamed on `e`."""
     if e.fn == "-" and len(args) == 1:
         return -args[0]
-    arity, op = _FUNCTIONS.get(e.fn, ("?", None))
+    arity, op = FUNCTIONS.get(e.fn, ("?", None))
     if len(args) != arity:
         raise fail(ErrorKind.ARITY_ERROR, e, env, want=arity, got=len(args))
     try:

@@ -9,9 +9,9 @@ Subcommands:
   selftest        differential test of the two semantics on random programs
 
 Exit codes: 0 ok, 1 program error, 2 usage or parse error (a bad numeric
-flag included), 3 bound reached.  The environment variable
-HYBRIDSIM_MAX_PRODUCT, a positive integer, overrides the cap on the number
-of initial-condition combinations (default 64).
+flag, and running out of memory, included), 3 bound reached.  The
+environment variable HYBRIDSIM_MAX_PRODUCT, a positive integer, overrides
+the cap on the number of initial-condition combinations (default 64).
 """
 from __future__ import annotations
 
@@ -245,6 +245,9 @@ def cli_main(argv) -> int:
     except (AxisSyntaxError, UnknownVariable, VariabilityCapExceeded,
             argparse.ArgumentTypeError, OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; a larger --dt takes fewer samples", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -60,7 +60,6 @@ class AffineSystem:
     vars: tuple
     A: np.ndarray
     b: np.ndarray
-    origin: Diff | None = None
     M: np.ndarray = field(init=False, repr=False)
     exp_maps: dict = field(init=False, repr=False, default_factory=dict)
     rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
@@ -224,4 +223,4 @@ def _linearize(diff: Diff, frozen: tuple, env: Env) -> AffineSystem:
         b[i] = const
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise fail(ErrorKind.DOMAIN_ERROR, diff, env)
-    return AffineSystem(bound, A, b, origin=diff)
+    return AffineSystem(bound, A, b)

@@ -50,7 +50,6 @@ class Limits:
 
 class BoundKind(enum.Enum):
     MAX_ITERATIONS = "max_iterations"
-    MAX_TIME = "max_time"
 
 
 @dataclass(frozen=True)

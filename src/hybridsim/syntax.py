@@ -3,7 +3,7 @@
 Grammar accepted by the parser (statements are ';'-separated, `//` starts a
 line comment)::
 
-    unit    : decl* program
+    unit    : (decl ';'?)* program
     decl    : IDENT ':=' NUMBER               (scalar initial value)
             | IDENT ':=' '{' NUMBER (',' NUMBER)* '}'   (variability listing)
     program : stmt (';' stmt)*
@@ -36,9 +36,10 @@ operator chain grows.  A node's source text is sliced from its span only
 when an error is reported (`errors.fail`).
 
 Variability listings (`x := {1, 2, 3}`) are only legal in the leading
-declaration section.  Scalar declarations stay in the program body as well
-(re-running an initial assignment consumes no time), so pretty-printing a
-program and re-parsing it reproduces the same tree.
+declaration section.  A declaration's `;` is optional, but a declaration
+without one ends the section.  Scalar declarations stay in the program body
+as well (re-running an initial assignment consumes no time), so
+pretty-printing a program and re-parsing it reproduces the same tree.
 
 Surface comparisons `<`, `>`, `>=`, `==`, `!=` and unary minus are rewritten
 away by `desugar`; after it only `Leq`/`And`/`Or`/`Not`/`BTrue`/`BFalse`
@@ -48,8 +49,9 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import add, attrgetter, mul, sub, truediv
 
 __all__ = [
     "Loc", "Expr", "Var", "Const", "Apply",
@@ -63,13 +65,17 @@ __all__ = [
     "ordered_vars", "expr_vars", "FUNCTIONS", "MAX_NESTING",
 ]
 
-# function symbol -> arity; '-' is both unary and binary
+# function symbol -> (arity, operation); '-' is also unary, as negation,
+# which the evaluator applies on its own.  An undefined operation raises
+# ZeroDivisionError (a zero divisor), ValueError or OverflowError (outside
+# the domain).
 FUNCTIONS = {
-    "+": 2, "-": (1, 2), "*": 2, "/": 2,
-    "sqrt": 1, "exp": 1, "ln": 1, "sin": 1, "cos": 1, "tan": 1,
-    "min": 2, "max": 2, "pow": 2,
+    "+": (2, add), "-": (2, sub), "*": (2, mul), "/": (2, truediv),
+    "sqrt": (1, math.sqrt), "exp": (1, math.exp), "ln": (1, math.log),
+    "sin": (1, math.sin), "cos": (1, math.cos), "tan": (1, math.tan),
+    "min": (2, min), "max": (2, max), "pow": (2, math.pow),
 }
-NAMED_FUNCS = ("sqrt", "exp", "ln", "sin", "cos", "tan", "min", "max", "pow")
+NAMED_FUNCS = tuple(name for name in FUNCTIONS if name.isidentifier())
 KEYWORDS = ("if", "then", "else", "while", "do", "for", "tt", "ff")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
 RESERVED = set(KEYWORDS) | set(NAMED_FUNCS) | set(CONSTANTS)
@@ -92,144 +98,133 @@ class Loc:
     text: str = field(compare=False, repr=False)
 
 
-def _meta():
-    return field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------------------
 # Abstract syntax
 
 
 @dataclass(frozen=True)
-class Var:
+class _Node:
+    """A syntax node: its span in the parsed text, if it was parsed, is
+    neither compared nor shown, and is passed by keyword only."""
+
+    loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Var(_Node):
     name: str
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Apply:
+class Apply(_Node):
     fn: str
     args: tuple
-    loc: Loc | None = _meta()
 
 
 Expr = Var | Const | Apply
 
 
 @dataclass(frozen=True)
-class Leq:
+class Leq(_Node):
     lhs: Expr
     rhs: Expr
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(_Node):
     """Surface comparison ('<', '>', '>=', '==', '!='); removed by desugar."""
 
     op: str
     lhs: Expr
     rhs: Expr
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     lhs: "BoolExpr"
     rhs: "BoolExpr"
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     lhs: "BoolExpr"
     rhs: "BoolExpr"
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     arg: "BoolExpr"
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class BTrue:
-    loc: Loc | None = _meta()
+class BTrue(_Node):
+    """`tt`, the condition that always holds."""
 
 
 @dataclass(frozen=True)
-class BFalse:
-    loc: Loc | None = _meta()
+class BFalse(_Node):
+    """`ff`, the condition that never holds."""
 
 
 BoolExpr = Leq | Cmp | And | Or | Not | BTrue | BFalse
 
 
 @dataclass(frozen=True)
-class Assign:
+class Assign(_Node):
     var: str
     expr: Expr
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Diff:
+class Diff(_Node):
     """Differential statement: pairs of (variable, right-hand side), run
     for the duration given by `duration` (evaluated once, at entry)."""
 
     pairs: tuple  # tuple[(str, Expr), ...]
     duration: Expr
-    loc: Loc | None = _meta()
 
 
 Atomic = Assign | Diff
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     atomic: Atomic
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Node):
     first: "Program"
     rest: "Program"
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class If:
+class If(_Node):
     cond: BoolExpr
     then: "Program"
     orelse: "Program"
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
-class While:
+class While(_Node):
     cond: BoolExpr
     body: "Program"
-    loc: Loc | None = _meta()
 
 
 Program = Atom | Seq | If | While
 
 
 @dataclass(frozen=True)
-class VarList:
+class VarList(_Node):
     """Variability listing `x := {v1, v2, ...}` in the declaration section."""
 
     var: str
     values: tuple  # tuple[float, ...]
-    loc: Loc | None = _meta()
 
 
 @dataclass(frozen=True)
@@ -343,11 +338,17 @@ class _Parser:
         shown = t.text if t.kind != "EOF" else "end of input"
         raise ParseError(message.replace("''", f"{shown!r}"), t.line, t.col, t.pos, expected)
 
-    def nest(self):
-        """Enter one nesting level; the caller leaves it with `depth -= 1`."""
+    @contextmanager
+    def nested(self):
+        """One nesting level, entered at its opening token, which is blamed
+        past `MAX_NESTING` levels; the level is left however the body ends."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        try:
+            if self.depth > MAX_NESTING:
+                self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            yield
+        finally:
+            self.depth -= 1
 
     def span(self, start: Token) -> Loc:
         """The span from token `start` to the end of the last token taken."""
@@ -375,10 +376,9 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at("-"):
-            self.nest()
-            start = self.advance()
-            arg = self.unary()
-            self.depth -= 1
+            with self.nested():
+                start = self.advance()
+                arg = self.unary()
             loc = self.span(start)
             if isinstance(arg, Const):
                 return Const(-arg.value, loc=loc)
@@ -398,16 +398,15 @@ class _Parser:
                 self.advance()
                 return Const(CONSTANTS[t.text], loc=self.span(t))
             if t.text in NAMED_FUNCS:
-                self.nest()
-                self.advance()
-                self.eat("(")
-                args = [self.expression()]
-                while self.at(","):
+                with self.nested():
                     self.advance()
-                    args.append(self.expression())
-                self.eat(")")
-                self.depth -= 1
-                want = FUNCTIONS[t.text]
+                    self.eat("(")
+                    args = [self.expression()]
+                    while self.at(","):
+                        self.advance()
+                        args.append(self.expression())
+                    self.eat(")")
+                want = FUNCTIONS[t.text][0]
                 if len(args) != want:
                     raise ArityError(
                         f"the function '{t.text}' expects {want} argument(s), "
@@ -416,11 +415,10 @@ class _Parser:
             self.advance()
             return Var(t.text, loc=self.span(t))
         if self.at("("):
-            self.nest()
-            self.advance()
-            e = self.expression()
-            self.eat(")")
-            self.depth -= 1
+            with self.nested():
+                self.advance()
+                e = self.expression()
+                self.eat(")")
             return e
         self.fail("unexpected token '' in expression",
                   ("a number", "a variable", "'('"))
@@ -435,10 +433,9 @@ class _Parser:
 
     def b_not(self) -> BoolExpr:
         if self.at("!"):
-            self.nest()
-            start = self.advance()
-            arg = self.b_not()
-            self.depth -= 1
+            with self.nested():
+                start = self.advance()
+                arg = self.b_not()
             return Not(arg, loc=self.span(start))
         return self.b_atom()
 
@@ -453,16 +450,15 @@ class _Parser:
         if self.at("("):
             # '(' may open a parenthesised boolean or an arithmetic operand;
             # try the boolean reading first and rewind on failure.
-            saved = self.pos, self.depth
+            saved = self.pos
             try:
-                self.nest()
-                self.advance()
-                b = self.boolean()
-                self.eat(")")
-                self.depth -= 1
+                with self.nested():
+                    self.advance()
+                    b = self.boolean()
+                    self.eat(")")
                 return b
             except ParseError:
-                self.pos, self.depth = saved
+                self.pos = saved
         return self.comparison()
 
     def comparison(self) -> BoolExpr:
@@ -484,24 +480,22 @@ class _Parser:
     def statement(self) -> Program:
         t = self.peek()
         if self.at("if"):
-            self.nest()
-            self.advance()
-            cond = self.boolean()
-            self.eat("then")
-            then = self.block()
-            self.eat("else")
-            orelse = self.block()
-            self.depth -= 1
+            with self.nested():
+                self.advance()
+                cond = self.boolean()
+                self.eat("then")
+                then = self.block()
+                self.eat("else")
+                orelse = self.block()
             return If(cond, then, orelse, loc=self.span(t))
         if self.at("while"):
-            self.nest()
-            self.advance()
-            cond = self.boolean()
-            self.eat("do")
-            self.eat("{")
-            body = self.statements()
-            self.eat("}")
-            self.depth -= 1
+            with self.nested():
+                self.advance()
+                cond = self.boolean()
+                self.eat("do")
+                self.eat("{")
+                body = self.statements()
+                self.eat("}")
             return While(cond, body, loc=self.span(t))
         if t.kind == "IDENT":
             if t.text in RESERVED:
@@ -580,56 +574,44 @@ class _Parser:
         v = self.primary().value  # a finite literal, as in an expression
         return -v if neg else v
 
-    def _varlist_ahead(self) -> bool:
-        return (self.peek().kind == "IDENT"
-                and self.peek(1).text == ":="
-                and self.peek(2).text == "{")
-
     def unit(self) -> SourceUnit:
-        declarations = []
-        body_stmts = []
-        listed = set()
-        # leading declarations: variability listings and literal assignments
-        while True:
-            if self._varlist_ahead():
-                if self.peek().text in RESERVED:
-                    self.fail(f"reserved name {self.peek().text!r} cannot be declared")
+        """Declarations, then the program body, in one statement loop.  While
+        declaring, a listing is a declaration, and so is a literal initial
+        value, which stays in the body too (it costs no time to re-run); any
+        other statement, or a declaration without ';', ends the section."""
+        declarations, stmts, listed = [], [], set()
+        declaring = True
+        while self.peek().kind != "EOF":
+            t = self.peek()
+            if declaring and t.kind == "IDENT" and self.peek(1).text == ":=" \
+                    and self.peek(2).text == "{":
+                if t.text in RESERVED:
+                    self.fail(f"reserved name {t.text!r} cannot be declared")
                 vl = self.varlist()
                 if vl.var in listed:
                     raise ParseError(
                         f"variable {vl.var!r} has more than one variability listing",
-                        vl.loc.line, vl.loc.col, vl.loc.start)
+                        t.line, t.col, t.pos)
                 listed.add(vl.var)
                 declarations.append(vl)
-                if self.at(";"):
-                    self.advance()
-                    continue
-                break
-            stmt = None
-            saved = self.pos
-            if self.peek().kind == "IDENT" and self.peek().text not in RESERVED \
-                    and self.peek(1).text == ":=":
+            else:
                 stmt = self.statement()
-            if stmt is not None and isinstance(stmt, Atom) \
-                    and isinstance(stmt.atomic, Assign) \
-                    and isinstance(stmt.atomic.expr, Const):
-                # a literal initial value: recorded as a declaration and kept
-                # in the body (it costs no time to re-run)
-                declarations.append(stmt.atomic)
-                body_stmts.append(stmt)
-                if self.at(";"):
-                    self.advance()
-                    continue
+                stmts.append(stmt)
+                declaring = declaring and type(stmt) is Atom \
+                    and type(stmt.atomic) is Assign and type(stmt.atomic.expr) is Const
+                if declaring:
+                    declarations.append(stmt.atomic)
+            if self.at(";"):
+                self.advance()
+                if not declaring and self.at("}"):
+                    break  # tolerate a trailing ';'
+            elif declaring:
+                declaring = False
+            else:
                 break
-            self.pos = saved
-            break
-        # the rest of the program
-        if self.peek().kind != "EOF":
-            body_stmts.append(self.statements())
-        if not body_stmts:
-            t = self.peek()
-            raise ParseError("program body is empty", t.line, t.col, t.pos)
-        return SourceUnit(tuple(declarations), _seq(body_stmts))
+        if not stmts:
+            self.fail("program body is empty")
+        return SourceUnit(tuple(declarations), _seq(stmts))
 
 
 def _seq(stmts: list) -> Program:

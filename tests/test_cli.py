@@ -123,6 +123,15 @@ def test_simulate_zeno_bound_exit(tmp_path, capsys):
     assert "bound reached" in capsys.readouterr().out
 
 
+def test_simulate_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(hybridsim.cli, "simulate", exhausted)
+    code = cli_main(["simulate", EQ1, "--dt", "1e-7", "--out", str(tmp_path)])
+    assert code == 2
+    assert "larger --dt" in capsys.readouterr().err
+
+
 def test_simulate_axes_validation(tmp_path, capsys):
     code = cli_main(["simulate", EQ1, "--axes", "[(p,v,q)]", "--out", str(tmp_path)])
     assert code == 2
