@@ -9,9 +9,15 @@ Subcommands:
   selftest        differential test of the two semantics on random programs
 
 Exit codes: 0 ok, 1 program error, 2 usage or parse error (a bad numeric
-flag, and running out of memory, included), 3 bound reached.  The
-environment variable HYBRIDSIM_MAX_PRODUCT, a positive integer, overrides
-the cap on the number of initial-condition combinations (default 64).
+flag, flags that ask for more work than a budget below, and running out of
+memory, included), 3 bound reached.  The environment variable
+HYBRIDSIM_MAX_PRODUCT, a positive integer, overrides the cap on the number
+of initial-condition combinations (default 64).
+
+Work whose size the flags fix is refused before it starts: `simulate` takes
+at most MAX_SAMPLES samples per trajectory (max-time/dt), and under
+`--solver rk4` a `--rk4-step` may ask for at most MAX_RK4_STEPS steps
+(time/rk4-step, with the `--max-time` of `simulate`).
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from pathlib import Path
 from .errors import HybridError
 from .odesolve import Exact, RK4
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
-                        run_to_terminal, Config)
+                        outcome_bits, run_to_terminal, Config)
 from .syntax import (Diff, ParseError, SourceUnit, VarList, desugar, nodes,
                      ordered_vars, parse)
 from .linearize import to_affine
@@ -37,6 +43,9 @@ EXIT_OK = 0
 EXIT_PROGRAM_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+
+MAX_SAMPLES = 1_000_000
+MAX_RK4_STEPS = 10_000_000
 
 
 def _number(accept, what: str, kind=float):
@@ -83,6 +92,19 @@ def _limits(args) -> Limits:
     return Limits(max_time=args.max_time, max_iterations=args.max_iter)
 
 
+def _budget(count: float, budget: int, what: str, flag: str):
+    """Refuse flags that ask for more than `budget` units of work."""
+    if count > budget:
+        raise argparse.ArgumentTypeError(
+            f"this asks for {count:.3g} {what}, over the budget of {budget}; "
+            f"give a larger {flag}")
+
+
+def _rk4_budget(args, time: float):
+    if args.solver == "rk4" and args.rk4_step is not None:
+        _budget(time / args.rk4_step, MAX_RK4_STEPS, "RK4 steps", "--rk4-step")
+
+
 def cmd_check(args) -> int:
     unit = desugar(_load(args.file))
     env = {}
@@ -108,6 +130,7 @@ def _worst(code: int, new: int) -> int:
 
 
 def cmd_run(args) -> int:
+    _rk4_budget(args, args.time)
     unit = desugar(_load(args.file))
     variables = ordered_vars(unit)
     envs = expand_variability(unit, _cap())
@@ -140,6 +163,8 @@ def cmd_simulate(args) -> int:
     if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
         raise argparse.ArgumentTypeError(
             f"sampling interval max-time/500 is {dt!r}; give --dt")
+    _budget(limits.max_time / dt, MAX_SAMPLES, "samples per trajectory", "--dt")
+    _rk4_budget(args, limits.max_time)
     axes = parse_axes(args.axes) if args.axes else [TimeAxis(v) for v in variables]
     spec = make_plot_spec(axes, args.graph, variables, limits)
     trajs = simulate(unit, mode, limits, dt, cap=_cap())
@@ -180,7 +205,7 @@ def cmd_selftest(args) -> int:
         for t in randprog.gen_times(seed, args.times):
             big = big_step(program, env, t, Exact())
             small = run_to_terminal(Config(program, dict(env), t), Exact())
-            if big != small:
+            if outcome_bits(big) != outcome_bits(small):
                 disagreements += 1
                 print(f"seed {seed} t={t}: big={big!r} small={small!r}")
     print(f"selftest: {args.count} programs x {args.times} times, "

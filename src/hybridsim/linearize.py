@@ -12,11 +12,14 @@ non-zero constant.  Anything else over a bound variable is rejected as
 non-linear.
 
 `to_affine` memoises its successful results.  The key is the statement's
-identity together with the exact bit pattern (`float.hex`) of each frozen
-variable's value, so -0.0 and 0.0 are different keys; the result never
-depends on anything else in the environment.  The cache holds the `Diff`
+identity together with its frozen variables' values, compared as floats,
+or by their exact bit patterns (`float.hex`) when one of them is zero, so
+-0.0 and 0.0 are different keys; the result never depends on anything else
+in the environment.  Each statement met gets one entry, made once: its
+frozen variables' names and the function that builds its key.  A hit is
+one lock acquisition and one dict lookup.  The cache holds the `Diff`
 itself in each entry, so its `id` cannot be reused while the entry lives,
-and keeps the AFFINE_CACHE_SIZE most recently used entries.  Failures are
+and keeps the AFFINE_CACHE_SIZE most recently used systems.  Failures are
 never cached (their error carries the environment), nor are calls whose
 frozen values are missing or not plain floats.  A cached system is shared
 by every caller, threads included (the cache is locked), so its arrays
@@ -53,15 +56,23 @@ class AffineSystem:
     """x' = A x + b over `vars` (the Diff-bound variables, in binding order).
 
     Carries the augmented matrix M = [[A, b], [0, 0]], on which both solvers
-    act, and memos of the flow maps `odesolve` derives from it: expm(tau M)
-    keyed by tau in `exp_maps`, and the RK4 step map R(hM) keyed by h in
-    `rk4_maps`.  A, b and M are read-only copies, as systems are shared."""
+    act, whether the flow has a constant rate (`closed_form`: A == 0),
+    `b_max` (at least every finite |b_i|; inf or nan when some b_i is
+    infinite), and memos of the flow maps `odesolve` derives from M:
+    expm(tau M) keyed by tau in `exp_maps`, with its blocks (E, c) and its
+    largest |entry| in `exp_parts` under the same keys, and the RK4 step map
+    R(hM) keyed by h in `rk4_maps`.  A, b and M are read-only copies, as
+    systems are shared."""
 
     vars: tuple
     A: np.ndarray
     b: np.ndarray
     M: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
+    closed_form: bool = field(init=False, repr=False)
+    b_max: float = field(init=False, repr=False)
     exp_maps: dict = field(init=False, repr=False, default_factory=dict)
+    exp_parts: dict = field(init=False, repr=False, default_factory=dict)
     rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -71,10 +82,10 @@ class AffineSystem:
         M[:n, n] = self.b
         for name, value in (("A", self.A), ("b", self.b), ("M", M)):
             object.__setattr__(self, name, _read_only(value))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vars)
+        # over Python floats: numpy reductions cost more on arrays this small
+        object.__setattr__(self, "dim", len(self.vars))
+        object.__setattr__(self, "closed_form", not any(self.A.ravel().tolist()))
+        object.__setattr__(self, "b_max", max(map(abs, self.b.tolist()), default=0.0))
 
 
 def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:
@@ -161,32 +172,33 @@ def _decompose(e: Expr, env: Env) -> tuple:
     return fold(e, _affine_parts)
 
 
-# (id(diff), frozen value bits...) -> (diff, system), least recently used first
+# (id(diff), frozen values) -> (diff, system), least recently used first
 _systems: OrderedDict = OrderedDict()
-# id(diff) -> (diff, its frozen variables' names), oldest first
+# id(diff) -> (diff, its frozen variables' names, its key builder), oldest
+# first
 _frozen: dict = {}
 _lock = threading.Lock()
 
 
-def _frozen_names(diff: Diff) -> tuple:
-    entry = _frozen.get(id(diff))
-    if entry is None:
-        bound = {x for x, _ in diff.pairs}
-        names = set().union(*(expr_vars(e) for _, e in diff.pairs)) - bound
-        entry = _frozen[id(diff)] = (diff, tuple(sorted(names)))
-        if len(_frozen) > AFFINE_CACHE_SIZE:
-            del _frozen[next(iter(_frozen))]
-    return entry[1]
+def _enter(diff: Diff) -> tuple:
+    """The cache entry of a statement not met yet: the statement, its frozen
+    variables' names, and the builder of its `_systems` keys."""
+    bound = {x for x, _ in diff.pairs}
+    names = tuple(sorted(set().union(*(expr_vars(e) for _, e in diff.pairs)) - bound))
+    ident, floats = id(diff), (float,) * len(names)
 
-
-def _cache_key(diff: Diff, frozen: tuple, env: Env) -> tuple | None:
-    key = [id(diff)]
-    for name in frozen:
-        v = env.get(name)
-        if type(v) is not float:
+    def key(env: Env) -> tuple | None:
+        values = tuple(map(env.get, names))
+        if tuple(map(type, values)) != floats:
             return None
-        key.append(v.hex())
-    return tuple(key)
+        if 0.0 in values:  # equal to -0.0 as well: key on the bits
+            values = tuple(map(float.hex, values))
+        return ident, values
+
+    entry = _frozen[ident] = (diff, names, key)
+    if len(_frozen) > AFFINE_CACHE_SIZE:
+        del _frozen[next(iter(_frozen))]
+    return entry
 
 
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
@@ -195,8 +207,8 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
     Deterministic, and independent of the values the bound variables may
     have in `env` (they are never read).  Memoised: see the module notes."""
     with _lock:
-        frozen = _frozen_names(diff)
-        key = _cache_key(diff, frozen, env)
+        _, frozen, make_key = _frozen.get(id(diff)) or _enter(diff)
+        key = make_key(env)
         hit = None if key is None else _systems.get(key)
         if hit is not None:
             _systems.move_to_end(key)

@@ -12,14 +12,23 @@ modes, on which RK4 is exact too.  Overflow is checked once, on the state
 returned: a non-finite entry makes all of the next matvec non-finite
 (0 * inf = nan).
 
-Flow maps are memoised on the system: expm(tau M) keyed by tau (positive
-and finite, so float equality is bit identity) and R(hM) keyed by h, at
-most MAPS_PER_SYSTEM of each, the oldest dropped first.  Every entry is one
-fresh `expm` or `_rk4_map` call, bit-identical to what a new call would
-return; nothing is derived from powers of another entry.  Systems come
-shared from `linearize.to_affine`, so these memos serve every Solution of
-a system, on any thread (insertion is locked); the cached maps are
-read-only.
+Flow maps are memoised on the system: e = expm(tau M) keyed by tau
+(positive and finite, so float equality is bit identity) in `exp_maps`,
+with its blocks E = e[:n, :n], c = e[:n, n] and its largest |entry| under
+the same key in `exp_parts`, and R(hM) keyed by h in `rk4_maps`; at most
+MAPS_PER_SYSTEM of each, the oldest dropped first.  Every map is one fresh
+`expm` or `_rk4_map` call, bit-identical to what a new call would return;
+nothing is derived from powers of another entry.  Systems come shared from
+`linearize.to_affine`, so these memos serve every Solution of a system, on
+any thread (insertion is locked); the cached maps are read-only.  An exact
+state is then one memo lookup and E x0 + c: the same operations on the
+same blocks as slicing a fresh map.
+
+On vectors this short numpy's fixed costs dominate, so the checks run over
+Python floats: finiteness over `tolist()`, and a bound on every
+intermediate of the flow arithmetic (from max|x0| and the largest entry of
+b or of the map).  Below _SAFE nothing can overflow and the arithmetic runs
+as is; above it, and in the RK4 loop, it runs under `np.errstate`.
 
 The RK4 prefix is memoised on the step grid, so increasing queries along
 one segment cost one pass and are bit-identical to one fresh integration.
@@ -44,6 +53,9 @@ __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
 # offsets (simulate-exact) and at most 2 distinct durations (point-query).
 MAPS_PER_SYSTEM = 32
 _lock = threading.Lock()
+# the flow arithmetic runs without np.errstate when no intermediate can
+# exceed this magnitude (the largest double is about 2**1024)
+_SAFE = 2.0 ** 1000
 
 
 class NumericalOverflow(Exception):
@@ -105,6 +117,15 @@ def _rk4_step(r: np.ndarray, z: np.ndarray, tau: float | None = None) -> np.ndar
     return z + tau * (r @ w)
 
 
+def _make_room(*memos: dict):
+    """Drop the oldest key from memos kept under the same keys, once they
+    hold MAPS_PER_SYSTEM entries.  Called under _lock."""
+    if len(memos[0]) >= MAPS_PER_SYSTEM:
+        oldest = next(iter(memos[0]))
+        for maps in memos:
+            del maps[oldest]
+
+
 def _memo(maps: dict, key: float, build) -> np.ndarray:
     """maps[key], built by `build()` on a miss, read-only, at most
     MAPS_PER_SYSTEM entries."""
@@ -113,10 +134,29 @@ def _memo(maps: dict, key: float, build) -> np.ndarray:
         m = build()
         m.flags.writeable = False
         with _lock:
-            if len(maps) >= MAPS_PER_SYSTEM:
-                del maps[next(iter(maps))]
+            _make_room(maps)
             maps[key] = m
     return m
+
+
+def _exp_parts(sys: AffineSystem, t: float) -> tuple:
+    """(E, c, scale): the blocks of expm(t M) = [[E, c], [0, 1]] and its
+    largest |entry|, so that no intermediate of E x + c exceeds
+    scale * (n max|x| + 1).  scale is inf or nan when an entry is infinite;
+    a nan entry it may pass over makes nan without overflow or a warning.
+    Memoised: see the module notes."""
+    parts = sys.exp_parts.get(t)
+    if parts is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = expm(sys.M * t)
+        e.flags.writeable = False
+        n = sys.dim
+        parts = e[:n, :n], e[:n, n], max(map(abs, e.ravel().tolist()))
+        with _lock:
+            _make_room(sys.exp_maps, sys.exp_parts)
+            sys.exp_maps[t] = e
+            sys.exp_parts[t] = parts
+    return parts
 
 
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
@@ -128,14 +168,18 @@ def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
 class Solution:
     """The flow of one affine system from one initial state, in one mode."""
 
+    __slots__ = ("system", "x0", "mode", "step", "_size", "_z", "_k")
+
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
                  duration: float | None = None):
         self.system = system
         self.x0 = np.asarray(x0, dtype=float)
         if self.x0.shape != (system.dim,):
             raise ValueError(f"x0 has shape {self.x0.shape}, system is {system.dim}-dimensional")
-        if not np.isfinite(self.x0).all():
+        xs = self.x0.tolist()
+        if not all(map(math.isfinite, xs)):
             raise ValueError("x0 entries must be finite")
+        self._size = max(map(abs, xs), default=0.0)
         self.mode = mode
         if isinstance(mode, RK4):
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)
@@ -148,25 +192,34 @@ class Solution:
     @property
     def closed_form(self) -> bool:
         """A constant-rate flow (A == 0), solved as x0 + b t in both modes."""
-        return not self.system.A.any()
+        return self.system.closed_form
 
     def at(self, t: float) -> np.ndarray:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and non-negative, got {t}")
         if t == 0.0:
             return self.x0.copy()
-        # overflow surfaces as a non-finite state, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            sys = self.system
-            if self.closed_form:
-                x = self.x0 + sys.b * t
-            elif isinstance(self.mode, Exact):
-                n = sys.dim
-                e = _memo(sys.exp_maps, t, lambda: expm(sys.M * t))
-                x = e[:n, :n] @ self.x0 + e[:n, n]
-            else:
-                x = self._propagate(t)
-        if not np.isfinite(x).all():
+        sys = self.system
+        # a bound on every intermediate's magnitude
+        if sys.closed_form:
+            reach = self._size + sys.b_max * t
+        elif self.step is None:
+            e, c, scale = _exp_parts(sys, t)
+            reach = scale * (sys.dim * self._size + 1.0)
+        else:
+            reach = math.inf
+        if reach < _SAFE:  # nothing can overflow
+            x = self.x0 + sys.b * t if sys.closed_form else e @ self.x0 + c
+        else:
+            # overflow surfaces as a non-finite state, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                if sys.closed_form:
+                    x = self.x0 + sys.b * t
+                elif self.step is None:
+                    x = e @ self.x0 + c
+                else:
+                    x = self._propagate(t)
+        if not all(map(math.isfinite, x.tolist())):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
 

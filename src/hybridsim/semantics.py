@@ -22,6 +22,7 @@ error.  Assignments consume no time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from ._eval import Env, eval_bool, eval_expr
@@ -35,6 +36,7 @@ __all__ = [
     "Skip", "Stop", "Err", "BoundReached", "Outcome",
     "Config", "TSkip", "TStop", "TErr", "Terminal",
     "big_step", "small_step", "machine", "run_to_terminal", "applicable_rules",
+    "outcome_bits",
 ]
 
 
@@ -85,6 +87,22 @@ class BoundReached:
 Outcome = Skip | Stop | Err | BoundReached
 
 
+def outcome_bits(o: Outcome) -> tuple:
+    """Everything an Outcome says, each float as its exact bits
+    (`float.hex`): equal for two outcomes only when they agree bit for bit,
+    where `==` takes -0.0 for 0.0.  An error's environment is left out, as
+    `ErrorInfo` equality leaves it out."""
+    if isinstance(o, Err):
+        i = o.info
+        return ("err", i.kind, i.message, i.src, i.line, i.col)
+    env = tuple(sorted((k, v.hex()) for k, v in o.env.items()))
+    if isinstance(o, Stop):
+        return ("stop", env)
+    if isinstance(o, Skip):
+        return ("skip", env, o.elapsed.hex(), o.early)
+    return ("bound", o.kind, env, o.elapsed.hex())
+
+
 @dataclass(frozen=True)
 class Config:
     program: Program
@@ -122,14 +140,15 @@ def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
     if d < 0.0:
         raise fail(ErrorKind.NEGATIVE_DURATION, a.duration, env)
     system = to_affine(a, env)
-    x0 = []
-    for name, _ in a.pairs:
-        if name not in env:
-            # blame the bare name, at the statement's position
-            loc = a.loc and Loc(a.loc.line, a.loc.col, 0, len(name), name)
-            blamed = Var(name, loc=loc)
-            raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env)
-        x0.append(env[name])
+    try:
+        x0 = [env[name] for name in system.vars]
+    except KeyError:
+        for name in system.vars:
+            if name not in env:
+                # blame the bare name, at the statement's position
+                loc = a.loc and Loc(a.loc.line, a.loc.col, 0, len(name), name)
+                blamed = Var(name, loc=loc)
+                raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env) from None
     return d, Solution(system, x0, mode, duration=d)
 
 
@@ -219,12 +238,24 @@ def _outcome(r, t0: float) -> Outcome:
     return BoundReached(BoundKind.MAX_ITERATIONS, r.env, t0 - r.residual)
 
 
+def _check_start(env: Env, t: float):
+    """Refuse a run that cannot start: a time that is negative or not
+    finite, or a non-finite initial value, which no evaluation could have
+    produced."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
+    if not all(map(math.isfinite, env.values())):
+        name, v = next((k, v) for k, v in env.items() if not math.isfinite(v))
+        raise ValueError(f"initial value of {name} must be finite, got {v!r}")
+
+
 def big_step(p: Program, env: Env, t: float, mode: SolverMode,
              limits: Limits = Limits()) -> Outcome:
-    """Evaluate `p` from `env` at time instant `t`.  Never raises: every
-    failure is folded into the Outcome."""
-    if not t >= 0:
-        raise ValueError("time instant must be non-negative")
+    """Evaluate `p` from `env` at time instant `t`.  Never raises on a
+    program error: every failure is folded into the Outcome.  A `t` that is
+    negative or not finite, or a non-finite value in `env`, is refused up
+    front with ValueError."""
+    _check_start(env, t)
     return _outcome(_big(p, dict(env), t, mode, limits, [0]), t)
 
 
@@ -293,7 +324,13 @@ def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
     """Iterate small steps from `cfg` until a terminal or the iteration
     budget trips.  Yields (pre-step config, successor, rule, detail) for
     every step, the step that exceeds the budget included; returns the
-    Outcome."""
+    Outcome.  Refuses `cfg` up front, before any step, as `big_step`
+    refuses its arguments."""
+    _check_start(cfg.env, cfg.residual)
+    return _machine(cfg, mode, limits)
+
+
+def _machine(cfg: Config, mode: SolverMode, limits: Limits):
     t0 = cfg.residual
     iterations = 0
     while True:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,50 @@ def test_simulate_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "larger --dt" in capsys.readouterr().err
 
 
+def test_simulate_out_of_memory_within_the_sample_budget_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(hybridsim.cli, "simulate", exhausted)
+    code = cli_main(["simulate", EQ1, "--dt", "0.1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work was started")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", EQ1, "--dt", "1e-7", "--max-time", "50"], "--dt"),
+    (["simulate", EQ1, "--max-time", "1e300", "--dt", "1e-300"], "--dt"),
+    (["simulate", EQ1, "--solver", "rk4", "--rk4-step", "1e-7", "--max-time", "50"],
+     "--rk4-step"),
+    (["run", EQ1, "--time", "1", "--solver", "rk4", "--rk4-step", "1e-9"], "--rk4-step"),
+])
+def test_work_over_budget_is_refused_before_it_starts(argv, flag, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(hybridsim.cli, "simulate", _never)
+    monkeypatch.setattr(hybridsim.cli, "big_step", _never)
+    start = time.perf_counter()
+    code = cli_main(argv + ["--out", str(tmp_path)] if argv[0] == "simulate" else argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"larger {flag}" in err
+    assert "budget" in err and "Traceback" not in err
+
+
+def test_work_within_budget_runs(tmp_path, capsys):
+    assert cli_main(["run", EQ1, "--time", "1", "--solver", "rk4",
+                     "--rk4-step", "1e-3"]) == 0
+    # an exact run ignores --rk4-step
+    assert cli_main(["run", EQ1, "--time", "1", "--rk4-step", "1e-12"]) == 0
+    assert cli_main(["simulate", EQ1, "--max-time", "2", "--dt", "1e-3",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
 def test_simulate_axes_validation(tmp_path, capsys):
     code = cli_main(["simulate", EQ1, "--axes", "[(p,v,q)]", "--out", str(tmp_path)])
     assert code == 2
@@ -167,6 +212,18 @@ def test_selftest_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 disagreement(s)" in out
+
+
+def test_selftest_compares_outcomes_bit_for_bit(capsys, monkeypatch):
+    """Skip({'x': -0.0}) == Skip({'x': 0.0}), yet the two semantics disagree."""
+    monkeypatch.setattr(hybridsim.cli, "big_step",
+                        lambda *args, **kwargs: hybridsim.Skip({"x": -0.0}))
+    monkeypatch.setattr(hybridsim.cli, "run_to_terminal",
+                        lambda *args, **kwargs: hybridsim.Skip({"x": 0.0}))
+    code = cli_main(["selftest", "--count", "1", "--times", "1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "1 disagreement(s)" in out and "-0.0" in out
 
 
 def test_usage_error_exit_code(capsys):

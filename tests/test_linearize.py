@@ -214,6 +214,25 @@ def test_cache_size_stays_at_its_bound():
     assert len(linearize._frozen) <= AFFINE_CACHE_SIZE
 
 
+def test_cache_keys_tell_zeros_apart_among_other_values():
+    a = _diff("x' = m*x + k*y + c, y' = -y for 1")
+    base = {"k": 2.0, "m": 0.0, "c": 3.0}
+    s1 = to_affine(a, base)
+    assert to_affine(a, dict(base, x=9.0)) is s1
+    s2 = to_affine(a, dict(base, m=-0.0))
+    assert s2 is not s1 and math.copysign(1.0, s2.A[0, 0]) == -1.0
+    assert to_affine(a, dict(base, m=-0.0)) is s2
+    assert to_affine(a, dict(base, k=2.5)) is not s1
+
+
+def test_cache_holds_plain_floats_only():
+    a = _diff("x' = k*x for 1")
+    s1 = to_affine(a, {"k": 2.0})
+    for k in (2, True, np.float64(2.0)):
+        assert to_affine(a, {"k": k}) is not s1
+    assert to_affine(a, {"k": 2.0}) is s1
+
+
 # -- randomized properties
 
 def _gen_affine_expr(rng, bound, frozen, depth):

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hybridsim import odesolve
 from hybridsim.errors import ErrorKind
@@ -215,6 +217,59 @@ def test_flow_maps_are_read_only_and_bounded():
     for m in (*sys.exp_maps.values(), *sys.rk4_maps.values()):
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
+
+
+def test_exp_parts_are_views_of_the_memoised_map():
+    sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
+    for k in range(1, MAPS_PER_SYSTEM + 3):
+        Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
+    assert list(sys.exp_parts) == list(sys.exp_maps)
+    for tau, e in sys.exp_maps.items():
+        E, c, scale = sys.exp_parts[tau]
+        assert np.array_equal(E, e[:2, :2]) and np.array_equal(c, e[:2, 2])
+        assert np.shares_memory(E, e) and np.shares_memory(c, e)
+        assert scale == np.abs(e).max()
+
+
+def test_closed_form_is_decided_once_per_system():
+    assert _sys([[0.0]], [-1.0]).closed_form
+    assert not DECAY.closed_form
+    assert Solution(DOUBLE_INT, [0.0, 0.0], Exact()).closed_form is False
+    assert DOUBLE_INT.b_max == 2.0
+
+
+@pytest.mark.parametrize("sys, x0, t", [
+    (_sys([[50.0]], [0.0]), [1.0], 50.0),           # exact: the map overflows
+    (_sys([[1.0]], [0.0]), [1e308], 1.0),           # exact: the matvec overflows
+    (_sys([[1e-300]], [1.5e308]), [1.5e308], 1.0),  # only E x0 + c overflows
+    (_sys([[0.0]], [1e308]), [1e308], 1.0),         # closed form
+])
+def test_overflow_is_reported_without_a_warning(sys, x0, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow):
+            Solution(sys, x0, Exact()).at(t)
+
+
+def test_states_near_the_largest_double_stay_exact():
+    """Past the magnitude where overflow is ruled out in advance the flow is
+    computed as before, under np.errstate, and still finite when it is."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys, x0 in ((DECAY, [1e307]), (_sys([[0.0]], [-1e307]), [1e307]),
+                        (OSC, [1e307, -1e307])):
+            x = Solution(sys, x0, Exact()).at(0.5)
+            e = expm(sys.M * 0.5)
+            n = sys.dim
+            want = x0 + sys.b * 0.5 if sys.closed_form \
+                else e[:n, :n] @ np.array(x0) + e[:n, n]
+            assert np.array_equal(x, want)
+
+
+def test_solution_refuses_a_non_finite_x0_of_any_kind():
+    for bad in ([math.nan], [math.inf], np.array([-math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            Solution(DECAY, bad, Exact())
 
 
 def test_system_copies_the_arrays_it_is_given():

@@ -7,7 +7,8 @@ from hybridsim.odesolve import Exact, RK4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  Skip, Stop, TErr, TSkip, TStop,
                                  applicable_rules, big_step, eval_bool,
-                                 eval_expr, run_to_terminal, small_step)
+                                 eval_expr, machine, outcome_bits,
+                                 run_to_terminal, small_step)
 from hybridsim.syntax import (desugar_bool, desugar_program, parse_boolean,
                               parse_expression, parse_program)
 
@@ -233,6 +234,51 @@ def test_terminated_early_reports_elapsed():
     assert out.elapsed == pytest.approx(1.0, abs=1e-12)
     big = big_step(p, {"x": 1.0}, 3.0, EXACT)
     assert big == out
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["x", "k"])  # a bound and a frozen variable
+def test_non_finite_initial_value_is_refused_up_front(name, value):
+    p = prog("y := 2 ; x' = k*x for 1")
+    env = {"x": 1.0, "k": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"initial value of {name} must be finite"):
+        big_step(p, env, 0.0, EXACT)
+    # the small-step driver refuses at the call, before any step
+    with pytest.raises(ValueError, match=f"initial value of {name} must be finite"):
+        machine(Config(p, env, 0.5), RK4())
+    with pytest.raises(ValueError, match=f"initial value of {name} must be finite"):
+        run_to_terminal(Config(p, env, 0.5), EXACT)
+
+
+@pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
+def test_a_negative_or_non_finite_time_is_refused_up_front(t):
+    """An infinite instant used to run to completion and report
+    `elapsed=nan`."""
+    p = prog("x' = -x for 1")
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        machine(Config(p, {"x": 1.0}, t), EXACT)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        big_step(p, {"x": 1.0}, t, EXACT)
+
+
+def test_outcome_bits_tell_the_sign_of_zero():
+    assert Skip({"x": -0.0}) == Skip({"x": 0.0})  # why `==` cannot serve
+    assert outcome_bits(Skip({"x": -0.0})) != outcome_bits(Skip({"x": 0.0}))
+    assert outcome_bits(Stop({"x": -0.0})) != outcome_bits(Stop({"x": 0.0}))
+    assert (outcome_bits(Skip({"x": 1.0}, elapsed=-0.0))
+            != outcome_bits(Skip({"x": 1.0}, elapsed=0.0)))
+    assert outcome_bits(Skip({"x": 1.0}, 2.0, True)) == outcome_bits(Skip({"x": 1.0}, 2.0, True))
+    assert outcome_bits(Skip({"x": 1.0})) != outcome_bits(Stop({"x": 1.0}))
+
+
+def test_outcome_bits_compare_errors_without_their_environment():
+    p = prog("x := 1/y")
+    a = big_step(p, {"y": 0.0}, 1.0, EXACT)
+    b = big_step(p, {"y": -0.0, "z": 5.0}, 1.0, EXACT)
+    assert isinstance(a, Err) and a.info.env != b.info.env
+    assert outcome_bits(a) == outcome_bits(b)
+    c = big_step(prog("x := 2/y"), {"y": 0.0}, 1.0, EXACT)
+    assert outcome_bits(a) != outcome_bits(c)
 
 
 # -- error rendering
