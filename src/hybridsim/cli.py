@@ -16,8 +16,9 @@ of initial-condition combinations (default 64).
 
 Work whose size the flags fix is refused before it starts: `simulate` takes
 at most MAX_SAMPLES samples per trajectory (max-time/dt), and under
-`--solver rk4` a `--rk4-step` may ask for at most MAX_RK4_STEPS steps
-(time/rk4-step, with the `--max-time` of `simulate`).
+`--solver rk4` a trajectory at most MAX_RK4_STEPS steps (time/rk4-step,
+with the `--max-time` of `simulate`, and a step of 1e-3, the default
+step's cap, when `--rk4-step` is not given).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .errors import HybridError
-from .odesolve import Exact, RK4
+from .odesolve import Exact, RK4, default_rk4_step
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
                         outcome_bits, run_to_terminal, Config)
 from .syntax import (Diff, ParseError, SourceUnit, VarList, desugar, nodes,
@@ -101,8 +102,12 @@ def _budget(count: float, budget: int, what: str, flag: str):
 
 
 def _rk4_budget(args, time: float):
-    if args.solver == "rk4" and args.rk4_step is not None:
-        _budget(time / args.rk4_step, MAX_RK4_STEPS, "RK4 steps", "--rk4-step")
+    """Refuse more than MAX_RK4_STEPS RK4 steps per trajectory over `time`.
+    Without --rk4-step, count with 1e-3, the default step's cap, which the
+    default step equals on every segment longer than 16 ms."""
+    if args.solver == "rk4":
+        step = args.rk4_step if args.rk4_step is not None else default_rk4_step(None)
+        _budget(time / step, MAX_RK4_STEPS, "RK4 steps per trajectory", "--rk4-step")
 
 
 def cmd_check(args) -> int:

@@ -56,13 +56,11 @@ class AffineSystem:
     """x' = A x + b over `vars` (the Diff-bound variables, in binding order).
 
     Carries the augmented matrix M = [[A, b], [0, 0]], on which both solvers
-    act, whether the flow has a constant rate (`closed_form`: A == 0),
-    `b_max` (at least every finite |b_i|; inf or nan when some b_i is
-    infinite), and memos of the flow maps `odesolve` derives from M:
-    expm(tau M) keyed by tau in `exp_maps`, with its blocks (E, c) and its
-    largest |entry| in `exp_parts` under the same keys, and the RK4 step map
-    R(hM) keyed by h in `rk4_maps`.  A, b and M are read-only copies, as
-    systems are shared."""
+    act, whether the flow has a constant rate (`closed_form`: A == 0), and
+    memos of the flow maps `odesolve` derives from M: expm(tau M) keyed by
+    tau in `exp_maps`, with its blocks (E, c) under the same keys in
+    `exp_parts`, and the RK4 step map R(hM) keyed by h in `rk4_maps`.  A, b
+    and M are read-only copies, as systems are shared."""
 
     vars: tuple
     A: np.ndarray
@@ -70,7 +68,6 @@ class AffineSystem:
     M: np.ndarray = field(init=False, repr=False)
     dim: int = field(init=False, repr=False)
     closed_form: bool = field(init=False, repr=False)
-    b_max: float = field(init=False, repr=False)
     exp_maps: dict = field(init=False, repr=False, default_factory=dict)
     exp_parts: dict = field(init=False, repr=False, default_factory=dict)
     rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
@@ -82,10 +79,9 @@ class AffineSystem:
         M[:n, n] = self.b
         for name, value in (("A", self.A), ("b", self.b), ("M", M)):
             object.__setattr__(self, name, _read_only(value))
-        # over Python floats: numpy reductions cost more on arrays this small
         object.__setattr__(self, "dim", len(self.vars))
+        # over Python floats: numpy reductions cost more on arrays this small
         object.__setattr__(self, "closed_form", not any(self.A.ravel().tolist()))
-        object.__setattr__(self, "b_max", max(map(abs, self.b.tolist()), default=0.0))
 
 
 def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:

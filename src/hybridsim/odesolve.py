@@ -14,21 +14,18 @@ returned: a non-finite entry makes all of the next matvec non-finite
 
 Flow maps are memoised on the system: e = expm(tau M) keyed by tau
 (positive and finite, so float equality is bit identity) in `exp_maps`,
-with its blocks E = e[:n, :n], c = e[:n, n] and its largest |entry| under
-the same key in `exp_parts`, and R(hM) keyed by h in `rk4_maps`; at most
+its blocks (E, c) = (e[:n, :n], e[:n, n]), views of e, under the same key
+in `exp_parts`, and R(hM) keyed by h in `rk4_maps`; at most
 MAPS_PER_SYSTEM of each, the oldest dropped first.  Every map is one fresh
 `expm` or `_rk4_map` call, bit-identical to what a new call would return;
 nothing is derived from powers of another entry.  Systems come shared from
 `linearize.to_affine`, so these memos serve every Solution of a system, on
 any thread (insertion is locked); the cached maps are read-only.  An exact
 state is then one memo lookup and E x0 + c: the same operations on the
-same blocks as slicing a fresh map.
-
-On vectors this short numpy's fixed costs dominate, so the checks run over
-Python floats: finiteness over `tolist()`, and a bound on every
-intermediate of the flow arithmetic (from max|x0| and the largest entry of
-b or of the map).  Below _SAFE nothing can overflow and the arithmetic runs
-as is; above it, and in the RK4 loop, it runs under `np.errstate`.
+same blocks as slicing a fresh map.  On vectors this short numpy's fixed
+costs dominate, so the finiteness checks run over Python floats
+(`tolist()`), and `np.errstate` is entered once per state, around the
+flow arithmetic and the building of any map it needs.
 
 The RK4 prefix is memoised on the step grid, so increasing queries along
 one segment cost one pass and are bit-identical to one fresh integration.
@@ -53,9 +50,6 @@ __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
 # offsets (simulate-exact) and at most 2 distinct durations (point-query).
 MAPS_PER_SYSTEM = 32
 _lock = threading.Lock()
-# the flow arithmetic runs without np.errstate when no intermediate can
-# exceed this magnitude (the largest double is about 2**1024)
-_SAFE = 2.0 ** 1000
 
 
 class NumericalOverflow(Exception):
@@ -117,46 +111,32 @@ def _rk4_step(r: np.ndarray, z: np.ndarray, tau: float | None = None) -> np.ndar
     return z + tau * (r @ w)
 
 
-def _make_room(*memos: dict):
-    """Drop the oldest key from memos kept under the same keys, once they
-    hold MAPS_PER_SYSTEM entries.  Called under _lock."""
-    if len(memos[0]) >= MAPS_PER_SYSTEM:
-        oldest = next(iter(memos[0]))
-        for maps in memos:
-            del maps[oldest]
-
-
-def _memo(maps: dict, key: float, build) -> np.ndarray:
-    """maps[key], built by `build()` on a miss, read-only, at most
-    MAPS_PER_SYSTEM entries."""
+def _memo(maps: dict, key: float, build):
+    """maps[key], built by `build()` on a miss; at most MAPS_PER_SYSTEM
+    entries, the oldest dropped first."""
     m = maps.get(key)
     if m is None:
         m = build()
-        m.flags.writeable = False
         with _lock:
-            _make_room(maps)
+            if len(maps) >= MAPS_PER_SYSTEM:
+                del maps[next(iter(maps))]
             maps[key] = m
     return m
 
 
-def _exp_parts(sys: AffineSystem, t: float) -> tuple:
-    """(E, c, scale): the blocks of expm(t M) = [[E, c], [0, 1]] and its
-    largest |entry|, so that no intermediate of E x + c exceeds
-    scale * (n max|x| + 1).  scale is inf or nan when an entry is infinite;
-    a nan entry it may pass over makes nan without overflow or a warning.
-    Memoised: see the module notes."""
-    parts = sys.exp_parts.get(t)
-    if parts is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = expm(sys.M * t)
-        e.flags.writeable = False
+def _freeze(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+def _exp_blocks(sys: AffineSystem, t: float) -> tuple:
+    """(E, c): the blocks of expm(t M) = [[E, c], [0, 1]].  Memoised: see
+    the module notes."""
+    def blocks():
+        e = _memo(sys.exp_maps, t, lambda: _freeze(expm(sys.M * t)))
         n = sys.dim
-        parts = e[:n, :n], e[:n, n], max(map(abs, e.ravel().tolist()))
-        with _lock:
-            _make_room(sys.exp_maps, sys.exp_parts)
-            sys.exp_maps[t] = e
-            sys.exp_parts[t] = parts
-    return parts
+        return e[:n, :n], e[:n, n]
+    return _memo(sys.exp_parts, t, blocks)
 
 
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
@@ -168,7 +148,7 @@ def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
 class Solution:
     """The flow of one affine system from one initial state, in one mode."""
 
-    __slots__ = ("system", "x0", "mode", "step", "_size", "_z", "_k")
+    __slots__ = ("system", "x0", "mode", "step", "_z", "_k")
 
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
                  duration: float | None = None):
@@ -176,10 +156,8 @@ class Solution:
         self.x0 = np.asarray(x0, dtype=float)
         if self.x0.shape != (system.dim,):
             raise ValueError(f"x0 has shape {self.x0.shape}, system is {system.dim}-dimensional")
-        xs = self.x0.tolist()
-        if not all(map(math.isfinite, xs)):
+        if not all(map(math.isfinite, self.x0.tolist())):
             raise ValueError("x0 entries must be finite")
-        self._size = max(map(abs, xs), default=0.0)
         self.mode = mode
         if isinstance(mode, RK4):
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)
@@ -200,25 +178,15 @@ class Solution:
         if t == 0.0:
             return self.x0.copy()
         sys = self.system
-        # a bound on every intermediate's magnitude
-        if sys.closed_form:
-            reach = self._size + sys.b_max * t
-        elif self.step is None:
-            e, c, scale = _exp_parts(sys, t)
-            reach = scale * (sys.dim * self._size + 1.0)
-        else:
-            reach = math.inf
-        if reach < _SAFE:  # nothing can overflow
-            x = self.x0 + sys.b * t if sys.closed_form else e @ self.x0 + c
-        else:
-            # overflow surfaces as a non-finite state, reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                if sys.closed_form:
-                    x = self.x0 + sys.b * t
-                elif self.step is None:
-                    x = e @ self.x0 + c
-                else:
-                    x = self._propagate(t)
+        # overflow surfaces as a non-finite state, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sys.closed_form:
+                x = self.x0 + sys.b * t
+            elif self.step is None:
+                e, c = _exp_blocks(sys, t)
+                x = e @ self.x0 + c
+            else:
+                x = self._propagate(t)
         if not all(map(math.isfinite, x.tolist())):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
@@ -229,7 +197,7 @@ class Solution:
         if self._z is None or self._k > n - 1:
             self._k, self._z = 0, np.append(self.x0, 1.0)
         if self._k < n - 1:
-            r = _memo(self.system.rk4_maps, h, lambda: _rk4_map(m, h))
+            r = _memo(self.system.rk4_maps, h, lambda: _freeze(_rk4_map(m, h)))
             z = self._z
             for _ in range(n - 1 - self._k):
                 z = _rk4_step(r, z)

@@ -153,6 +153,10 @@ def _never(*args, **kwargs):
     (["simulate", EQ1, "--solver", "rk4", "--rk4-step", "1e-7", "--max-time", "50"],
      "--rk4-step"),
     (["run", EQ1, "--time", "1", "--solver", "rk4", "--rk4-step", "1e-9"], "--rk4-step"),
+    # the default step, counted at its 1e-3 cap
+    (["run", EQ1, "--time", "1e6", "--solver", "rk4"], "--rk4-step"),
+    (["simulate", EQ1, "--solver", "rk4", "--max-time", "1e9", "--dt", "1e3"],
+     "--rk4-step"),
 ])
 def test_work_over_budget_is_refused_before_it_starts(argv, flag, tmp_path, capsys,
                                                       monkeypatch):
@@ -172,6 +176,8 @@ def test_work_within_budget_runs(tmp_path, capsys):
                      "--rk4-step", "1e-3"]) == 0
     # an exact run ignores --rk4-step
     assert cli_main(["run", EQ1, "--time", "1", "--rk4-step", "1e-12"]) == 0
+    # and an exact run is not held to the RK4 budget's default step
+    assert cli_main(["run", EQ1, "--time", "1e6"]) == 0
     assert cli_main(["simulate", EQ1, "--max-time", "2", "--dt", "1e-3",
                      "--out", str(tmp_path)]) == 0
     capsys.readouterr()

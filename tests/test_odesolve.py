@@ -225,17 +225,15 @@ def test_exp_parts_are_views_of_the_memoised_map():
         Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
     assert list(sys.exp_parts) == list(sys.exp_maps)
     for tau, e in sys.exp_maps.items():
-        E, c, scale = sys.exp_parts[tau]
+        E, c = sys.exp_parts[tau]
         assert np.array_equal(E, e[:2, :2]) and np.array_equal(c, e[:2, 2])
         assert np.shares_memory(E, e) and np.shares_memory(c, e)
-        assert scale == np.abs(e).max()
 
 
 def test_closed_form_is_decided_once_per_system():
     assert _sys([[0.0]], [-1.0]).closed_form
     assert not DECAY.closed_form
     assert Solution(DOUBLE_INT, [0.0, 0.0], Exact()).closed_form is False
-    assert DOUBLE_INT.b_max == 2.0
 
 
 @pytest.mark.parametrize("sys, x0, t", [
@@ -252,8 +250,8 @@ def test_overflow_is_reported_without_a_warning(sys, x0, t):
 
 
 def test_states_near_the_largest_double_stay_exact():
-    """Past the magnitude where overflow is ruled out in advance the flow is
-    computed as before, under np.errstate, and still finite when it is."""
+    """Near overflow the flow is computed as a fresh map gives it, without a
+    warning, and is still finite when it is."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sys, x0 in ((DECAY, [1e307]), (_sys([[0.0]], [-1e307]), [1e307]),
