@@ -14,11 +14,12 @@ memory, included), 3 bound reached.  The environment variable
 HYBRIDSIM_MAX_PRODUCT, a positive integer, overrides the cap on the number
 of initial-condition combinations (default 64).
 
-Work whose size the flags fix is refused before it starts: `simulate` takes
-at most MAX_SAMPLES samples per trajectory (max-time/dt), and under
-`--solver rk4` a trajectory at most MAX_RK4_STEPS steps (time/rk4-step,
-with the `--max-time` of `simulate`, and a step of 1e-3, the default
-step's cap, when `--rk4-step` is not given).
+Work whose size the flags fix is refused before it starts: `run` and
+`simulate` unfold while-loops at most MAX_ITERATIONS times per trajectory
+(`--max-iter`), `simulate` takes at most MAX_SAMPLES samples per trajectory
+(max-time/dt), and under `--solver rk4` a trajectory at most MAX_RK4_STEPS
+steps (time/rk4-step, with the `--max-time` of `simulate`, and a step of
+1e-3, the default step's cap, when `--rk4-step` is not given).
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ EXIT_PROGRAM_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
+MAX_ITERATIONS = 1_000_000
 MAX_SAMPLES = 1_000_000
 MAX_RK4_STEPS = 10_000_000
 
@@ -54,9 +56,10 @@ def _number(accept, what: str, kind=float):
     def convert(raw: str):
         try:
             v = kind(raw)
-        except ValueError:
-            v = math.nan
-        if not (math.isfinite(v) and accept(v)):
+            ok = math.isfinite(v) and accept(v)
+        except (ValueError, OverflowError):  # an integer too large for a float
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}")
         return v
     return convert
@@ -90,15 +93,17 @@ def _mode(args):
 
 
 def _limits(args) -> Limits:
+    _budget(args.max_iter, MAX_ITERATIONS, "while-unfoldings per trajectory",
+            "a smaller --max-iter")
     return Limits(max_time=args.max_time, max_iterations=args.max_iter)
 
 
-def _budget(count: float, budget: int, what: str, flag: str):
+def _budget(count: float, budget: int, what: str, remedy: str):
     """Refuse flags that ask for more than `budget` units of work."""
     if count > budget:
         raise argparse.ArgumentTypeError(
             f"this asks for {count:.3g} {what}, over the budget of {budget}; "
-            f"give a larger {flag}")
+            f"give {remedy}")
 
 
 def _rk4_budget(args, time: float):
@@ -107,7 +112,7 @@ def _rk4_budget(args, time: float):
     default step equals on every segment longer than 16 ms."""
     if args.solver == "rk4":
         step = args.rk4_step if args.rk4_step is not None else default_rk4_step(None)
-        _budget(time / step, MAX_RK4_STEPS, "RK4 steps per trajectory", "--rk4-step")
+        _budget(time / step, MAX_RK4_STEPS, "RK4 steps per trajectory", "a larger --rk4-step")
 
 
 def cmd_check(args) -> int:
@@ -129,33 +134,42 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _worst(code: int, new: int) -> int:
-    order = {EXIT_PROGRAM_ERROR: 2, EXIT_BOUND: 1, EXIT_OK: 0}
-    return new if order[new] > order[code] else code
+# exit codes of finished runs, least severe first: the worst one is returned
+_SEVERITY = (EXIT_OK, EXIT_BOUND, EXIT_PROGRAM_ERROR)
+
+
+def _failure(outcome) -> tuple:
+    """(report, exit code) of an outcome: no report unless the run failed
+    or reached a bound."""
+    if isinstance(outcome, Err):
+        return outcome.info.render(), EXIT_PROGRAM_ERROR
+    if isinstance(outcome, BoundReached):
+        return (f"bound reached ({outcome.kind.value}) at t={fmt_value(outcome.elapsed)}",
+                EXIT_BOUND)
+    return None, EXIT_OK
 
 
 def cmd_run(args) -> int:
+    limits = _limits(args)
     _rk4_budget(args, args.time)
     unit = desugar(_load(args.file))
     variables = ordered_vars(unit)
     envs = expand_variability(unit, _cap())
     code = EXIT_OK
     for env, label in envs:
-        outcome = big_step(unit.body, env, args.time, _mode(args), _limits(args))
+        outcome = big_step(unit.body, env, args.time, _mode(args), limits)
         if len(envs) > 1:
             print(f"[{label}]")
-        if isinstance(outcome, (Skip, Stop)):
-            if isinstance(outcome, Skip) and outcome.early:
-                print(f"terminated early at t={fmt_value(outcome.elapsed)}")
-            for name in variables:
-                if name in outcome.env:
-                    print(f"{name} = {fmt_value(outcome.env[name])}")
-        elif isinstance(outcome, Err):
-            print(outcome.info.render())
-            code = _worst(code, EXIT_PROGRAM_ERROR)
-        else:
-            print(f"bound reached ({outcome.kind.value}) at t={fmt_value(outcome.elapsed)}")
-            code = _worst(code, EXIT_BOUND)
+        report, status = _failure(outcome)
+        code = max(code, status, key=_SEVERITY.index)
+        if report is not None:
+            print(report)
+            continue
+        if isinstance(outcome, Skip) and outcome.early:
+            print(f"terminated early at t={fmt_value(outcome.elapsed)}")
+        for name in variables:
+            if name in outcome.env:
+                print(f"{name} = {fmt_value(outcome.env[name])}")
     return code
 
 
@@ -168,7 +182,7 @@ def cmd_simulate(args) -> int:
     if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
         raise argparse.ArgumentTypeError(
             f"sampling interval max-time/500 is {dt!r}; give --dt")
-    _budget(limits.max_time / dt, MAX_SAMPLES, "samples per trajectory", "--dt")
+    _budget(limits.max_time / dt, MAX_SAMPLES, "samples per trajectory", "a larger --dt")
     _rk4_budget(args, limits.max_time)
     axes = parse_axes(args.axes) if args.axes else [TimeAxis(v) for v in variables]
     spec = make_plot_spec(axes, args.graph, variables, limits)
@@ -186,18 +200,13 @@ def cmd_simulate(args) -> int:
                                             encoding="utf-8")
     code = EXIT_OK
     for traj in trajs:
-        name = traj.label or "trajectory"
         out = traj.outcome
-        if isinstance(out, Err):
-            print(f"{name}: {out.info.render()}")
-            code = _worst(code, EXIT_PROGRAM_ERROR)
-        elif isinstance(out, BoundReached):
-            print(f"{name}: bound reached ({out.kind.value}) at t={fmt_value(out.elapsed)}")
-            code = _worst(code, EXIT_BOUND)
-        elif isinstance(out, Stop):
-            print(f"{name}: still running at the time horizon")
-        else:
-            print(f"{name}: completed at t={fmt_value(out.elapsed)}")
+        report, status = _failure(out)
+        code = max(code, status, key=_SEVERITY.index)
+        if report is None:
+            report = ("still running at the time horizon" if isinstance(out, Stop)
+                      else f"completed at t={fmt_value(out.elapsed)}")
+        print(f"{traj.label or 'trajectory'}: {report}")
     return code
 
 

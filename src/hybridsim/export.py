@@ -25,7 +25,7 @@ from .semantics import Err, Limits, Outcome, Skip, Stop
 from .trajectory import Continuous, Discrete
 
 __all__ = [
-    "TimeAxis", "PairAxis", "TripleAxis", "PlotSpec",
+    "Axis", "TimeAxis", "PairAxis", "TripleAxis", "PlotSpec",
     "AxisSyntaxError", "UnknownVariable",
     "parse_axes", "make_plot_spec", "export_csv", "export_json",
     "emit_plot_script",
@@ -41,21 +41,32 @@ class UnknownVariable(ValueError):
 
 
 @dataclass(frozen=True)
-class TimeAxis:
-    var: str
+class Axis:
+    """One axis group: a variable over time, a pair, or a triple, as the
+    number of its names says."""
+
+    names: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        if not 1 <= len(self.names) <= 3:
+            raise AxisSyntaxError(f"an axis group has 1 to 3 variables, got {len(self.names)}")
+
+    @property
+    def kind(self) -> str:
+        return ("time", "pair", "triple")[len(self.names) - 1]
 
 
-@dataclass(frozen=True)
-class PairAxis:
-    x: str
-    y: str
+def TimeAxis(var: str) -> Axis:
+    return Axis((var,))
 
 
-@dataclass(frozen=True)
-class TripleAxis:
-    x: str
-    y: str
-    z: str
+def PairAxis(x: str, y: str) -> Axis:
+    return Axis((x, y))
+
+
+def TripleAxis(x: str, y: str, z: str) -> Axis:
+    return Axis((x, y, z))
 
 
 @dataclass(frozen=True)
@@ -86,13 +97,10 @@ def parse_axes(text: str) -> list:
             names = [p.strip() for p in inner[i + 1:j].split(",")]
             if any(not _ident(p) for p in names):
                 raise AxisSyntaxError(f"bad axis group {inner[i:j+1]!r}")
-            if len(names) == 2:
-                groups.append(PairAxis(*names))
-            elif len(names) == 3:
-                groups.append(TripleAxis(*names))
-            else:
+            if len(names) not in (2, 3):
                 raise AxisSyntaxError(
                     f"an axis group needs 2 or 3 variables, got {len(names)}")
+            groups.append(Axis(names))
             i = j + 1
         else:
             j = i
@@ -101,7 +109,7 @@ def parse_axes(text: str) -> list:
             name = inner[i:j].strip()
             if not _ident(name):
                 raise AxisSyntaxError(f"bad axis variable {name!r}")
-            groups.append(TimeAxis(name))
+            groups.append(Axis((name,)))
             i = j
     if not groups:
         raise AxisSyntaxError("empty axis list")
@@ -120,23 +128,14 @@ def make_plot_spec(axes, graph_type: str, variables: list,
         raise AxisSyntaxError(f"unknown graph type {graph_type!r}")
     known = set(variables)
     for g in axes:
-        names = _group_vars(g)
-        for name in names:
+        for name in g.names:
             if name not in known:
                 raise UnknownVariable(f"axis variable {name!r} does not occur in the program")
-        if isinstance(g, TripleAxis) and graph_type != "scatter3d":
+        if g.kind == "triple" and graph_type != "scatter3d":
             raise AxisSyntaxError("a 3-variable axis group needs graph type 'scatter3d'")
-        if isinstance(g, (TimeAxis, PairAxis)) and graph_type != "scatter":
+        if g.kind != "triple" and graph_type != "scatter":
             raise AxisSyntaxError("time and pair axis groups need graph type 'scatter'")
     return PlotSpec(tuple(axes), graph_type, limits.max_time, limits.max_iterations)
-
-
-def _group_vars(g) -> tuple:
-    if isinstance(g, TimeAxis):
-        return (g.var,)
-    if isinstance(g, PairAxis):
-        return (g.x, g.y)
-    return (g.x, g.y, g.z)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +194,6 @@ def _segment_json(seg) -> dict:
             "outcome": _outcome_json(seg.kind.outcome)}
 
 
-def _axis_json(g) -> list:
-    if isinstance(g, TimeAxis):
-        return ["time", g.var]
-    if isinstance(g, PairAxis):
-        return ["pair", g.x, g.y]
-    return ["triple", g.x, g.y, g.z]
-
-
 def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
                 limits: Limits, variables: list) -> bytes:
     doc = {
@@ -212,7 +203,7 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
         "limits": {"max_time": limits.max_time,
                    "max_iterations": limits.max_iterations},
         "plot": {"graph_type": spec.graph_type,
-                 "axes": [_axis_json(g) for g in spec.axes]},
+                 "axes": [[g.kind, *g.names] for g in spec.axes]},
         "variables": list(variables),
         "trajectories": [
             {
@@ -286,14 +277,15 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
     stamps = [[_cell(t) + " " for t, _ in traj.samples] for traj in trajs]
     plot_cmds = []
     for gi, g in enumerate(spec.axes, start=1):
-        names = _group_vars(g)
+        names = g.names
+        cols = ("time",) + names if g.kind == "time" else names  # plotted columns
         need, get = set(names), itemgetter(*names)
         fmt = " ".join(["%.17g"] * len(names))  # as _cell, one value per column
         series = []
         starts, ends = [], []
         for ti, traj in enumerate(trajs):
             block = f"$g{gi}_t{ti}"
-            pre = stamps[ti] if isinstance(g, TimeAxis) else repeat("")
+            pre = stamps[ti] if g.kind == "time" else repeat("")
             rows = [p + fmt % get(env) for p, (_, env) in zip(pre, traj.samples)
                     if need <= env.keys()]
             lines.append(f"{block} << EOD")
@@ -309,16 +301,10 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
             lines.append(f"{block} << EOD")
             lines.extend(pts)
             lines.append("EOD")
-        ncols = 2 if isinstance(g, (TimeAxis, PairAxis)) else 3
-        use = ":".join(str(i + 1) for i in range(ncols))
-        cmd = "splot" if isinstance(g, TripleAxis) else "plot"
-        xlabel = "time" if isinstance(g, TimeAxis) else names[0]
-        ylabel = names[0] if isinstance(g, TimeAxis) else names[1]
-        plot = [f"set output 'group_{gi}.png'",
-                f"set xlabel '{xlabel}'",
-                f"set ylabel '{ylabel}'"]
-        if isinstance(g, TripleAxis):
-            plot.append(f"set zlabel '{names[2]}'")
+        use = ":".join(str(i + 1) for i in range(len(cols)))
+        cmd = "splot" if g.kind == "triple" else "plot"
+        plot = [f"set output 'group_{gi}.png'"]
+        plot += [f"set {a}label '{c}'" for a, c in zip("xyz", cols)]
         parts = [f"{block} using {use} with linespoints pointsize 0.4 title '{title}'"
                  for block, title in series]
         parts.append(f"$g{gi}_start using {use} with points pointtype 6 pointsize 2.5 title 'start'")

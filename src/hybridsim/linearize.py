@@ -15,11 +15,11 @@ non-linear.
 identity together with its frozen variables' values, compared as floats,
 or by their exact bit patterns (`float.hex`) when one of them is zero, so
 -0.0 and 0.0 are different keys; the result never depends on anything else
-in the environment.  Each statement met gets one entry, made once: its
-frozen variables' names and the function that builds its key.  A hit is
-one lock acquisition and one dict lookup.  The cache holds the `Diff`
-itself in each entry, so its `id` cannot be reused while the entry lives,
-and keeps the AFFINE_CACHE_SIZE most recently used systems.  Failures are
+in the environment.  The statement knows its frozen variables' names
+(`Diff.frozen`, computed once), so a hit is one tuple of values, one lock
+acquisition and one dict lookup.  The cache holds the `Diff` itself in
+each entry, so its `id` cannot be reused while the entry lives, and keeps
+the AFFINE_CACHE_SIZE most recently used systems.  Failures are
 never cached (their error carries the environment), nor are calls whose
 frozen values are missing or not plain floats.  A cached system is shared
 by every caller, threads included (the cache is locked), so its arrays
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._eval import Env, apply_fn, eval_expr
 from .errors import ErrorKind, fail
-from .syntax import Apply, Const, Diff, Expr, Var, expr_vars, fold, nodes
+from .syntax import Apply, Const, Diff, Expr, Var, fold, nodes
 
 __all__ = ["AffineSystem", "fold_constants", "to_affine", "AFFINE_CACHE_SIZE"]
 
@@ -46,6 +46,7 @@ AFFINE_CACHE_SIZE = 64
 
 
 def _read_only(a) -> np.ndarray:
+    """A read-only float copy of `a`, safe to share."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -170,31 +171,7 @@ def _decompose(e: Expr, env: Env) -> tuple:
 
 # (id(diff), frozen values) -> (diff, system), least recently used first
 _systems: OrderedDict = OrderedDict()
-# id(diff) -> (diff, its frozen variables' names, its key builder), oldest
-# first
-_frozen: dict = {}
 _lock = threading.Lock()
-
-
-def _enter(diff: Diff) -> tuple:
-    """The cache entry of a statement not met yet: the statement, its frozen
-    variables' names, and the builder of its `_systems` keys."""
-    bound = {x for x, _ in diff.pairs}
-    names = tuple(sorted(set().union(*(expr_vars(e) for _, e in diff.pairs)) - bound))
-    ident, floats = id(diff), (float,) * len(names)
-
-    def key(env: Env) -> tuple | None:
-        values = tuple(map(env.get, names))
-        if tuple(map(type, values)) != floats:
-            return None
-        if 0.0 in values:  # equal to -0.0 as well: key on the bits
-            values = tuple(map(float.hex, values))
-        return ident, values
-
-    entry = _frozen[ident] = (diff, names, key)
-    if len(_frozen) > AFFINE_CACHE_SIZE:
-        del _frozen[next(iter(_frozen))]
-    return entry
 
 
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
@@ -202,14 +179,18 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
 
     Deterministic, and independent of the values the bound variables may
     have in `env` (they are never read).  Memoised: see the module notes."""
-    with _lock:
-        _, frozen, make_key = _frozen.get(id(diff)) or _enter(diff)
-        key = make_key(env)
-        hit = None if key is None else _systems.get(key)
-        if hit is not None:
-            _systems.move_to_end(key)
-            return hit[1]
-    system = _linearize(diff, frozen, env)
+    values = tuple(map(env.get, diff.frozen))
+    key = None
+    if tuple(map(type, values)) == (float,) * len(values):
+        if 0.0 in values:  # equal to -0.0 as well: key on the bits
+            values = tuple(map(float.hex, values))
+        key = id(diff), values
+        with _lock:
+            hit = _systems.get(key)
+            if hit is not None:
+                _systems.move_to_end(key)
+                return hit[1]
+    system = _linearize(diff, env)
     if key is not None:
         with _lock:
             _systems[key] = (diff, system)
@@ -218,13 +199,13 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
     return system
 
 
-def _linearize(diff: Diff, frozen: tuple, env: Env) -> AffineSystem:
+def _linearize(diff: Diff, env: Env) -> AffineSystem:
     bound = tuple(x for x, _ in diff.pairs)
     n = len(bound)
     A = np.zeros((n, n))
     b = np.zeros(n)
     for i, (_, rhs) in enumerate(diff.pairs):
-        folded = fold_constants(rhs, env, frozen)
+        folded = fold_constants(rhs, env, diff.frozen)
         coeffs, const = _decompose(folded, env)
         for name, v in coeffs.items():
             A[i, bound.index(name)] = v

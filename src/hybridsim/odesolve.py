@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .linearize import AffineSystem
+from .linearize import AffineSystem, _read_only
 
 __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
            "solve_exact", "solve_rk4", "default_rk4_step", "MAPS_PER_SYSTEM"]
@@ -124,16 +124,11 @@ def _memo(maps: dict, key: float, build):
     return m
 
 
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 def _exp_blocks(sys: AffineSystem, t: float) -> tuple:
     """(E, c): the blocks of expm(t M) = [[E, c], [0, 1]].  Memoised: see
     the module notes."""
     def blocks():
-        e = _memo(sys.exp_maps, t, lambda: _freeze(expm(sys.M * t)))
+        e = _memo(sys.exp_maps, t, lambda: _read_only(expm(sys.M * t)))
         n = sys.dim
         return e[:n, :n], e[:n, n]
     return _memo(sys.exp_parts, t, blocks)
@@ -197,7 +192,7 @@ class Solution:
         if self._z is None or self._k > n - 1:
             self._k, self._z = 0, np.append(self.x0, 1.0)
         if self._k < n - 1:
-            r = _memo(self.system.rk4_maps, h, lambda: _freeze(_rk4_map(m, h)))
+            r = _memo(self.system.rk4_maps, h, lambda: _read_only(_rk4_map(m, h)))
             z = self._z
             for _ in range(n - 1 - self._k):
                 z = _rk4_step(r, z)

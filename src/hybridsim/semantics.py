@@ -34,7 +34,7 @@ from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var
 __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
     "Skip", "Stop", "Err", "BoundReached", "Outcome",
-    "Config", "TSkip", "TStop", "TErr", "Terminal",
+    "Config", "TSkip", "Terminal",
     "big_step", "small_step", "machine", "run_to_terminal", "applicable_rules",
     "outcome_bits",
 ]
@@ -116,21 +116,13 @@ class TSkip:
     residual: float
 
 
-@dataclass(frozen=True)
-class TStop:
-    env: Env  # residual is 0 by construction
-
-
-@dataclass(frozen=True)
-class TErr:
-    info: ErrorInfo
-
-
-Terminal = TSkip | TStop | TErr
+# A stopped or failed run ends in its Outcome; only a skip carries residual
+# time on to the next statement.
+Terminal = TSkip | Stop | Err
 
 
 # ---------------------------------------------------------------------------
-# Differential statements (shared by both semantics)
+# Atomic statements (shared by both semantics)
 
 
 def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
@@ -167,6 +159,27 @@ def _diff_state(a: Diff, sol: Solution, env: Env, tau: float) -> Env:
         raise fail(ErrorKind.SOLVER_FAILURE, a, env) from None
 
 
+def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
+    """The atomic rules, shared by both semantics: (terminal, rule, detail),
+    detail being (var, old, new) for an assignment and (solution, advanced,
+    duration) for a differential statement."""
+    if isinstance(a, Assign):
+        try:
+            v = eval_expr(env, a.expr)
+        except HybridError as ex:
+            return Err(ex.info), "asg-err", None
+        out = dict(env)
+        out[a.var] = v
+        return TSkip(out, t), "asg", (a.var, env.get(a.var), v)  # no time consumed
+    try:
+        d, sol = _diff_enter(a, env, mode)
+        if d > t:
+            return Stop(_diff_state(a, sol, env, t)), "diff-stop", (sol, t, d)
+        return TSkip(_diff_state(a, sol, env, d), t - d), "diff-skip", (sol, d, d)
+    except HybridError as ex:
+        return Err(ex.info), "diff-err", None
+
+
 # ---------------------------------------------------------------------------
 # Big-step semantics
 
@@ -183,27 +196,12 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
             return r  # (seq-stop) / (seq-err) / bound
         p, env, t = p.rest, r.env, r.residual
     if isinstance(p, Atom):
-        a = p.atomic
-        if isinstance(a, Assign):
-            try:
-                v = eval_expr(env, a.expr)
-            except HybridError as ex:
-                return TErr(ex.info)  # (asg-err)
-            out = dict(env)
-            out[a.var] = v
-            return TSkip(out, t)  # (asg-skip): no time consumed
-        try:
-            d, sol = _diff_enter(a, env, mode)
-            if d > t:
-                return TStop(_diff_state(a, sol, env, t))  # (diff-stop)
-            return TSkip(_diff_state(a, sol, env, d), t - d)  # (diff-skip)
-        except HybridError as ex:
-            return TErr(ex.info)  # (diff-err)
+        return _atom(p.atomic, env, t, mode)[0]
     if isinstance(p, If):
         try:
             g = eval_bool(env, p.cond)
         except HybridError as ex:
-            return TErr(ex.info)  # (if-err)
+            return Err(ex.info)  # (if-err)
         branch = p.then if g else p.orelse
         return _big(branch, env, t, mode, limits, counter)
     # While: iterate (wh-true) unfoldings without growing the call stack
@@ -212,7 +210,7 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
         try:
             g = eval_bool(cur, p.cond)
         except HybridError as ex:
-            return TErr(ex.info)  # (wh-err)
+            return Err(ex.info)  # (wh-err)
         if not g:
             return TSkip(cur, rem)  # (wh-false)
         counter[0] += 1
@@ -231,11 +229,9 @@ def _outcome(r, t0: float) -> Outcome:
         if r.residual == 0.0:
             return Skip(r.env, elapsed=t0, early=False)
         return Skip(r.env, elapsed=t0 - r.residual, early=True)
-    if isinstance(r, TStop):
-        return Stop(r.env)
-    if isinstance(r, TErr):
-        return Err(r.info)
-    return BoundReached(BoundKind.MAX_ITERATIONS, r.env, t0 - r.residual)
+    if isinstance(r, Config):
+        return BoundReached(BoundKind.MAX_ITERATIONS, r.env, t0 - r.residual)
+    return r  # Stop or Err: the terminal is the outcome
 
 
 def _check_start(env: Env, t: float):
@@ -266,42 +262,22 @@ def big_step(p: Program, env: Env, t: float, mode: SolverMode,
 def _step(cfg: Config, mode: SolverMode) -> tuple:
     """One machine step.  Returns (successor, leaf_rule, detail):
     successor is a Config or a terminal; leaf_rule names the innermost rule
-    that fired; detail is (solution, advanced, duration) for differential
-    steps and (var, old, new) for assignments."""
+    that fired; detail is `_atom`'s for an atomic step, else None."""
     p, env, t = cfg.program, cfg.env, cfg.residual
     if isinstance(p, Atom):
-        a = p.atomic
-        if isinstance(a, Assign):
-            try:
-                v = eval_expr(env, a.expr)
-            except HybridError as ex:
-                return TErr(ex.info), "asg-err", None
-            out = dict(env)
-            out[a.var] = v
-            return TSkip(out, t), "asg", (a.var, env.get(a.var), v)
-        try:
-            d, sol = _diff_enter(a, env, mode)
-            if d > t:
-                return (TStop(_diff_state(a, sol, env, t)), "diff-stop",
-                        (sol, t, d))
-            return (TSkip(_diff_state(a, sol, env, d), t - d), "diff-skip",
-                    (sol, d, d))
-        except HybridError as ex:
-            return TErr(ex.info), "diff-err", None
+        return _atom(p.atomic, env, t, mode)
     if isinstance(p, Seq):
         r, rule, det = _step(Config(p.first, env, t), mode)
-        if isinstance(r, TStop):
-            return r, rule, det  # (seq-stop)
         if isinstance(r, TSkip):
             return Config(p.rest, r.env, r.residual), rule, det  # (seq-skip)
-        if isinstance(r, TErr):
-            return r, rule, det  # (seq-err)
-        return Config(Seq(r.program, p.rest), r.env, r.residual), rule, det
+        if isinstance(r, Config):
+            return Config(Seq(r.program, p.rest), r.env, r.residual), rule, det
+        return r, rule, det  # (seq-stop) / (seq-err)
     if isinstance(p, If):
         try:
             g = eval_bool(env, p.cond)
         except HybridError as ex:
-            return TErr(ex.info), "if-err", None
+            return Err(ex.info), "if-err", None
         if g:
             return Config(p.then, env, t), "if-true", None
         return Config(p.orelse, env, t), "if-false", None
@@ -309,7 +285,7 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
     try:
         g = eval_bool(env, p.cond)
     except HybridError as ex:
-        return TErr(ex.info), "wh-err", None
+        return Err(ex.info), "wh-err", None
     if g:
         return Config(Seq(p.body, p), env, t), "wh-true", None
     return TSkip(env, t), "wh-false", None

@@ -51,6 +51,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, attrgetter, mul, sub, truediv
 
 __all__ = [
@@ -187,6 +188,13 @@ class Diff(_Node):
 
     pairs: tuple  # tuple[(str, Expr), ...]
     duration: Expr
+
+    @cached_property
+    def frozen(self) -> tuple:
+        """The variables the right-hand sides read but the statement does
+        not bind, sorted: constants for its duration."""
+        read = set().union(*(expr_vars(e) for _, e in self.pairs))
+        return tuple(sorted(read - {x for x, _ in self.pairs}))
 
 
 Atomic = Assign | Diff

@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import hybridsim
@@ -181,6 +181,83 @@ def test_work_within_budget_runs(tmp_path, capsys):
     assert cli_main(["simulate", EQ1, "--max-time", "2", "--dt", "1e-3",
                      "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", ZENO, "--time", "5", "--max-iter", "100000000000000000000"],
+    ["simulate", ZENO, "--max-iter", str(hybridsim.cli.MAX_ITERATIONS + 1)],
+], ids=["run", "simulate"])
+def test_max_iter_over_budget_is_refused_before_it_starts(argv, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(hybridsim.cli, "simulate", _never)
+    monkeypatch.setattr(hybridsim.cli, "big_step", _never)
+    start = time.perf_counter()
+    code = cli_main(argv + ["--out", str(tmp_path)] if argv[0] == "simulate" else argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "smaller --max-iter" in err
+    assert f"budget of {hybridsim.cli.MAX_ITERATIONS}" in err and "Traceback" not in err
+
+
+def test_max_iter_at_its_budget_runs(capsys):
+    limit = str(hybridsim.cli.MAX_ITERATIONS)
+    assert cli_main(["run", EQ1, "--time", "1", "--max-iter", limit]) == 0
+    capsys.readouterr()
+
+
+def test_integer_flag_too_large_for_a_float_is_a_usage_error(capsys):
+    assert cli_main(["run", EQ1, "--time", "1", "--max-iter", "1" + "0" * 400]) == 2
+    err = capsys.readouterr().err
+    assert "--max-iter" in err and "Traceback" not in err
+
+
+# flag values, typical and extreme; "1.8e308" reads as inf
+REALS = ("0", "5e-324", "1e-300", "0.25", "1", "3.5", "1e300", "1.8e308")
+INTS = ("0", "1", "50", "1000", str(hybridsim.cli.MAX_ITERATIONS + 1), str(10**20))
+
+
+@given(command=st.sampled_from(["run", "simulate"]),
+       program=st.sampled_from(["eq1", "zeno", "aeb"]),
+       solver=st.sampled_from(["exact", "rk4"]),
+       time_=st.sampled_from(REALS), max_time=st.none() | st.sampled_from(REALS),
+       dt=st.none() | st.sampled_from(REALS), step=st.none() | st.sampled_from(REALS),
+       max_iter=st.none() | st.sampled_from(INTS),
+       fmt=st.sampled_from(["csv", "json", "plot"]))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_and_simulate_exit_with_a_documented_code_on_any_flags(
+        command, program, solver, time_, max_time, dt, step, max_iter, fmt,
+        tmp_path, capsys):
+    """Every draw ends in exit code 0-3 and no traceback, within seconds.
+    Work the budgets let through but that costs seconds (more than 1e3
+    samples or 1e4 RK4 steps, a `--max-iter` between 1000 and its budget)
+    is left out: it shows only how long legal work takes."""
+    argv = [command, str(corpus_path(program)), "--solver", solver]
+    for flag, value in (("--max-time", max_time), ("--rk4-step", step),
+                        ("--max-iter", max_iter)):
+        if value is not None:
+            argv += [flag, value]
+    if command == "run":
+        argv += ["--time", time_]
+        horizon = float(time_)
+    else:
+        argv += ["--format", fmt, "--out", str(tmp_path)]
+        if dt is not None:
+            argv += ["--dt", dt]
+        horizon = float(max_time or 150.0)
+        if horizon > 0 and dt is not None and float(dt) > 0:
+            assume(not 1e3 < horizon / float(dt) <= hybridsim.cli.MAX_SAMPLES)
+    if solver == "rk4":
+        h = float(step) if step is not None else 1e-3
+        if h > 0:
+            assume(not 1e4 < horizon / h <= hybridsim.cli.MAX_RK4_STEPS)
+    start = time.perf_counter()
+    code = cli_main(argv)
+    assert time.perf_counter() - start < 10.0, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
+    event(f"exit {code}")
 
 
 def test_simulate_axes_validation(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hybridsim.odesolve import Exact, RK4
-from hybridsim.semantics import Config, Limits, Skip, run_to_terminal
+from hybridsim.semantics import Config, Limits, Skip, outcome_bits, run_to_terminal
 from hybridsim.syntax import parse, pretty_unit
 from hybridsim.trajectory import Discrete, simulate
 from conftest import load_core, load_corpus
@@ -102,4 +102,4 @@ def test_zeno_paper_variant_agrees_between_semantics():
     for t in (0.3, 0.75, 0.96):
         big = big_step(unit.body, {}, t, Exact())
         small = run_to_terminal(Config(unit.body, {}, t), Exact())
-        assert big == small
+        assert outcome_bits(big) == outcome_bits(small), (t, big, small)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -211,7 +213,18 @@ def test_cache_size_stays_at_its_bound():
     for _ in range(AFFINE_CACHE_SIZE + 10):
         to_affine(_diff("x' = k*x for 1"), {"k": 1.0})
     assert len(linearize._systems) == AFFINE_CACHE_SIZE
-    assert len(linearize._frozen) <= AFFINE_CACHE_SIZE
+    # the cache pins a statement (and so its id) while it holds the entry,
+    # and nothing outlives the entry: an evicted statement is freed
+    first = _diff("x' = k*x for 1")
+    gone = weakref.ref(first)
+    to_affine(first, {"k": 1.0})
+    del first
+    gc.collect()
+    assert gone() is not None
+    for _ in range(AFFINE_CACHE_SIZE):
+        to_affine(_diff("x' = k*x for 1"), {"k": 1.0})
+    gc.collect()
+    assert gone() is None
 
 
 def test_cache_keys_tell_zeros_apart_among_other_values():

@@ -9,9 +9,9 @@ import pytest
 
 from hybridsim import randprog
 from hybridsim.odesolve import RK4, Exact
-from hybridsim.semantics import (BoundReached, Config, Skip, Stop, TErr, TStop,
+from hybridsim.semantics import (BoundReached, Config, Err, Skip, Stop,
                                  applicable_rules, big_step, machine,
-                                 run_to_terminal, _step)
+                                 outcome_bits, run_to_terminal, _step)
 
 EXACT = Exact()
 
@@ -23,7 +23,7 @@ def test_big_and_small_agree_on_random_programs(mode):
         for t in randprog.gen_times(seed, 3):
             big = big_step(program, env, t, mode)
             small = run_to_terminal(Config(program, dict(env), t), mode)
-            assert big == small, (seed, t, big, small)
+            assert outcome_bits(big) == outcome_bits(small), (seed, t, big, small)
 
 
 def test_skip_terminal_residual_zero_iff_not_early():
@@ -101,11 +101,11 @@ def test_time_shift_of_steps():
                 continue
             shifted = Config(cfg.program, dict(cfg.env), cfg.residual + s)
             r2, rule2, _ = _step(shifted, EXACT)
-            if isinstance(r1, TErr):
-                assert isinstance(r2, TErr)
+            if isinstance(r1, Err):
+                assert isinstance(r2, Err)
                 checked += 1
                 continue
-            if isinstance(r1, TStop):
+            if isinstance(r1, Stop):
                 continue  # a zero-duration query can stop where t+s does not
             assert type(r2) is type(r1), (seed, rule1, rule2)
             consumed = cfg.residual - r1.residual

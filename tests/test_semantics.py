@@ -5,7 +5,7 @@ import pytest
 from hybridsim.errors import ErrorKind, HybridError
 from hybridsim.odesolve import Exact, RK4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
-                                 Skip, Stop, TErr, TSkip, TStop,
+                                 Skip, Stop, TSkip,
                                  applicable_rules, big_step, eval_bool,
                                  eval_expr, machine, outcome_bits,
                                  run_to_terminal, small_step)
@@ -191,14 +191,14 @@ def test_small_step_assignment_terminal():
 
 def test_small_step_diff_stop():
     r = small_step(Config(prog("x' = -1 for 1"), {"x": 1.0}, 0.3), EXACT)
-    assert isinstance(r, TStop)
+    assert isinstance(r, Stop)
     assert r.env["x"] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_small_step_while_undefined_guard():
     p = prog("while 1/x <= 1 do { x := 1 }")
     r = small_step(Config(p, {"x": 0.0}, 1.0), EXACT)
-    assert isinstance(r, TErr)
+    assert isinstance(r, Err)
 
 
 def test_small_step_seq_threads_residual():
