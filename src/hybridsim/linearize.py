@@ -58,10 +58,12 @@ class AffineSystem:
 
     Carries the augmented matrix M = [[A, b], [0, 0]], on which both solvers
     act, whether the flow has a constant rate (`closed_form`: A == 0), and
-    memos of the flow maps `odesolve` derives from M: expm(tau M) keyed by
-    tau in `exp_maps`, with its blocks (E, c) under the same keys in
-    `exp_parts`, and the RK4 step map R(hM) keyed by h in `rk4_maps`.  A, b
-    and M are read-only copies, as systems are shared."""
+    the memos `odesolve` keeps of the flow maps it derives from M:
+    expm(tau M) keyed by tau in `exp_maps`, with its blocks (E, c) under the
+    same keys in `exp_parts`, the RK4 step map R(hM) keyed by h in
+    `rk4_maps`, and the blocks (E, c) of the RK4 propagator over [0, t]
+    keyed by (h, t) in `rk4_parts`.  A, b and M are read-only copies, as
+    systems are shared."""
 
     vars: tuple
     A: np.ndarray
@@ -72,6 +74,7 @@ class AffineSystem:
     exp_maps: dict = field(init=False, repr=False, default_factory=dict)
     exp_parts: dict = field(init=False, repr=False, default_factory=dict)
     rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
+    rk4_parts: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.b)

@@ -1,36 +1,31 @@
 """Solution of affine systems x' = A x + b, exactly or by fixed-step RK4.
 
 Both backends act on (x, 1) through the system's augmented matrix
-M = [[A, b], [0, 0]].  The exact one applies expm(M t) (scipy's
-scaling-and-squaring Pade implementation).  RK4 is a propagator: one step
-of size h is exactly the linear map
-R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so each step is one
-matvec; the last step, cut short to land on t, applies R(tau M) to the
-state as Horner in tau M, four matvecs and no matrix product.
+M = [[A, b], [0, 0]] (Van Loan, 1978), and answer a state as E x0 + c from
+the blocks of one memoised matrix [[E, c], [0, 1]].  The exact backend's
+is expm(t M) (scipy's scaling-and-squaring Pade implementation, imported
+on the first call).  RK4's is its propagator: one step of size h is
+exactly the linear map R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
+so n = ceil(t/h) steps, the last cut short to tau = t - (n-1) h, are
+R(tau M) R(hM)^(n-1), whose power takes O(log n) matrix products.
 Constant-rate flows (A == 0) take the exact closed form x0 + b t in both
 modes, on which RK4 is exact too.  Overflow is checked once, on the state
-returned: a non-finite entry makes all of the next matvec non-finite
+returned: a non-finite entry of the map makes the state non-finite
 (0 * inf = nan).
 
 Flow maps are memoised on the system: e = expm(tau M) keyed by tau
 (positive and finite, so float equality is bit identity) in `exp_maps`,
 its blocks (E, c) = (e[:n, :n], e[:n, n]), views of e, under the same key
-in `exp_parts`, and R(hM) keyed by h in `rk4_maps`; at most
-MAPS_PER_SYSTEM of each, the oldest dropped first.  Every map is one fresh
-`expm` or `_rk4_map` call, bit-identical to what a new call would return;
-nothing is derived from powers of another entry.  Systems come shared from
-`linearize.to_affine`, so these memos serve every Solution of a system, on
-any thread (insertion is locked); the cached maps are read-only.  An exact
-state is then one memo lookup and E x0 + c: the same operations on the
-same blocks as slicing a fresh map.  On vectors this short numpy's fixed
-costs dominate, so the finiteness checks run over Python floats
-(`tolist()`), and `np.errstate` is entered once per state, around the
-flow arithmetic and the building of any map it needs.
-
-The RK4 prefix is memoised on the step grid, so increasing queries along
-one segment cost one pass and are bit-identical to one fresh integration.
-That cache is confined to the Solution instance and not locked: do not
-share one Solution across threads.
+in `exp_parts`, R(hM) keyed by h in `rk4_maps`, and the blocks of the RK4
+propagator keyed by (h, t) in `rk4_parts`; at most MAPS_PER_SYSTEM of
+each, the oldest dropped first.  Each map is a function of M and its key
+alone, bit-identical to what a fresh computation returns.  Systems come
+shared from `linearize.to_affine`, so these memos serve every Solution of
+a system, on any thread (insertion is locked); the cached maps are
+read-only, and a Solution holds no mutable state.  On vectors this short
+numpy's fixed costs dominate, so the finiteness checks run over Python
+floats (`tolist()`), and `np.errstate` is entered once per state, around
+the flow arithmetic and the building of any map it needs.
 """
 from __future__ import annotations
 
@@ -39,7 +34,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linearize import AffineSystem, _read_only
 
@@ -50,6 +44,16 @@ __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
 # offsets (simulate-exact) and at most 2 distinct durations (point-query).
 MAPS_PER_SYSTEM = 32
 _lock = threading.Lock()
+_scipy_expm = None
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call, so that RK4 runs and
+    checks never load scipy."""
+    global _scipy_expm
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(a)
 
 
 class NumericalOverflow(Exception):
@@ -98,20 +102,14 @@ def _rk4_map(m: np.ndarray, h: float) -> np.ndarray:
     return eye + hm @ r
 
 
-def _rk4_step(r: np.ndarray, z: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """One RK4 step of the augmented state z: r is the step map R(hM), or,
-    for a step of length tau, the matrix M itself, applied as
-    z + tau M(z + tau M/2 (z + tau M/3 (z + tau M/4 z)))."""
-    # one call per step, looked up by name, so that a tracer can count steps
-    if tau is None:
-        return r @ z
-    w = z + (tau / 4.0) * (r @ z)
-    w = z + (tau / 3.0) * (r @ w)
-    w = z + (tau / 2.0) * (r @ w)
-    return z + tau * (r @ w)
+def _rk4_step(parts: tuple, x0: np.ndarray) -> np.ndarray:
+    """The RK4 state E x0 + c from the propagator's blocks (E, c); called
+    once per RK4 state, looked up by name, so that a tracer can count them."""
+    e, c = parts
+    return e @ x0 + c
 
 
-def _memo(maps: dict, key: float, build):
+def _memo(maps: dict, key, build):
     """maps[key], built by `build()` on a miss; at most MAPS_PER_SYSTEM
     entries, the oldest dropped first."""
     m = maps.get(key)
@@ -134,16 +132,30 @@ def _exp_blocks(sys: AffineSystem, t: float) -> tuple:
     return _memo(sys.exp_parts, t, blocks)
 
 
+def _rk4_blocks(sys: AffineSystem, h: float, t: float) -> tuple:
+    """(E, c): the blocks of the RK4 propagator R(tau M) R(hM)^(n-1) over
+    [0, t].  Memoised: see the module notes."""
+    steps = t / h
+    if not math.isfinite(steps):
+        raise NumericalOverflow(f"no finite RK4 step count t/h for t={t}, h={h}")
+
+    def blocks():
+        r = _memo(sys.rk4_maps, h, lambda: _read_only(_rk4_map(sys.M, h)))
+        n = max(1, math.ceil(steps))
+        p = _read_only(_rk4_map(sys.M, t - (n - 1) * h) @ np.linalg.matrix_power(r, n - 1))
+        return p[:-1, :-1], p[:-1, -1]
+    return _memo(sys.rk4_parts, (h, t), blocks)
+
+
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
-    """Classic RK4 with ceil(t/h) steps; the final step is shortened to land
-    exactly on t.  Deterministic for fixed inputs."""
+    """Classic RK4 with ceil(t/h) steps, the last shortened to land on t."""
     return Solution(sys, x0, RK4(h)).at(t)
 
 
 class Solution:
     """The flow of one affine system from one initial state, in one mode."""
 
-    __slots__ = ("system", "x0", "mode", "step", "_z", "_k")
+    __slots__ = ("system", "x0", "mode", "step")
 
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
                  duration: float | None = None):
@@ -158,9 +170,6 @@ class Solution:
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)
         else:
             self.step = None
-        # RK4: the augmented state after _k steps
-        self._z = None
-        self._k = 0
 
     @property
     def closed_form(self) -> bool:
@@ -181,20 +190,7 @@ class Solution:
                 e, c = _exp_blocks(sys, t)
                 x = e @ self.x0 + c
             else:
-                x = self._propagate(t)
+                x = _rk4_step(_rk4_blocks(sys, self.step, t), self.x0)
         if not all(map(math.isfinite, x.tolist())):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
-
-    def _propagate(self, t: float) -> np.ndarray:
-        h, m = self.step, self.system.M
-        n = max(1, math.ceil(t / h))
-        if self._z is None or self._k > n - 1:
-            self._k, self._z = 0, np.append(self.x0, 1.0)
-        if self._k < n - 1:
-            r = _memo(self.system.rk4_maps, h, lambda: _read_only(_rk4_map(m, h)))
-            z = self._z
-            for _ in range(n - 1 - self._k):
-                z = _rk4_step(r, z)
-            self._k, self._z = n - 1, z
-        return _rk4_step(m, self._z, t - (n - 1) * h)[:-1]

@@ -183,6 +183,16 @@ def test_work_within_budget_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_rk4_run_at_the_step_budget_is_fast(capsys):
+    """1e7 RK4 steps, MAX_RK4_STEPS: the state is one propagator, whose
+    cost grows with log(steps)."""
+    start = time.perf_counter()
+    assert cli_main(["run", EQ1, "--time", "10", "--solver", "rk4",
+                     "--rk4-step", "1e-6"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "p = " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["run", ZENO, "--time", "5", "--max-iter", "100000000000000000000"],
     ["simulate", ZENO, "--max-iter", str(hybridsim.cli.MAX_ITERATIONS + 1)],
@@ -395,6 +405,17 @@ def test_python_dash_m_runs_the_cli():
     done = _python("-W", "error::RuntimeWarning", "-m", "hybridsim", "check", EQ1)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok:")
+
+
+def test_rk4_runs_and_checks_never_import_scipy():
+    code = ("import sys; from hybridsim.cli import cli_main\n"
+            f"assert cli_main(['check', {EQ1!r}]) == 0\n"
+            f"assert cli_main(['run', {EQ1!r}, '--time', '3', '--solver', 'rk4']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'rk4'\n"
+            f"assert cli_main(['run', {EQ1!r}, '--time', '3']) == 0\n"
+            "assert 'scipy' in sys.modules, 'exact'\n")
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
 
 
 LONG = 10_000

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import (MAPS_PER_SYSTEM, Exact, NumericalOverflow, RK4,
                                 Solution, default_rk4_step, solve_exact, solve_rk4)
-from hybridsim.semantics import Err, Limits, big_step
+from hybridsim.semantics import Config, Err, Limits, big_step, outcome_bits, run_to_terminal
 from hybridsim.syntax import desugar, parse
 from hybridsim.trajectory import Continuous, simulate
 from conftest import load_corpus
@@ -95,8 +96,8 @@ def test_overflow_detected():
 
 
 def test_overflow_in_one_decoupled_component_is_detected():
-    """Only y overflows, in an early step; the one check on the returned
-    state still sees it, through the cache as well as fresh."""
+    """Only y overflows; the one check on the returned state still sees
+    it, from a Solution queried before as well as fresh."""
     sys = _sys([[-1.0, 0.0], [0.0, 50.0]], [0.0, 0.0])
     with pytest.raises(NumericalOverflow):
         solve_rk4(sys, [1.0, 1e300], 10.0, 0.5)
@@ -111,6 +112,26 @@ def test_overflow_is_a_solver_failure_under_big_step():
     body = desugar(parse("x := 1 ; y := 10 ; x' = -x, y' = 100*y for 10")).body
     for mode in (Exact(), RK4()):
         out = big_step(body, {}, 10.0, mode)
+        assert isinstance(out, Err) and out.info.kind == ErrorKind.SOLVER_FAILURE
+
+
+def test_a_step_too_small_for_the_time_is_a_solver_failure_in_both_semantics():
+    """t/h overflows to inf, so there is no step count and no state."""
+    body = desugar(parse("x := 1 ; x' = -x for 1")).body
+    big = big_step(body, {}, 1.0, RK4(1e-320))
+    small = run_to_terminal(Config(body, {}, 1.0), RK4(1e-320))
+    assert isinstance(big, Err) and big.info.kind == ErrorKind.SOLVER_FAILURE
+    assert outcome_bits(big) == outcome_bits(small)
+    with pytest.raises(NumericalOverflow):
+        Solution(DECAY, [1.0], RK4(1e-320)).at(1.0)
+
+
+def test_backends_agree_on_an_overflow_behind_a_zero():
+    """y stays 0, but the flow map's y entries overflow under both backends,
+    and inf * 0 = nan: both report a solver failure."""
+    body = desugar(parse("x := 1 ; y := 0 ; x' = -x, y' = 100*y for 10")).body
+    outs = [big_step(body, {}, 10.0, mode) for mode in (Exact(), RK4())]
+    for out in outs:
         assert isinstance(out, Err) and out.info.kind == ErrorKind.SOLVER_FAILURE
 
 
@@ -161,7 +182,7 @@ def test_solution_exact_mode_matches_solve_exact():
 
 
 def test_solution_rk4_monotone_cache_is_bitwise():
-    """Increasing queries through the cache equal one fresh integration."""
+    """Increasing queries through the memo equal one fresh integration."""
     h = 0.03
     sol = Solution(OSC, [1.0, 0.0], RK4(h))
     seen = []
@@ -175,7 +196,7 @@ def test_solution_rk4_monotone_cache_is_bitwise():
 def test_solution_rk4_non_monotone_query_restarts():
     sol = Solution(OSC, [1.0, 0.0], RK4(0.05))
     a = sol.at(1.0)
-    b = sol.at(0.25)  # going backwards restarts from x0
+    b = sol.at(0.25)  # an earlier instant is solved from x0 too
     assert np.array_equal(b, solve_rk4(OSC, [1.0, 0.0], 0.25, 0.05))
     assert np.array_equal(sol.at(1.0), a)
 
@@ -287,6 +308,32 @@ def test_rk4_step_map_is_shared_across_solutions():
     r = sys.rk4_maps[0.01]
     b = Solution(sys, [1.0], RK4(0.01)).at(0.5)
     assert sys.rk4_maps[0.01] is r and np.array_equal(a, b)
+
+
+def test_rk4_propagators_are_memoised_read_only_and_bounded():
+    sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
+    first = Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05)
+    parts = sys.rk4_parts[(0.01, 0.05)]
+    assert np.array_equal(Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05), first)
+    assert sys.rk4_parts[(0.01, 0.05)] is parts
+    for k in range(2, MAPS_PER_SYSTEM + 6):
+        Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05 * k)
+    assert len(sys.rk4_parts) == MAPS_PER_SYSTEM
+    assert (0.01, 0.05) not in sys.rk4_parts  # the oldest went first
+    assert list(sys.rk4_maps) == [0.01]  # one step map serves every t
+    for E, c in sys.rk4_parts.values():
+        with pytest.raises(ValueError):
+            E[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+
+
+def test_an_rk4_state_costs_about_the_same_whatever_the_step():
+    """5e10 steps: O(log n) matrix products, not n matvecs."""
+    start = time.perf_counter()
+    x = Solution(OSC, [1.0, 0.0], RK4(1e-9)).at(50.0)
+    assert time.perf_counter() - start < 1.0
+    assert np.max(np.abs(x - solve_exact(OSC, [1.0, 0.0], 50.0))) <= 1e-6
 
 
 def test_default_step_rule():
