@@ -2,7 +2,8 @@
 
 Subcommands:
   check FILE      parse the program and linearize every differential
-                  statement against the declared initial values
+                  statement against the declared initial values; one that
+                  reads a variable only the body sets is left to run time
   run FILE        print the environment the program outputs at --time T
   simulate FILE   full pipeline: expand initial conditions, simulate,
                   export CSV/JSON/plot-script files
@@ -33,7 +34,7 @@ from .errors import HybridError
 from .odesolve import Exact, RK4, default_rk4_step
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
                         outcome_bits, run_to_terminal, Config)
-from .syntax import (Diff, ParseError, SourceUnit, VarList, desugar, nodes,
+from .syntax import (Assign, Diff, ParseError, SourceUnit, VarList, desugar, nodes,
                      ordered_vars, parse)
 from .linearize import to_affine
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
@@ -92,10 +93,10 @@ def _mode(args):
     return Exact()
 
 
-def _limits(args) -> Limits:
+def _limits(args, **horizon) -> Limits:
     _budget(args.max_iter, MAX_ITERATIONS, "while-unfoldings per trajectory",
             "a smaller --max-iter")
-    return Limits(max_time=args.max_time, max_iterations=args.max_iter)
+    return Limits(max_iterations=args.max_iter, **horizon)
 
 
 def _budget(count: float, budget: int, what: str, remedy: str):
@@ -120,9 +121,16 @@ def cmd_check(args) -> int:
     env = {}
     for d in unit.declarations:
         env[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
-    diffs = [node for node in nodes(unit.body) if type(node) is Diff]
-    failures = 0
+    body = list(nodes(unit.body))
+    diffs = [node for node in body if type(node) is Diff]
+    # names the body sets but no declaration does: their values exist only at run time
+    later = {n.var for n in body if type(n) is Assign}.union(
+        *({x for x, _ in d.pairs} for d in diffs)) - env.keys()
+    failures = deferred = 0
     for diff in diffs:
+        if later.intersection(diff.frozen):
+            deferred += 1
+            continue
         try:
             to_affine(diff, env)
         except HybridError as ex:
@@ -130,7 +138,8 @@ def cmd_check(args) -> int:
             print(ex.info.render())
     if failures:
         return EXIT_PROGRAM_ERROR
-    print(f"ok: {len(diffs)} differential statement(s) linearized")
+    print(f"ok: {len(diffs) - deferred} differential statement(s) linearized, "
+          f"{deferred} left to run time")
     return EXIT_OK
 
 
@@ -176,7 +185,7 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     unit = desugar(_load(args.file))
     variables = ordered_vars(unit)
-    limits = _limits(args)
+    limits = _limits(args, max_time=args.max_time)
     mode = _mode(args)
     dt = args.dt if args.dt is not None else limits.max_time / 500.0
     if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
@@ -232,13 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="hybrid-program simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, time_flags=True):
+    def common(p):
         p.add_argument("--solver", choices=("exact", "rk4"), default="exact")
         p.add_argument("--rk4-step", type=_positive, default=None,
                        help="fixed RK4 step (default: min(1e-3, duration/16))")
-        if time_flags:
-            p.add_argument("--max-time", type=_positive, default=150.0)
-            p.add_argument("--max-iter", type=_count, default=1000)
+        p.add_argument("--max-iter", type=_count, default=1000)
 
     p = sub.add_parser("check", help="parse and linearize")
     p.add_argument("file")
@@ -253,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate and export plot data")
     p.add_argument("file")
     common(p)
+    p.add_argument("--max-time", type=_positive, default=150.0)
     p.add_argument("--dt", type=_positive, default=None,
                    help="sampling interval (default: max-time/500)")
     p.add_argument("--axes", default=None,

@@ -56,14 +56,10 @@ def _read_only(a) -> np.ndarray:
 class AffineSystem:
     """x' = A x + b over `vars` (the Diff-bound variables, in binding order).
 
-    Carries the augmented matrix M = [[A, b], [0, 0]], on which both solvers
-    act, whether the flow has a constant rate (`closed_form`: A == 0), and
-    the memos `odesolve` keeps of the flow maps it derives from M:
-    expm(tau M) keyed by tau in `exp_maps`, with its blocks (E, c) under the
-    same keys in `exp_parts`, the RK4 step map R(hM) keyed by h in
-    `rk4_maps`, and the blocks (E, c) of the RK4 propagator over [0, t]
-    keyed by (h, t) in `rk4_parts`.  A, b and M are read-only copies, as
-    systems are shared."""
+    Plain data: read-only copies of A and b, the augmented matrix
+    M = [[A, b], [0, 0]] on which both solvers act, and whether the flow has
+    a constant rate (`closed_form`: A == 0).  Compared and hashed by
+    identity (`eq=False`), so `odesolve` keys its flow maps on the system."""
 
     vars: tuple
     A: np.ndarray
@@ -71,10 +67,6 @@ class AffineSystem:
     M: np.ndarray = field(init=False, repr=False)
     dim: int = field(init=False, repr=False)
     closed_form: bool = field(init=False, repr=False)
-    exp_maps: dict = field(init=False, repr=False, default_factory=dict)
-    exp_parts: dict = field(init=False, repr=False, default_factory=dict)
-    rk4_maps: dict = field(init=False, repr=False, default_factory=dict)
-    rk4_parts: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.b)

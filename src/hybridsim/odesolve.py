@@ -13,24 +13,24 @@ modes, on which RK4 is exact too.  Overflow is checked once, on the state
 returned: a non-finite entry of the map makes the state non-finite
 (0 * inf = nan).
 
-Flow maps are memoised on the system: e = expm(tau M) keyed by tau
-(positive and finite, so float equality is bit identity) in `exp_maps`,
-its blocks (E, c) = (e[:n, :n], e[:n, n]), views of e, under the same key
-in `exp_parts`, R(hM) keyed by h in `rk4_maps`, and the blocks of the RK4
-propagator keyed by (h, t) in `rk4_parts`; at most MAPS_PER_SYSTEM of
-each, the oldest dropped first.  Each map is a function of M and its key
-alone, bit-identical to what a fresh computation returns.  Systems come
-shared from `linearize.to_affine`, so these memos serve every Solution of
-a system, on any thread (insertion is locked); the cached maps are
-read-only, and a Solution holds no mutable state.  On vectors this short
+Flow maps are memoised in one process-wide cache, `_flow`: the blocks
+(E, c) of expm(t M) under the key (system, None, t), and those of the RK4
+propagator under (system, h, t), read-only views of one map; times and
+steps are positive and finite, so float equality is bit identity, and each
+entry is a function of M and its key alone, bit-identical to what a fresh
+computation returns.  It keeps the FLOW_CACHE_SIZE most recently used
+entries.  Systems are keyed by identity and held by the cache, so an `id`
+is never reused while its entries live; they come shared from
+`linearize.to_affine`, so an entry serves every Solution of a system, on
+any thread.  A Solution holds no mutable state.  On vectors this short
 numpy's fixed costs dominate, so the finiteness checks run over Python
 floats (`tolist()`), and `np.errstate` is entered once per state, around
 the flow arithmetic and the building of any map it needs.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +38,11 @@ import numpy as np
 from .linearize import AffineSystem, _read_only
 
 __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
-           "solve_exact", "solve_rk4", "default_rk4_step", "MAPS_PER_SYSTEM"]
+           "solve_exact", "solve_rk4", "default_rk4_step", "FLOW_CACHE_SIZE"]
 
-# Within one benchmark operation a system meets at most 18 distinct sampling
-# offsets (simulate-exact) and at most 2 distinct durations (point-query).
-MAPS_PER_SYSTEM = 32
-_lock = threading.Lock()
+# The workloads miss as often at 32 entries as unbounded (about 1100 entries
+# over 1000 random programs); 1024 entries raised selftest's peak RSS by 2%.
+FLOW_CACHE_SIZE = 256
 _scipy_expm = None
 
 
@@ -109,42 +108,22 @@ def _rk4_step(parts: tuple, x0: np.ndarray) -> np.ndarray:
     return e @ x0 + c
 
 
-def _memo(maps: dict, key, build):
-    """maps[key], built by `build()` on a miss; at most MAPS_PER_SYSTEM
-    entries, the oldest dropped first."""
-    m = maps.get(key)
-    if m is None:
-        m = build()
-        with _lock:
-            if len(maps) >= MAPS_PER_SYSTEM:
-                del maps[next(iter(maps))]
-            maps[key] = m
-    return m
-
-
-def _exp_blocks(sys: AffineSystem, t: float) -> tuple:
-    """(E, c): the blocks of expm(t M) = [[E, c], [0, 1]].  Memoised: see
-    the module notes."""
-    def blocks():
-        e = _memo(sys.exp_maps, t, lambda: _read_only(expm(sys.M * t)))
+@functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
+def _flow(sys: AffineSystem, step: float | None, t: float) -> tuple:
+    """(E, c): the blocks of expm(t M) = [[E, c], [0, 1]] when `step` is
+    None, else of the RK4 propagator R(tau M) R(hM)^(n-1) over [0, t] with
+    h = `step`.  Memoised: see the module notes."""
+    if step is None:
+        e = _read_only(expm(sys.M * t))
         n = sys.dim
         return e[:n, :n], e[:n, n]
-    return _memo(sys.exp_parts, t, blocks)
-
-
-def _rk4_blocks(sys: AffineSystem, h: float, t: float) -> tuple:
-    """(E, c): the blocks of the RK4 propagator R(tau M) R(hM)^(n-1) over
-    [0, t].  Memoised: see the module notes."""
-    steps = t / h
+    steps = t / step
     if not math.isfinite(steps):
-        raise NumericalOverflow(f"no finite RK4 step count t/h for t={t}, h={h}")
-
-    def blocks():
-        r = _memo(sys.rk4_maps, h, lambda: _read_only(_rk4_map(sys.M, h)))
-        n = max(1, math.ceil(steps))
-        p = _read_only(_rk4_map(sys.M, t - (n - 1) * h) @ np.linalg.matrix_power(r, n - 1))
-        return p[:-1, :-1], p[:-1, -1]
-    return _memo(sys.rk4_parts, (h, t), blocks)
+        raise NumericalOverflow(f"no finite RK4 step count t/h for t={t}, h={step}")
+    n = max(1, math.ceil(steps))
+    r = _rk4_map(sys.M, step)
+    p = _read_only(_rk4_map(sys.M, t - (n - 1) * step) @ np.linalg.matrix_power(r, n - 1))
+    return p[:-1, :-1], p[:-1, -1]
 
 
 def solve_rk4(sys: AffineSystem, x0, t: float, h: float) -> np.ndarray:
@@ -187,10 +166,10 @@ class Solution:
             if sys.closed_form:
                 x = self.x0 + sys.b * t
             elif self.step is None:
-                e, c = _exp_blocks(sys, t)
+                e, c = _flow(sys, None, t)
                 x = e @ self.x0 + c
             else:
-                x = _rk4_step(_rk4_blocks(sys, self.step, t), self.x0)
+                x = _rk4_step(_flow(sys, self.step, t), self.x0)
         if not all(map(math.isfinite, x.tolist())):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x

@@ -89,6 +89,34 @@ def test_check_reports_nonlinear(tmp_path, capsys):
     assert "non-linear" in out
 
 
+def test_check_leaves_a_statement_reading_a_body_variable_to_run_time(tmp_path, capsys):
+    """`a` is set by the body, not declared: its value exists only at run
+    time, where the program runs."""
+    f = tmp_path / "later.lince"
+    for text, linearized in (("x := 0 ; a := x + 1 ; x' = a for 1", 0),
+                             ("x := 0 ; a := x + 1 ; x' = a for 1 ; x' = -x for 1", 1),
+                             ("x := 0 ; a := x ; a' = 1 for 1 ; x' = a for 1", 1)):
+        f.write_text(text, encoding="utf-8")
+        assert cli_main(["check", str(f)]) == 0
+        assert capsys.readouterr().out == (f"ok: {linearized} differential statement(s) "
+                                           "linearized, 1 left to run time\n")
+        assert cli_main(["run", str(f), "--time", "1"]) == 0
+        capsys.readouterr()
+
+
+def test_check_reports_a_variable_nothing_declares_or_sets(tmp_path, capsys):
+    f = tmp_path / "unset.lince"
+    f.write_text("x := 0 ; a := x + 1 ; x' = b for 1", encoding="utf-8")
+    assert cli_main(["check", str(f)]) == 1
+    assert "the variable 'b' is not initialised" in capsys.readouterr().out
+
+
+def test_run_has_no_max_time_flag(capsys):
+    """`run` stops at --time; the sampling horizon belongs to `simulate`."""
+    assert cli_main(["run", EQ1, "--time", "1", "--max-time", "1"]) == 2
+    assert "--max-time" in capsys.readouterr().err
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     code = cli_main(["simulate", EQ1, "--max-time", "2", "--dt", "0.5",
                      "--out", str(tmp_path)])

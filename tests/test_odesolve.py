@@ -1,7 +1,9 @@
 import math
 import random
+import threading
 import time
 import warnings
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.linalg import expm
 from hybridsim import odesolve
 from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
-from hybridsim.odesolve import (MAPS_PER_SYSTEM, Exact, NumericalOverflow, RK4,
+from hybridsim.odesolve import (FLOW_CACHE_SIZE, Exact, NumericalOverflow, RK4,
                                 Solution, default_rk4_step, solve_exact, solve_rk4)
 from hybridsim.semantics import Config, Err, Limits, big_step, outcome_bits, run_to_terminal
 from hybridsim.syntax import desugar, parse
@@ -218,37 +220,54 @@ def test_expm_is_memoised_per_system_and_tau(monkeypatch):
     fresh = Solution(sys, [1.0, 0.0], Exact()).at(0.7)
     again = Solution(sys, [2.0, -1.0], Exact()).at(0.7)
     assert len(calls) == 1 and np.array_equal(calls[0], 0.7 * sys.M)
-    e = sys.exp_maps[0.7]
-    assert np.array_equal(again, e[:2, :2] @ np.array([2.0, -1.0]) + e[:2, 2])
+    E, c = odesolve._flow(sys, None, 0.7)
+    assert len(calls) == 1
+    # the cache answers with the bits a fresh call gives
+    e = expm(0.7 * sys.M)
+    assert np.array_equal(E, e[:2, :2]) and np.array_equal(c, e[:2, 2])
+    assert np.array_equal(again, E @ np.array([2.0, -1.0]) + c)
     Solution(sys, [1.0, 0.0], Exact()).at(0.7000000000000001)
     assert len(calls) == 2
-    # the memo answers with the bits a fresh call gives
     other = _sys([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
     assert np.array_equal(Solution(other, [1.0, 0.0], Exact()).at(0.7), fresh)
+    assert len(calls) == 3  # keyed on the system's identity, not its value
 
 
-def test_flow_maps_are_read_only_and_bounded():
+def test_flow_maps_are_read_only_and_bounded(monkeypatch):
+    calls = _counting_expm(monkeypatch)
     sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
-    for k in range(1, MAPS_PER_SYSTEM + 6):
+
+    def at(k):
         Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
-        Solution(sys, [1.0, 1.0], RK4(0.001 * k)).at(0.05)
-    assert len(sys.exp_maps) == MAPS_PER_SYSTEM
-    assert len(sys.rk4_maps) == MAPS_PER_SYSTEM
-    assert 0.01 not in sys.exp_maps  # the oldest went first
-    for m in (*sys.exp_maps.values(), *sys.rk4_maps.values()):
+        return len(calls)
+
+    assert odesolve._flow.cache_info().maxsize == FLOW_CACHE_SIZE
+    for k in range(1, FLOW_CACHE_SIZE + 1):
+        at(k)
+    assert odesolve._flow.cache_info().currsize == FLOW_CACHE_SIZE
+    n = at(1)  # a hit, which makes t = 0.01 the most recently used
+    assert n == FLOW_CACHE_SIZE
+    assert at(FLOW_CACHE_SIZE + 1) == n + 1  # a miss drops the least recently used,
+    assert at(1) == n + 1                     # which is no longer t = 0.01
+    assert at(2) == n + 2                     # but t = 0.02
+    assert odesolve._flow.cache_info().currsize == FLOW_CACHE_SIZE
+    for E, c in (odesolve._flow(sys, None, 0.01 * k) for k in (1, 2)):
         with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+            E[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c[0] = 1.0
 
 
 def test_exp_parts_are_views_of_the_memoised_map():
+    """E and c are read-only views of one map, expm(t M) as a fresh call
+    gives it."""
     sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
-    for k in range(1, MAPS_PER_SYSTEM + 3):
-        Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
-    assert list(sys.exp_parts) == list(sys.exp_maps)
-    for tau, e in sys.exp_maps.items():
-        E, c = sys.exp_parts[tau]
+    for k in range(1, 6):
+        E, c = odesolve._flow(sys, None, 0.01 * k)
+        e = expm(sys.M * (0.01 * k))
         assert np.array_equal(E, e[:2, :2]) and np.array_equal(c, e[:2, 2])
-        assert np.shares_memory(E, e) and np.shares_memory(c, e)
+        assert E.base is c.base and E.base.shape == (3, 3)
+        assert not E.base.flags.writeable
 
 
 def test_closed_form_is_decided_once_per_system():
@@ -301,31 +320,76 @@ def test_system_copies_the_arrays_it_is_given():
         sys.M[0, 0] = 3.0
 
 
-def test_rk4_step_map_is_shared_across_solutions():
+def test_rk4_step_map_is_shared_across_solutions(monkeypatch):
+    """Every Solution at the same (h, t) reads one propagator entry."""
+    seen = []
+    rk4_step = odesolve._rk4_step
+
+    def step(parts, x0):
+        seen.append(parts)
+        return rk4_step(parts, x0)
+    monkeypatch.setattr(odesolve, "_rk4_step", step)
     sys = _sys([[-1.0]], [0.5])
     a = Solution(sys, [1.0], RK4(0.01)).at(0.5)
-    assert list(sys.rk4_maps) == [0.01]
-    r = sys.rk4_maps[0.01]
     b = Solution(sys, [1.0], RK4(0.01)).at(0.5)
-    assert sys.rk4_maps[0.01] is r and np.array_equal(a, b)
+    Solution(sys, [2.0], RK4(0.01), duration=1.0).at(0.5)
+    assert len(seen) == 3
+    assert seen[0] is seen[1] is seen[2] is odesolve._flow(sys, 0.01, 0.5)
+    assert np.array_equal(a, b)
 
 
 def test_rk4_propagators_are_memoised_read_only_and_bounded():
     sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
     first = Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05)
-    parts = sys.rk4_parts[(0.01, 0.05)]
+    parts = odesolve._flow(sys, 0.01, 0.05)
     assert np.array_equal(Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05), first)
-    assert sys.rk4_parts[(0.01, 0.05)] is parts
-    for k in range(2, MAPS_PER_SYSTEM + 6):
+    assert odesolve._flow(sys, 0.01, 0.05) is parts
+    for k in range(2, FLOW_CACHE_SIZE + 2):
         Solution(sys, [1.0, 1.0], RK4(0.01)).at(0.05 * k)
-    assert len(sys.rk4_parts) == MAPS_PER_SYSTEM
-    assert (0.01, 0.05) not in sys.rk4_parts  # the oldest went first
-    assert list(sys.rk4_maps) == [0.01]  # one step map serves every t
-    for E, c in sys.rk4_parts.values():
+    assert odesolve._flow.cache_info().currsize == FLOW_CACHE_SIZE
+    rebuilt = odesolve._flow(sys, 0.01, 0.05)
+    assert rebuilt is not parts  # the least recently used went first
+    assert all(map(np.array_equal, rebuilt, parts))  # and comes back bit for bit
+    for E, c in (parts, odesolve._flow(sys, 0.01, 0.05 * FLOW_CACHE_SIZE)):
         with pytest.raises(ValueError):
             E[0, 0] = 1.0
         with pytest.raises(ValueError):
             c[0] = 1.0
+
+
+def test_the_flow_cache_is_safe_to_share_across_threads():
+    """Four threads ask for overlapping (system, step, t) keys, exact and
+    RK4, from an empty cache: each state has the bits of a serial run."""
+    systems = (OSC, DOUBLE_INT, _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0]))
+    jobs = [(sys, mode, 0.05 * k) for sys in systems
+            for mode in (Exact(), RK4(0.01), RK4(0.003)) for k in range(1, 15)]
+
+    def run(order):
+        return {i: Solution(jobs[i][0], [1.0, -0.5], jobs[i][1]).at(jobs[i][2]).tobytes()
+                for i in order}
+
+    serial = run(range(len(jobs)))
+    odesolve._flow.cache_clear()
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(n):
+        order = list(range(len(jobs)))
+        random.Random(n).shuffle(order)
+        start.wait()
+        results[n] = run(order)
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        setswitchinterval(interval)
+    assert results == [serial] * 4
 
 
 def test_an_rk4_state_costs_about_the_same_whatever_the_step():
