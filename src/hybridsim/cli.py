@@ -3,7 +3,7 @@
 Subcommands:
   check FILE      parse the program and linearize every differential
                   statement against the declared initial values; one that
-                  reads a variable only the body sets is left to run time
+                  reads a variable the body sets before it is left to run time
   run FILE        print the environment the program outputs at --time T
   simulate FILE   full pipeline: expand initial conditions, simulate,
                   export CSV/JSON/plot-script files
@@ -34,8 +34,8 @@ from .errors import HybridError
 from .odesolve import Exact, RK4, default_rk4_step
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
                         outcome_bits, run_to_terminal, Config)
-from .syntax import (Assign, Diff, ParseError, SourceUnit, VarList, desugar, nodes,
-                     ordered_vars, parse)
+from .syntax import (Assign, Diff, ParseError, SourceUnit, VarList, While, desugar,
+                     nodes, ordered_vars, parse)
 from .linearize import to_affine
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
                          expand_variability, fmt_value, simulate)
@@ -121,24 +121,29 @@ def cmd_check(args) -> int:
     env = {}
     for d in unit.declarations:
         env[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
-    body = list(nodes(unit.body))
-    diffs = [node for node in body if type(node) is Diff]
-    # names the body sets but no declaration does: their values exist only at run time
-    later = {n.var for n in body if type(n) is Assign}.union(
-        *({x for x, _ in d.pairs} for d in diffs)) - env.keys()
-    failures = deferred = 0
-    for diff in diffs:
-        if later.intersection(diff.frozen):
-            deferred += 1
-            continue
-        try:
-            to_affine(diff, env)
-        except HybridError as ex:
-            failures += 1
-            print(ex.info.render())
+    set_before = set()  # names the body may have set, in program order
+    linearized = failures = deferred = 0
+    for node in nodes(unit.body):
+        t = type(node)
+        if t is While:  # a later iteration sees every name the body sets
+            set_before.update(n.var if type(n) is Assign else n[0]
+                              for n in nodes(node.body) if type(n) in (Assign, tuple))
+        elif t is Assign:
+            set_before.add(node.var)
+        elif t is tuple:  # a differential statement's (variable, right-hand side)
+            set_before.add(node[0])
+        elif t is Diff and any(x in set_before and x not in env for x in node.frozen):
+            deferred += 1  # a value it reads exists only at run time
+        elif t is Diff:
+            try:
+                to_affine(node, env)
+                linearized += 1
+            except HybridError as ex:
+                failures += 1
+                print(ex.info.render())
     if failures:
         return EXIT_PROGRAM_ERROR
-    print(f"ok: {len(diffs) - deferred} differential statement(s) linearized, "
+    print(f"ok: {linearized} differential statement(s) linearized, "
           f"{deferred} left to run time")
     return EXIT_OK
 

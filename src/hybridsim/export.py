@@ -13,6 +13,7 @@ trajectory overlaid, and dedicated start/end markers.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _jstr
@@ -77,47 +78,38 @@ class PlotSpec:
     max_iterations: int
 
 
+# one item of an axis list: separators; a parenthesised group (group 2
+# empty if unclosed); a bare name, or an empty one before a stray ')'
+_AXIS_ITEM = re.compile(r"[\s,]+|\(([^)]*)(\)?)|([^,()]+|(?=\)))")
+
+
 def parse_axes(text: str) -> list:
     """`[x,y,v]` -> one time-axis group per variable; `[(x,y),(x1,y1)]` ->
     pair groups; `[(x,y,z)]` -> a triple group."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise AxisSyntaxError(f"axis list must be bracketed: {text!r}")
-    inner = s[1:-1].strip()
     groups = []
-    i, n = 0, len(inner)
-    while i < n:
-        if inner[i].isspace() or inner[i] == ",":
-            i += 1
-            continue
-        if inner[i] == "(":
-            j = inner.find(")", i)
-            if j < 0:
+    for m in _AXIS_ITEM.finditer(s[1:-1]):
+        inner, closed, name = m.groups()
+        if inner is not None:
+            if not closed:
                 raise AxisSyntaxError(f"unclosed '(' in axis list: {text!r}")
-            names = [p.strip() for p in inner[i + 1:j].split(",")]
-            if any(not _ident(p) for p in names):
-                raise AxisSyntaxError(f"bad axis group {inner[i:j+1]!r}")
+            names = [p.strip() for p in inner.split(",")]
+            if not all(p.isidentifier() for p in names):
+                raise AxisSyntaxError(f"bad axis group {m.group()!r}")
             if len(names) not in (2, 3):
                 raise AxisSyntaxError(
                     f"an axis group needs 2 or 3 variables, got {len(names)}")
             groups.append(Axis(names))
-            i = j + 1
-        else:
-            j = i
-            while j < n and inner[j] not in ",()":
-                j += 1
-            name = inner[i:j].strip()
-            if not _ident(name):
+        elif name is not None:
+            name = name.strip()
+            if not name.isidentifier():
                 raise AxisSyntaxError(f"bad axis variable {name!r}")
             groups.append(Axis((name,)))
-            i = j
     if not groups:
         raise AxisSyntaxError("empty axis list")
     return groups
-
-
-def _ident(s: str) -> bool:
-    return s.isidentifier()
 
 
 def make_plot_spec(axes, graph_type: str, variables: list,

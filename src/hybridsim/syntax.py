@@ -30,6 +30,11 @@ every pass over the tree (desugaring, pretty-printing, the variable
 inventory, the linearizer's folds) is a `fold` or a filter over `nodes`,
 which walk an explicit stack instead of recursing.
 
+The tokenizer is one `finditer` scan that skips whitespace and `//`
+comments without building tokens for them (comments are tried before
+operators, or `//` would scan as two `/`), counts lines at each newline, and
+raises `ParseError` at any character no token holds.
+
 The parser gives every node a `Loc`: a span into the parsed text, which
 all nodes of one parse share, so the text is held once however long an
 operator chain grows.  A node's source text is sliced from its span only
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -261,49 +267,42 @@ class ArityError(ParseError):
     pass
 
 
+# whitespace and comments are unnamed: `tokenize` skips them
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[ \t\r\n]+)
-  | (?P<COMMENT>//[^\n]*)
+    [ \t\r]+
+  | //[^\n]*
+  | (?P<NEWLINE>\n)
   | (?P<NUMBER>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>:=|==|!=|<=|>=|\|\||&&|[+\-*/(){},;<>=!'])
+  | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NUMBER | IDENT | KEYWORD | OP | EOF
-    text: str
-    line: int
-    col: int
-    pos: int
+Token = namedtuple("Token", "kind text line col pos")  # kind: NUMBER, IDENT, KEYWORD, OP, EOF
 
 
 def tokenize(text: str) -> list:
+    """The tokens of `text`, in one scan, then an EOF token."""
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col, i)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
+        pos = m.start()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos + 1
+            continue
         s = m.group()
-        if kind not in ("WS", "COMMENT"):
-            if kind == "IDENT" and s in KEYWORDS:
-                kind = "KEYWORD"
-            toks.append(Token(kind, s, line, col, i))
-        nl = s.count("\n")
-        if nl:
-            line += nl
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-        i = m.end()
-    toks.append(Token("EOF", "", line, col, n))
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {s!r}", line, pos - line_start + 1, pos)
+        if kind == "IDENT" and s in KEYWORDS:
+            kind = "KEYWORD"
+        toks.append(Token(kind, s, line, pos - line_start + 1, pos))
+    toks.append(Token("EOF", "", line, len(text) - line_start + 1, len(text)))
     return toks
 
 
@@ -324,27 +323,30 @@ class _Parser:
 
     # -- token plumbing
 
+    # no read passes EOF: every rule advances past a token it has checked,
+    # which EOF never is, and `unit` looks ahead only past an IDENT and ':='
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("OP", "KEYWORD")
+        """Whether the next token is the operator or keyword `text`."""
+        return self.toks[self.pos].text == text
 
     def eat(self, text: str) -> Token:
         if not self.at(text):
             self.fail(f"unexpected token {self.peek().text!r}", (repr(text),))
         return self.advance()
 
-    def fail(self, message: str, expected: tuple = ()):
-        t = self.peek()
+    def fail(self, message: str, expected: tuple = (), at: Token | None = None,
+             error: type = ParseError):
+        """Raise `error` at token `at` (the next one by default), shown at `''`."""
+        t = at or self.peek()
         shown = t.text if t.kind != "EOF" else "end of input"
-        raise ParseError(message.replace("''", f"{shown!r}"), t.line, t.col, t.pos, expected)
+        raise error(message.replace("''", f"{shown!r}"), t.line, t.col, t.pos, expected)
 
     @contextmanager
     def nested(self):
@@ -363,13 +365,21 @@ class _Parser:
         last = self.toks[self.pos - 1]
         return Loc(start.line, start.col, start.pos, last.pos + len(last.text), self.text)
 
+    def listing(self, item) -> list:
+        """`item (',' item)*`."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
+
     def chain(self, operand, ops: tuple, build):
         """A left-associative chain `operand (op operand)*`, parsed in a loop;
         `build(op, lhs, rhs, loc)` makes each link, spanning from the
         chain's start."""
         start = self.peek()
         node = operand()
-        while self.peek().text in ops and self.peek().kind == "OP":
+        while self.peek().text in ops:
             op = self.advance().text
             node = build(op, node, operand(), self.span(start))
         return node
@@ -399,7 +409,7 @@ class _Parser:
             self.advance()
             value = float(t.text)
             if not math.isfinite(value):
-                raise ParseError("numeric literal out of range", t.line, t.col, t.pos)
+                self.fail("numeric literal out of range", at=t)
             return Const(value, loc=self.span(t))
         if t.kind == "IDENT":
             if t.text in CONSTANTS:
@@ -409,16 +419,12 @@ class _Parser:
                 with self.nested():
                     self.advance()
                     self.eat("(")
-                    args = [self.expression()]
-                    while self.at(","):
-                        self.advance()
-                        args.append(self.expression())
+                    args = self.listing(self.expression)
                     self.eat(")")
                 want = FUNCTIONS[t.text][0]
                 if len(args) != want:
-                    raise ArityError(
-                        f"the function '{t.text}' expects {want} argument(s), "
-                        f"got {len(args)}", t.line, t.col, t.pos)
+                    self.fail(f"the function '{t.text}' expects {want} argument(s), "
+                              f"got {len(args)}", at=t, error=ArityError)
                 return Apply(t.text, tuple(args), loc=self.span(t))
             self.advance()
             return Var(t.text, loc=self.span(t))
@@ -449,12 +455,9 @@ class _Parser:
 
     def b_atom(self) -> BoolExpr:
         t = self.peek()
-        if self.at("tt"):
+        if self.at("tt") or self.at("ff"):
             self.advance()
-            return BTrue(loc=self.span(t))
-        if self.at("ff"):
-            self.advance()
-            return BFalse(loc=self.span(t))
+            return (BTrue if t.text == "tt" else BFalse)(loc=self.span(t))
         if self.at("("):
             # '(' may open a parenthesised boolean or an arithmetic operand;
             # try the boolean reading first and rewind on failure.
@@ -566,10 +569,7 @@ class _Parser:
         name = self.advance().text
         self.eat(":=")
         self.eat("{")
-        values = [self.number()]
-        while self.at(","):
-            self.advance()
-            values.append(self.number())
+        values = self.listing(self.number)
         self.eat("}")
         return VarList(name, tuple(values), loc=self.span(start))
 
@@ -597,9 +597,8 @@ class _Parser:
                     self.fail(f"reserved name {t.text!r} cannot be declared")
                 vl = self.varlist()
                 if vl.var in listed:
-                    raise ParseError(
-                        f"variable {vl.var!r} has more than one variability listing",
-                        t.line, t.col, t.pos)
+                    self.fail(f"variable {vl.var!r} has more than one variability listing",
+                              at=t)
                 listed.add(vl.var)
                 declarations.append(vl)
             else:

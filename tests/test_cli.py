@@ -90,18 +90,35 @@ def test_check_reports_nonlinear(tmp_path, capsys):
 
 
 def test_check_leaves_a_statement_reading_a_body_variable_to_run_time(tmp_path, capsys):
-    """`a` is set by the body, not declared: its value exists only at run
-    time, where the program runs."""
+    """`a` is set by the body before the statement, not declared: its value
+    exists only at run time, where the program runs."""
     f = tmp_path / "later.lince"
     for text, linearized in (("x := 0 ; a := x + 1 ; x' = a for 1", 0),
                              ("x := 0 ; a := x + 1 ; x' = a for 1 ; x' = -x for 1", 1),
-                             ("x := 0 ; a := x ; a' = 1 for 1 ; x' = a for 1", 1)):
+                             ("x := 0 ; a := x ; a' = 1 for 1 ; x' = a for 1", 1),
+                             ("x := 0 ; if x <= 1 then a := 1 else x := 2 ; x' = a for 1", 0),
+                             # set after the statement in the loop body, which
+                             # a later iteration sees
+                             ("x := 0 ; c := 0 ; while c <= 1 do { if 1 <= c then "
+                              "x' = a for 1 else c := c ; a := 1 ; c := c + 1 }", 0)):
         f.write_text(text, encoding="utf-8")
         assert cli_main(["check", str(f)]) == 0
         assert capsys.readouterr().out == (f"ok: {linearized} differential statement(s) "
                                            "linearized, 1 left to run time\n")
         assert cli_main(["run", str(f), "--time", "1"]) == 0
         capsys.readouterr()
+
+
+def test_check_reports_a_name_the_body_sets_only_after_the_statement(tmp_path, capsys):
+    """`a` is set after the statement reads it, so no run can reach the
+    statement with `a` set: `check` fails as `run` does."""
+    f = tmp_path / "after.lince"
+    f.write_text("x := 0 ; x' = a for 1 ; a := 1", encoding="utf-8")
+    message = "Error: the variable 'a' is not initialised at 1:15\n"
+    assert cli_main(["check", str(f)]) == 1
+    assert capsys.readouterr().out == message
+    assert cli_main(["run", str(f), "--time", "1"]) == 1
+    assert capsys.readouterr().out == message
 
 
 def test_check_reports_a_variable_nothing_declares_or_sets(tmp_path, capsys):

@@ -1,17 +1,20 @@
+import json
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsim import randprog
+from hybridsim import corpus_path, randprog
 from hybridsim.syntax import (MAX_NESTING, And, Apply, ArityError, Assign,
                               Atom, BTrue, Cmp, Const, Diff, If, Leq, Not,
                               ParseError, Seq, Var, VarList, While, desugar,
-                              desugar_bool, desugar_expr, ordered_vars, parse,
-                              parse_boolean, parse_expression, parse_program,
-                              pretty, pretty_unit)
+                              desugar_bool, desugar_expr, nodes, ordered_vars,
+                              parse, parse_boolean, parse_expression,
+                              parse_program, pretty, pretty_unit)
 
 
 def test_parse_eq1_body_shape():
@@ -421,3 +424,84 @@ def test_long_chain_holds_its_text_once():
         tracemalloc.stop()
     assert isinstance(unit.body, Seq)
     assert held < 16e6
+
+
+# -- the front end, pinned input by input
+
+GOLDEN_PARSE = Path(__file__).parent / "golden" / "parse.json"
+ENTRIES = {"parse": parse, "parse_program": parse_program,
+           "parse_expression": parse_expression, "parse_boolean": parse_boolean}
+# what goes between words: whitespace of every kind and comments; in soups,
+# also a comment that ends the line, or nothing
+SPACES = (" ", " ", "  ", "\t", "\n", "\r\n", " // note\n")
+SEPARATORS = SPACES + ("// end", "")
+# characters of the vocabulary, and characters no token holds (one of them a
+# digit that is not ASCII)
+SOUP = "x1.5e+-*/(){},;:=<>!&|' \t\r\n@\u00e9\u0663_"
+# declaration sections and surface forms that randprog, which writes core
+# programs, never makes
+DECLARATIONS = ("", "", "", "x := {1, -2.5, 3e2} ;\n", "y := 0.5 ; w := {-1} ;",
+                "y := 2 ", "z := {1e999} ;", "x := {1} ; x := {2} ;", "pi := {1} ;",
+                "x := {} ;")
+SURFACE = ("x > 1", "!(y == 2)", "x != -w", "x >= (1)", "sqrt(1, 2)", "min(x)",
+           "pow(x, 2)", "-(x + y)", "euler", "1e999", "tt && ff", ",", "x' = 1")
+
+
+def _golden_inputs() -> list:
+    """(entry point, text) pairs: the corpus, token and character soups, and
+    random programs printed with random whitespace, comments, declaration
+    sections and stray tokens."""
+    rng = random.Random(15)
+    corpus = sorted(corpus_path("eq1").parent.glob("*.lince"))
+    inputs = [("parse", path.read_text(encoding="utf-8")) for path in corpus]
+    for form in SURFACE:
+        inputs += [("parse", f"x := 1 ; y := {form}"),
+                   ("parse", f"if {form} then x := 1 else {{ x := 2 }}")]
+    for _ in range(150):
+        words = rng.choices(TOKENS, k=rng.randrange(1, 25))
+        text = "".join(w + rng.choice(SEPARATORS) for w in words)
+        inputs.append((rng.choice(list(ENTRIES)), text))
+    for _ in range(100):
+        inputs.append(("parse", "".join(rng.choices(SOUP, k=rng.randrange(1, 30)))))
+    for seed in range(150):
+        program, _ = randprog.gen_program(seed, depth=3)
+        words = pretty(program).split(" ")
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            words[rng.randrange(len(words))] = rng.choice(TOKENS + list(SURFACE))
+        text = "".join(w + rng.choice(SPACES) for w in words)
+        inputs.append(("parse", rng.choice(DECLARATIONS) + text))
+    return inputs
+
+
+def _golden_record(entry: str, text: str) -> dict:
+    """The ParseError's type, message, line, col, pos and expected; or the
+    printed tree and every node's type and span."""
+    try:
+        tree = ENTRIES[entry](text)
+    except ParseError as e:
+        return {"entry": entry, "text": text, "error": [
+            type(e).__name__, e.message, e.line, e.col, e.pos, list(e.expected)]}
+    if entry == "parse":
+        shown, roots = pretty_unit(tree), (tree.body, *tree.declarations)
+    else:
+        shown, roots = pretty(tree), (tree,)
+    located = []
+    for node in (n for root in roots for n in nodes(root)):
+        if type(node) is tuple:  # a differential statement's pair has no span
+            located.append(["pair"])
+            continue
+        loc = node.loc
+        assert loc.text is text
+        located.append([type(node).__name__, loc.line, loc.col, loc.start, loc.end])
+    return {"entry": entry, "text": text, "pretty": shown, "nodes": located}
+
+
+def test_front_end_matches_its_golden():
+    """Every input parses to the same tree with the same spans, or fails
+    with the same error, as when `tests/golden/parse.json` was written by
+    `_golden_record` over `_golden_inputs()`."""
+    golden = json.loads(GOLDEN_PARSE.read_text(encoding="utf-8"))
+    inputs = _golden_inputs()
+    assert len(golden) == len(inputs)
+    for want, (entry, text) in zip(golden, inputs):
+        assert _golden_record(entry, text) == want
