@@ -47,7 +47,7 @@ EXIT_PROGRAM_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
-MAX_ITERATIONS = 1_000_000
+MAX_ITERATIONS = 100_000
 MAX_SAMPLES = 1_000_000
 MAX_RK4_STEPS = 10_000_000
 
@@ -83,20 +83,8 @@ def _cap() -> int:
 
 
 def _load(path: str) -> SourceUnit:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse(text)
-
-
-def _mode(args):
-    if args.solver == "rk4":
-        return RK4(args.rk4_step)
-    return Exact()
-
-
-def _limits(args, **horizon) -> Limits:
-    _budget(args.max_iter, MAX_ITERATIONS, "while-unfoldings per trajectory",
-            "a smaller --max-iter")
-    return Limits(max_iterations=args.max_iter, **horizon)
+    """The desugared unit of the program in `path`."""
+    return desugar(parse(Path(path).read_text(encoding="utf-8")))
 
 
 def _budget(count: float, budget: int, what: str, remedy: str):
@@ -107,17 +95,29 @@ def _budget(count: float, budget: int, what: str, remedy: str):
             f"give {remedy}")
 
 
-def _rk4_budget(args, time: float):
-    """Refuse more than MAX_RK4_STEPS RK4 steps per trajectory over `time`.
-    Without --rk4-step, count with 1e-3, the default step's cap, which the
-    default step equals on every segment longer than 16 ms."""
+def _settings(args, time: float, dt: float | None = None) -> tuple:
+    """(mode, limits) of a run up to `time`, sampled every `dt` by
+    `simulate`, once the flags are within every budget, checked in this
+    order: while-unfoldings, samples, RK4 steps.  Without --rk4-step, RK4
+    steps are counted with 1e-3, the default step's cap, which the default
+    step equals on every segment longer than 16 ms."""
+    _budget(args.max_iter, MAX_ITERATIONS, "while-unfoldings per trajectory",
+            "a smaller --max-iter")
+    if dt is not None:
+        if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
+            raise argparse.ArgumentTypeError(
+                f"sampling interval max-time/500 is {dt!r}; give --dt")
+        _budget(time / dt, MAX_SAMPLES, "samples per trajectory", "a larger --dt")
+    mode = Exact()
     if args.solver == "rk4":
+        mode = RK4(args.rk4_step)
         step = args.rk4_step if args.rk4_step is not None else default_rk4_step(None)
         _budget(time / step, MAX_RK4_STEPS, "RK4 steps per trajectory", "a larger --rk4-step")
+    return mode, Limits(max_time=time, max_iterations=args.max_iter)
 
 
 def cmd_check(args) -> int:
-    unit = desugar(_load(args.file))
+    unit = _load(args.file)
     env = {}
     for d in unit.declarations:
         env[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
@@ -164,14 +164,13 @@ def _failure(outcome) -> tuple:
 
 
 def cmd_run(args) -> int:
-    limits = _limits(args)
-    _rk4_budget(args, args.time)
-    unit = desugar(_load(args.file))
+    mode, limits = _settings(args, args.time)
+    unit = _load(args.file)
     variables = ordered_vars(unit)
     envs = expand_variability(unit, _cap())
     code = EXIT_OK
     for env, label in envs:
-        outcome = big_step(unit.body, env, args.time, _mode(args), limits)
+        outcome = big_step(unit.body, env, args.time, mode, limits)
         if len(envs) > 1:
             print(f"[{label}]")
         report, status = _failure(outcome)
@@ -188,16 +187,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    unit = desugar(_load(args.file))
+    unit = _load(args.file)
     variables = ordered_vars(unit)
-    limits = _limits(args, max_time=args.max_time)
-    mode = _mode(args)
-    dt = args.dt if args.dt is not None else limits.max_time / 500.0
-    if not dt > 0.0:  # max-time/500 underflows for a subnormal --max-time
-        raise argparse.ArgumentTypeError(
-            f"sampling interval max-time/500 is {dt!r}; give --dt")
-    _budget(limits.max_time / dt, MAX_SAMPLES, "samples per trajectory", "a larger --dt")
-    _rk4_budget(args, limits.max_time)
+    dt = args.dt if args.dt is not None else args.max_time / 500.0
+    mode, limits = _settings(args, args.max_time, dt)
     axes = parse_axes(args.axes) if args.axes else [TimeAxis(v) for v in variables]
     spec = make_plot_spec(axes, args.graph, variables, limits)
     trajs = simulate(unit, mode, limits, dt, cap=_cap())

@@ -158,23 +158,23 @@ def export_csv(trajs: list, variables: list) -> bytes:
 def _outcome_json(out: Outcome) -> dict:
     if isinstance(out, Skip):
         return {"variant": "skip", "early": out.early, "elapsed": out.elapsed,
-                "env": dict(out.env)}
+                "env": out.env}
     if isinstance(out, Stop):
-        return {"variant": "stop", "env": dict(out.env)}
+        return {"variant": "stop", "env": out.env}
     if isinstance(out, Err):
         info: ErrorInfo = out.info
         return {"variant": "err",
                 "error": {"kind": info.kind.value, "message": info.message,
                           "src": info.src, "line": info.line, "col": info.col}}
     return {"variant": "bound", "kind": out.kind.value, "elapsed": out.elapsed,
-            "env": dict(out.env)}
+            "env": out.env}
 
 
 def _segment_json(seg) -> dict:
     if isinstance(seg.kind, Continuous):
         sol = seg.kind.solution
         out = {"kind": "continuous", "t_start": seg.t_start, "t_end": seg.t_end,
-               "vars": list(sol.system.vars)}
+               "vars": sol.system.vars}
         if isinstance(sol.mode, RK4):
             out.update({"solved": "closed-form"} if sol.closed_form
                        else {"solved": "rk4", "step": sol.step})
@@ -202,7 +202,7 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
                 "label": traj.label,
                 "outcome": _outcome_json(traj.outcome),
                 "segments": [_segment_json(s) for s in traj.segments],
-                "samples": [[t, dict(env)] for t, env in traj.samples],
+                "samples": traj.samples,
             }
             for traj in trajs
         ],

@@ -82,7 +82,8 @@ SolverMode = Exact | RK4
 def default_rk4_step(duration: float | None) -> float:
     if duration is None or duration <= 0:
         return 1e-3
-    return min(1e-3, duration / 16.0)
+    # duration/16 underflows to 0.0 below 4.4e-323: one step over it all
+    return min(1e-3, duration / 16.0) or duration
 
 
 def solve_exact(sys: AffineSystem, x0, t: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var
 __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
     "Skip", "Stop", "Err", "BoundReached", "Outcome",
-    "Config", "TSkip", "Terminal",
+    "Config", "TSkip",
     "big_step", "small_step", "machine", "run_to_terminal", "applicable_rules",
     "outcome_bits",
 ]
@@ -116,11 +116,6 @@ class TSkip:
     residual: float
 
 
-# A stopped or failed run ends in its Outcome; only a skip carries residual
-# time on to the next statement.
-Terminal = TSkip | Stop | Err
-
-
 # ---------------------------------------------------------------------------
 # Atomic statements (shared by both semantics)
 
@@ -151,18 +146,11 @@ def flow_env(sol: Solution, env: Env, tau: float) -> Env:
     return out
 
 
-def _diff_state(a: Diff, sol: Solution, env: Env, tau: float) -> Env:
-    """`flow_env`, with an overflow blamed on the statement `a`."""
-    try:
-        return flow_env(sol, env, tau)
-    except NumericalOverflow:
-        raise fail(ErrorKind.SOLVER_FAILURE, a, env) from None
-
-
 def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
     """The atomic rules, shared by both semantics: (terminal, rule, detail),
-    detail being (var, old, new) for an assignment and (solution, advanced,
-    duration) for a differential statement."""
+    detail being (var, old, new) for an assignment and (solution, advanced)
+    for a differential statement.  A stopped or failed run ends in its
+    Outcome; only a skip carries residual time on to the next statement."""
     if isinstance(a, Assign):
         try:
             v = eval_expr(env, a.expr)
@@ -174,10 +162,12 @@ def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
     try:
         d, sol = _diff_enter(a, env, mode)
         if d > t:
-            return Stop(_diff_state(a, sol, env, t)), "diff-stop", (sol, t, d)
-        return TSkip(_diff_state(a, sol, env, d), t - d), "diff-skip", (sol, d, d)
+            return Stop(flow_env(sol, env, t)), "diff-stop", (sol, t)
+        return TSkip(flow_env(sol, env, d), t - d), "diff-skip", (sol, d)
     except HybridError as ex:
         return Err(ex.info), "diff-err", None
+    except NumericalOverflow:
+        return Err(fail(ErrorKind.SOLVER_FAILURE, a, env).info), "diff-err", None
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +290,10 @@ def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
     """Iterate small steps from `cfg` until a terminal or the iteration
     budget trips.  Yields (pre-step config, successor, rule, detail) for
     every step, the step that exceeds the budget included; returns the
-    Outcome.  Refuses `cfg` up front, before any step, as `big_step`
-    refuses its arguments."""
+    Outcome.  A differential step's detail is (solution, advanced), the
+    local time it followed the flow; an assignment's is (var, old, new).
+    Refuses `cfg` up front, before any step, as `big_step` refuses its
+    arguments."""
     _check_start(cfg.env, cfg.residual)
     return _machine(cfg, mode, limits)
 

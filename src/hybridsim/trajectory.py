@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
-                        Stop, TSkip, big_step, flow_env, machine)
+                        Stop, big_step, flow_env, machine)
 # unused here; kept because bench/spans.py patches trajectory._step
 from .semantics import _step  # noqa: F401
 from .odesolve import Solution, SolverMode
@@ -118,9 +118,9 @@ def _push_sample(samples: list, t: float, env: Env):
         samples.append((t, env))
 
 
-def _sample_continuous(traj: Trajectory, seg: Segment, dt: float):
-    """Sample at t_start, t_start+dt, ..., and exactly t_end (the endpoint
-    carries the same state the machine advanced to)."""
+def _sample_continuous(traj: Trajectory, seg: Segment, dt: float, end: Env):
+    """Sample at t_start, t_start+dt, ..., and exactly t_end, where the
+    state is `end`, the one the machine advanced to."""
     sol: Solution = seg.kind.solution
     length = seg.kind.duration
     k = 0
@@ -131,7 +131,7 @@ def _sample_continuous(traj: Trajectory, seg: Segment, dt: float):
             break
         _push_sample(traj.samples, t_abs, flow_env(sol, seg.env_at_start, tau))
         k += 1
-    _push_sample(traj.samples, seg.t_end, flow_env(sol, seg.env_at_start, length))
+    _push_sample(traj.samples, seg.t_end, dict(end))
 
 
 def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
@@ -155,12 +155,12 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
                 Segment(now, now, Discrete(var, old, new), cfg.env))
             _push_sample(traj.samples, now, dict(r.env))
         elif rule in ("diff-skip", "diff-stop"):
-            sol, advanced, _duration = det
-            rem_after = r.residual if isinstance(r, (Config, TSkip)) else 0.0
-            seg = Segment(now, horizon - rem_after, Continuous(sol, advanced),
-                          cfg.env)
+            sol, advanced = det
+            # the residual the step left: for a stop, it is 0.0
+            seg = Segment(now, horizon - (cfg.residual - advanced),
+                          Continuous(sol, advanced), cfg.env)
             traj.segments.append(seg)
-            _sample_continuous(traj, seg, dt)
+            _sample_continuous(traj, seg, dt, r.env)
     traj.outcome = outcome
     if isinstance(outcome, Skip):
         # hold the final values constant up to the horizon

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import hybridsim
 from hybridsim import corpus_path
 from hybridsim.cli import cli_main
+from hybridsim.semantics import outcome_bits
 
 EQ1 = str(corpus_path("eq1"))
 EX21 = str(corpus_path("ex21"))
@@ -202,6 +203,8 @@ def _never(*args, **kwargs):
     (["run", EQ1, "--time", "1e6", "--solver", "rk4"], "--rk4-step"),
     (["simulate", EQ1, "--solver", "rk4", "--max-time", "1e9", "--dt", "1e3"],
      "--rk4-step"),
+    # over the sample and the RK4 step budgets: samples are checked first
+    (["simulate", EQ1, "--solver", "rk4", "--max-time", "1e5", "--dt", "1e-3"], "--dt"),
 ])
 def test_work_over_budget_is_refused_before_it_starts(argv, flag, tmp_path, capsys,
                                                       monkeypatch):
@@ -241,7 +244,9 @@ def test_an_rk4_run_at_the_step_budget_is_fast(capsys):
 @pytest.mark.parametrize("argv", [
     ["run", ZENO, "--time", "5", "--max-iter", "100000000000000000000"],
     ["simulate", ZENO, "--max-iter", str(hybridsim.cli.MAX_ITERATIONS + 1)],
-], ids=["run", "simulate"])
+    # run checks its flags before it reads the file
+    ["run", "/nonexistent.lince", "--time", "1", "--max-iter", str(10**20)],
+], ids=["run", "simulate", "run-missing-file"])
 def test_max_iter_over_budget_is_refused_before_it_starts(argv, tmp_path, capsys,
                                                           monkeypatch):
     monkeypatch.setattr(hybridsim.cli, "simulate", _never)
@@ -253,6 +258,26 @@ def test_max_iter_over_budget_is_refused_before_it_starts(argv, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "smaller --max-iter" in err
     assert f"budget of {hybridsim.cli.MAX_ITERATIONS}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", ["5e-324", "3e-323", "7e-323"])
+def test_rk4_runs_a_duration_whose_sixteenth_underflows(d, tmp_path, capsys):
+    """d/16 underflows to 0.0 below 4.4e-323, and the segment is then
+    solved in one step; at 7e-323 it rounds up to 5e-324.  Each gives what
+    the exact backend gives."""
+    src = tmp_path / "tiny.lince"
+    src.write_text(f"x := 1 ; x' = x for {d}\n", encoding="utf-8")
+    assert cli_main(["run", str(src), "--time", "1", "--solver", "rk4"]) == 0
+    assert cli_main(["simulate", str(src), "--solver", "rk4",
+                     "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    unit = hybridsim.desugar(hybridsim.parse(src.read_text(encoding="utf-8")))
+    for t in (0.0, float(d), 1.0):
+        exact = hybridsim.big_step(unit.body, {}, t, hybridsim.Exact())
+        for outcome in (hybridsim.big_step(unit.body, {}, t, hybridsim.RK4()),
+                        hybridsim.run_to_terminal(hybridsim.Config(unit.body, {}, t),
+                                                  hybridsim.RK4())):
+            assert outcome_bits(outcome) == outcome_bits(exact)
 
 
 def test_max_iter_at_its_budget_runs(capsys):
@@ -394,8 +419,10 @@ def test_missing_file(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert cli_main(["simulate", EQ1, "--out", str(taken)]) == 2
+    # simulate reads the file before it checks its flags
+    assert cli_main(["simulate", "/nonexistent.lince", "--max-iter", str(10**20)]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: ") == 4
+    assert err.count("error: ") == 5 and err.count("No such file") == 2
     assert "Traceback" not in err
 
 

@@ -404,6 +404,8 @@ def test_default_step_rule():
     assert default_rk4_step(10.0) == 1e-3
     assert default_rk4_step(0.008) == 0.0005
     assert default_rk4_step(None) == 1e-3
+    # below 4.4e-323 a sixteenth underflows to 0.0
+    assert all(default_rk4_step(d) > 0 for d in (5e-324, 3e-323, 7e-323))
 
 
 def test_rk4_step_validation():
