@@ -24,8 +24,10 @@ is never reused while its entries live; they come shared from
 `linearize.to_affine`, so an entry serves every Solution of a system, on
 any thread.  A Solution holds no mutable state.  On vectors this short
 numpy's fixed costs dominate, so the finiteness checks run over Python
-floats (`tolist()`), and `np.errstate` is entered once per state, around
-the flow arithmetic and the building of any map it needs.
+floats (`tolist()`), a constant-rate state x0 + b t is computed over Python
+floats too (the same IEEE multiply and add, so bit-identical), and
+`np.errstate` is entered once per state of any other flow, around the flow
+arithmetic and the building of any map it needs.
 """
 from __future__ import annotations
 
@@ -163,14 +165,15 @@ class Solution:
             return self.x0.copy()
         sys = self.system
         # overflow surfaces as a non-finite state, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            if sys.closed_form:
-                x = self.x0 + sys.b * t
-            elif self.step is None:
-                e, c = _flow(sys, None, t)
-                x = e @ self.x0 + c
-            else:
-                x = _rk4_step(_flow(sys, self.step, t), self.x0)
+        if sys.closed_form:
+            x = np.array([a + b * t for a, b in zip(self.x0.tolist(), sys.b.tolist())])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.step is None:
+                    e, c = _flow(sys, None, t)
+                    x = e @ self.x0 + c
+                else:
+                    x = _rk4_step(_flow(sys, self.step, t), self.x0)
         if not all(map(math.isfinite, x.tolist())):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x

@@ -116,6 +116,17 @@ class _Node:
 
     loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
 
+    # an evaluated expression's or condition's compiled code (`_eval`)
+    _code = None
+
+    def __getstate__(self):
+        """Pickles and copies hold the fields, never compiled code, which a
+        copy rebuilds on its first evaluation: a pickle then names none of
+        the evaluator's private functions."""
+        state = self.__dict__.copy()
+        state.pop("_code", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Var(_Node):

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import threading
 import time
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from hybridsim import odesolve
+from hybridsim.cli import cli_main
 from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import (FLOW_CACHE_SIZE, Exact, NumericalOverflow, RK4,
@@ -287,6 +289,62 @@ def test_overflow_is_reported_without_a_warning(sys, x0, t):
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow):
             Solution(sys, x0, Exact()).at(t)
+
+
+def _double(rng) -> float:
+    """A finite double of any exponent or sign, zeros and subnormals too."""
+    while True:
+        v = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(v):
+            return v
+
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0,
+         -1.5, 1.7976931348623157e308, -1.7976931348623157e308, 1.8e307, -8.9e307)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_constant_rate_state_is_numpys_x0_plus_b_t_bit_for_bit(dim):
+    """The closed form runs over Python floats: the same IEEE multiply and
+    add as numpy's x0 + b * t, so the same bits, and an overflow is still a
+    non-finite state, reported without a warning."""
+    rng = random.Random(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(400):
+            x0 = [rng.choice(EDGES) if rng.random() < 0.5 else _double(rng)
+                  for _ in range(dim)]
+            b = [rng.choice(EDGES) if rng.random() < 0.5 else _double(rng)
+                 for _ in range(dim)]
+            t = rng.choice((5e-324, 1e-300, 0.5, 1.0, 3.0, 1e10, 1e300, abs(_double(rng))))
+            sys = _sys(np.zeros((dim, dim)), b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.array(x0) + sys.b * t
+            for mode in (Exact(), RK4()):
+                sol = Solution(sys, x0, mode)
+                if np.isfinite(want).all():
+                    got = sol.at(t)
+                    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    with pytest.raises(NumericalOverflow):
+                        sol.at(t)
+
+
+def test_an_overflowing_constant_rate_flow_is_a_solver_failure(tmp_path, capsys):
+    text = "x := 1e308 ; x' = 1e308 for 10"
+    body = desugar(parse(text)).body
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mode in (Exact(), RK4()):
+            big = big_step(body, {}, 10.0, mode)
+            assert isinstance(big, Err) and big.info.kind == ErrorKind.SOLVER_FAILURE
+            assert outcome_bits(big) == outcome_bits(
+                run_to_terminal(Config(body, {}, 10.0), mode))
+        f = tmp_path / "flow.lince"
+        f.write_text(text + "\n")
+        assert cli_main(["run", str(f), "--time", "10"]) == 1
+    assert "the solver failed on 'x' = 1e308 for 10'" in capsys.readouterr().out
 
 
 def test_states_near_the_largest_double_stay_exact():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -11,6 +13,8 @@ from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  run_to_terminal, small_step)
 from hybridsim.syntax import (desugar_bool, desugar_program, parse_boolean,
                               parse_expression, parse_program)
+from hybridsim.trajectory import expand_variability
+from conftest import load_core
 
 EXACT = Exact()
 
@@ -305,3 +309,21 @@ def test_applicable_rules_shapes():
     assert applicable_rules(c, EXACT) == ("wh-true",)
     c = Config(prog("if 1/x <= 0 then x := 1 else x := 2"), {"x": 0.0}, 0.0)
     assert applicable_rules(c, EXACT) == ("if-err",)
+
+
+# -- units are plain data, before and after evaluation
+
+
+@pytest.mark.parametrize("evaluated", [False, True], ids=["fresh", "evaluated"])
+@pytest.mark.parametrize("name", ["aebom", "ex21", "zeno", "pursuit"])
+def test_a_unit_survives_pickle_and_deepcopy(name, evaluated):
+    # evaluation compiles code onto the nodes it reaches; copies leave it out
+    unit = load_core(name)
+    env = expand_variability(unit)[0][0]
+    if evaluated:
+        big_step(unit.body, env, 1.5, EXACT)
+    for twin in (pickle.loads(pickle.dumps(unit)), copy.deepcopy(unit)):
+        assert twin == unit
+        for t in (0.7, 1.5):
+            assert (outcome_bits(big_step(twin.body, env, t, EXACT))
+                    == outcome_bits(big_step(unit.body, env, t, EXACT)))
