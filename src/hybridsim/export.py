@@ -5,20 +5,23 @@ reproduces the original float bit-for-bit.  The JSON document carries the
 whole run (plot spec, solver, limits, per-trajectory segments, samples, and
 outcome) under schema version "1"; under RK4 a continuous segment also
 says how it was solved ("rk4" and the step used, or "closed-form").  The
-module writes JSON with its own writer, byte-identical to
-`json.dumps(doc, indent=2)`: any `indent` makes the standard library skip
-its C encoder for a pure-Python one, which took as long as simulating.  The
 plot script targets gnuplot: one output block per axis group, every
 trajectory overlaid, and dedicated start/end markers.
+
+The writers work by record shape: consecutive samples with one key tuple
+are written, at most `_CHUNK` at a time, by one `%` call over a row template.
+JSON text is byte-identical to `json.dumps(doc, indent=2)`, whose pure-Python
+indenting encoder took as long as simulating; `_dumps` writes every value
+that is not a finite float.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii as _jstr
 from math import isfinite
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import ErrorInfo
 from .odesolve import Exact, RK4, SolverMode
@@ -131,28 +134,67 @@ def make_plot_spec(axes, graph_type: str, variables: list,
 
 
 # ---------------------------------------------------------------------------
+# Samples by record shape
+
+# the most samples one `%` call formats, so a long run costs bounded memory
+_CHUNK = 1024
+
+
+def _runs(samples: list):
+    """Yield (keys, times, envs) for each run of consecutive samples whose
+    environments share one key tuple, at most _CHUNK samples at a time."""
+    for keys, run in groupby(samples, lambda s: tuple(s[1])):
+        while chunk := list(islice(run, _CHUNK)):
+            yield keys, *zip(*chunk)
+
+
+def _flat(cols: list, envs, names) -> tuple:
+    """Row by row: the values of `cols`, then each env's values at `names`."""
+    return tuple(chain.from_iterable(zip(*cols, *[map(itemgetter(n), envs) for n in names])))
+
+
+# ---------------------------------------------------------------------------
 # CSV
-
-
-def _cell(v: float) -> str:
-    return format(v, ".17g")
 
 
 def export_csv(trajs: list, variables: list) -> bytes:
     """Header `label,time,<vars...>`; one row per sample, ordered by label
     then time; absent variables leave the cell empty."""
-    lines = ["label,time," + ",".join(variables)]
+    parts = ["label,time," + ",".join(variables)]
+    rows = {}  # (label, keys) -> the row of a sample
     for traj in sorted(trajs, key=lambda tr: tr.label):
-        for t, env in traj.samples:
-            cells = [traj.label, _cell(t)]
-            for name in variables:
-                cells.append(_cell(env[name]) if name in env else "")
-            lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        for keys, times, envs in _runs(traj.samples):
+            if (traj.label, keys) not in rows:
+                rows[traj.label, keys] = "\n" + traj.label.replace("%", "%%") + ",%.17g" + "".join(
+                    [",%.17g" if n in keys else "," for n in variables])
+            present = [n for n in variables if n in keys]
+            parts.append(rows[traj.label, keys] * len(times) % _flat([times], envs, present))
+    parts.append("\n")
+    return "".join(parts).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
 # JSON
+#
+# Templates at the depths json.dumps(doc, indent=2) writes a trajectory's
+# parts at.  `%%s` marks a value's slot; `%s` takes the shape's own text.
+
+_TRAJ = '\n    {\n      "label": %s,\n      "outcome": %s,\n      "segments": '
+_CONT = ('\n        {\n          "kind": "continuous",\n          "t_start": %%s,'
+         '\n          "t_end": %%s,\n          "vars": %s%s\n        }')
+_CLOSED = ',\n          "solved": "closed-form"'
+_STEPPED = ',\n          "solved": "rk4",\n          "step": %s'
+_DISC = ('\n        {\n          "kind": "discrete",\n          "t": %%s,\n          "var": %s,'
+         '\n          "old": %%s,\n          "new": %%s\n        }')
+_SAMPLE = ',\n        [\n          %%s,\n          %s\n        ]'
+
+
+def _fill(template: str, vals: tuple) -> str:
+    """`template % vals`, each value as JSON writes it: `%s` of a finite float
+    is its repr, which is JSON's text, and anything else goes through `_dumps`."""
+    if not (set(map(type, vals)) <= {float} and all(map(isfinite, vals))):
+        vals = tuple(map(_dumps, vals))
+    return template % vals
 
 
 def _outcome_json(out: Outcome) -> dict:
@@ -170,25 +212,51 @@ def _outcome_json(out: Outcome) -> dict:
             "env": out.env}
 
 
-def _segment_json(seg) -> dict:
-    if isinstance(seg.kind, Continuous):
-        sol = seg.kind.solution
-        out = {"kind": "continuous", "t_start": seg.t_start, "t_end": seg.t_end,
-               "vars": sol.system.vars}
-        if isinstance(sol.mode, RK4):
-            out.update({"solved": "closed-form"} if sol.closed_form
-                       else {"solved": "rk4", "step": sol.step})
-        return out
-    if isinstance(seg.kind, Discrete):
-        return {"kind": "discrete", "t": seg.t_start, "var": seg.kind.var,
-                "old": seg.kind.old, "new": seg.kind.new}
-    return {"kind": "terminal", "t_start": seg.t_start, "t_end": seg.t_end,
-            "outcome": _outcome_json(seg.kind.outcome)}
+def _segments_json(segs: list, shapes: dict, out: list):
+    """Append a trajectory's `segments` list to `out`, filled by one `%` call."""
+    parts, vals = [], []
+    for seg in segs:
+        kind = seg.kind
+        if isinstance(kind, Continuous):
+            sol = kind.solution
+            tail = ("" if not isinstance(sol.mode, RK4)
+                    else _CLOSED if sol.closed_form else _STEPPED)
+            shape = (sol.system.vars, tail)
+            if shape not in shapes:
+                shapes[shape] = _CONT % (_dumps(shape[0], "\n          ").replace("%", "%%"), tail)
+            parts.append(shapes[shape])
+            vals += (seg.t_start, seg.t_end)
+            if tail is _STEPPED:
+                vals.append(sol.step)
+        elif isinstance(kind, Discrete):
+            parts.append(_DISC % _jstr(kind.var).replace("%", "%%"))
+            vals += (seg.t_start, kind.old, kind.new)
+        else:
+            term = {"kind": "terminal", "t_start": seg.t_start, "t_end": seg.t_end,
+                    "outcome": _outcome_json(kind.outcome)}
+            parts.append(("\n        " + _dumps(term, "\n        ")).replace("%", "%%"))
+    out += ["[", _fill(",".join(parts), tuple(vals)), "\n      ]"] if parts else ["[]"]
+
+
+def _samples_json(samples: list, rows: dict, out: list):
+    """Append a trajectory's `samples` list to `out`, each chunk of one key
+    tuple filled by one `%` call."""
+    first = len(out) + 1
+    out.append("[")
+    for keys, times, envs in _runs(samples):
+        if keys not in rows:
+            env = "".join(["\n            " + _jstr(k).replace("%", "%%") + ": %s," for k in keys])
+            rows[keys] = _SAMPLE % ("{" + env[:-1] + "\n          }" if keys else "{}")
+        out.append(_fill(rows[keys] * len(times), _flat([times], envs, keys)))
+    if len(out) > first:
+        out[first] = out[first][1:]  # no comma before the first sample
+        out.append("\n      ")
+    out.append("]")
 
 
 def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
                 limits: Limits, variables: list) -> bytes:
-    doc = {
+    head = _dumps({
         "schema_version": "1",
         "solver": ({"mode": "exact"} if isinstance(mode, Exact)
                    else {"mode": "rk4", "step": mode.step}),
@@ -197,59 +265,47 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
         "plot": {"graph_type": spec.graph_type,
                  "axes": [[g.kind, *g.names] for g in spec.axes]},
         "variables": list(variables),
-        "trajectories": [
-            {
-                "label": traj.label,
-                "outcome": _outcome_json(traj.outcome),
-                "segments": [_segment_json(s) for s in traj.segments],
-                "samples": traj.samples,
-            }
-            for traj in trajs
-        ],
-    }
-    return (_dumps(doc) + "\n").encode("utf-8")
+        "trajectories": [],
+    })
+    out = [head[:-len("[]\n}")]]  # the head ends with the empty trajectory list
+    shapes, rows = {}, {}
+    for i, traj in enumerate(trajs):
+        out.append(("," if i else "[") + _TRAJ % (
+            _jstr(traj.label), _dumps(_outcome_json(traj.outcome), "\n      ")))
+        _segments_json(traj.segments, shapes, out)
+        out.append(',\n      "samples": ')
+        _samples_json(traj.samples, rows, out)
+        out.append("\n    }")
+    out.append("\n  ]\n}\n" if trajs else "[]\n}\n")
+    text = "".join(out)
+    del out  # so that at most the text and its bytes are held at once
+    return text.encode("utf-8")
 
 
-def _dumps(doc) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte, for str-keyed documents.
-
-    A dict whose values are all finite floats (every sample's environment)
-    is written with one join over C-level maps of its key prefixes, which
-    are built once per key tuple and indent.
-    """
-    prefixes = {}
-
-    def write(o, indent: str) -> str:
-        if isinstance(o, str):
-            return _jstr(o)
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if isfinite(o):
-                return float.__repr__(o)
-            return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-        inner = indent + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return "[" + ",".join([inner + write(v, inner) for v in o]) + indent + "]"
-        if not isinstance(o, dict):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _dumps(o, indent: str = "\n") -> str:
+    """`json.dumps(o, indent=2)`, byte for byte, for str-keyed documents;
+    `indent` is a newline and the spaces of the depth `o` is written at."""
+    if isinstance(o, str):
+        return _jstr(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
         if not o:
-            return "{}"
-        vals = o.values()
-        if all(map(isinstance, vals, repeat(float))) and all(map(isfinite, vals)):
-            keys = tuple(o)
-            pre = prefixes.get((inner, keys))
-            if pre is None:
-                pre = prefixes[inner, keys] = [inner + _jstr(k) + ": " for k in keys]
-            return "{" + ",".join(map(add, pre, map(float.__repr__, vals))) + indent + "}"
-        return "{" + ",".join([inner + _jstr(k) + ": " + write(v, inner)
-                               for k, v in o.items()]) + indent + "}"
-
-    return write(doc, "\n")
+            return "[]"
+        return "[" + ",".join([inner + _dumps(v, inner) for v in o]) + indent + "]"
+    if not isinstance(o, dict):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}"
+    return "{" + ",".join([inner + _jstr(k) + ": " + _dumps(v, inner)
+                           for k, v in o.items()]) + indent + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +321,30 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         "set key outside",
         "set grid",
     ]
-    # each trajectory's sample times, formatted once for every time-axis group
-    stamps = [[_cell(t) + " " for t, _ in traj.samples] for traj in trajs]
+    # each trajectory's runs of one key tuple, with their times formatted once
+    runs = [[(keys, ("%.17g\n" * len(times) % times).splitlines(), envs)
+             for keys, times, envs in _runs(traj.samples)] for traj in trajs]
     plot_cmds = []
     for gi, g in enumerate(spec.axes, start=1):
         names = g.names
         cols = ("time",) + names if g.kind == "time" else names  # plotted columns
-        need, get = set(names), itemgetter(*names)
-        fmt = " ".join(["%.17g"] * len(names))  # as _cell, one value per column
+        timed = g.kind == "time"  # a row starts with its formatted time
+        row = "%s " * timed + " ".join(["%.17g"] * len(names)) + "\n"
         series = []
         starts, ends = [], []
         for ti, traj in enumerate(trajs):
             block = f"$g{gi}_t{ti}"
-            pre = stamps[ti] if g.kind == "time" else repeat("")
-            rows = [p + fmt % get(env) for p, (_, env) in zip(pre, traj.samples)
-                    if need <= env.keys()]
+            # the rows of each run that has the group's variables, one string a run
+            rows = [(row * len(envs) % _flat([stamps] * timed, envs, names))[:-1]
+                    for keys, stamps, envs in runs[ti] if set(names).issubset(keys)]
             lines.append(f"{block} << EOD")
             lines.extend(rows)
             lines.append("EOD")
             title = traj.label if traj.label else "trajectory"
             series.append((block, title))
             if rows:
-                starts.append(rows[0])
-                ends.append(rows[-1])
+                starts.append(rows[0].partition("\n")[0])
+                ends.append(rows[-1].rpartition("\n")[2])
         for mark, pts in (("start", starts), ("end", ends)):
             block = f"$g{gi}_{mark}"
             lines.append(f"{block} << EOD")

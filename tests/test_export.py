@@ -2,21 +2,26 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_core
-from hybridsim.export import (AxisSyntaxError, PairAxis, TimeAxis, TripleAxis,
-                              UnknownVariable, _dumps, emit_plot_script,
-                              export_csv, export_json, make_plot_spec,
-                              parse_axes)
-from hybridsim.odesolve import Exact, RK4, default_rk4_step
-from hybridsim.semantics import Limits
+from hybridsim.errors import ErrorInfo, ErrorKind
+from hybridsim.export import (Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
+                              TripleAxis, UnknownVariable, _dumps, _runs,
+                              emit_plot_script, export_csv, export_json,
+                              make_plot_spec, parse_axes)
+from hybridsim.linearize import AffineSystem
+from hybridsim.odesolve import Exact, RK4, Solution, default_rk4_step
+from hybridsim.semantics import BoundKind, BoundReached, Err, Limits, Skip, Stop
 from hybridsim.syntax import desugar, ordered_vars, parse
-from hybridsim.trajectory import simulate
+from hybridsim.trajectory import (Continuous, Discrete, Segment, TerminalMark,
+                                  Trajectory, simulate)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -282,3 +287,226 @@ def test_json_export_of_the_corpus_matches_json_dumps(name, mode):
     doc = export_json(simulate(unit, mode, limits, dt=0.1), spec, mode, limits,
                       variables)
     assert doc == (json.dumps(json.loads(doc), indent=2) + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
+# The writers against reference writers: the per-sample CSV loop, the JSON
+# document through json.dumps, and the per-row plot script the record-shape
+# writers replaced.
+
+
+def _ref_csv(trajs, variables) -> bytes:
+    lines = ["label,time," + ",".join(variables)]
+    for traj in sorted(trajs, key=lambda tr: tr.label):
+        for t, env in traj.samples:
+            cells = [traj.label, format(t, ".17g")]
+            for name in variables:
+                cells.append(format(env[name], ".17g") if name in env else "")
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _ref_outcome(out):
+    if isinstance(out, Skip):
+        return {"variant": "skip", "early": out.early, "elapsed": out.elapsed,
+                "env": out.env}
+    if isinstance(out, Stop):
+        return {"variant": "stop", "env": out.env}
+    if isinstance(out, Err):
+        info = out.info
+        return {"variant": "err",
+                "error": {"kind": info.kind.value, "message": info.message,
+                          "src": info.src, "line": info.line, "col": info.col}}
+    return {"variant": "bound", "kind": out.kind.value, "elapsed": out.elapsed,
+            "env": out.env}
+
+
+def _ref_segment(seg):
+    if isinstance(seg.kind, Continuous):
+        sol = seg.kind.solution
+        out = {"kind": "continuous", "t_start": seg.t_start, "t_end": seg.t_end,
+               "vars": sol.system.vars}
+        if isinstance(sol.mode, RK4):
+            out.update({"solved": "closed-form"} if sol.closed_form
+                       else {"solved": "rk4", "step": sol.step})
+        return out
+    if isinstance(seg.kind, Discrete):
+        return {"kind": "discrete", "t": seg.t_start, "var": seg.kind.var,
+                "old": seg.kind.old, "new": seg.kind.new}
+    return {"kind": "terminal", "t_start": seg.t_start, "t_end": seg.t_end,
+            "outcome": _ref_outcome(seg.kind.outcome)}
+
+
+def _ref_json(trajs, spec, mode, limits, variables) -> bytes:
+    doc = {
+        "schema_version": "1",
+        "solver": ({"mode": "exact"} if isinstance(mode, Exact)
+                   else {"mode": "rk4", "step": mode.step}),
+        "limits": {"max_time": limits.max_time,
+                   "max_iterations": limits.max_iterations},
+        "plot": {"graph_type": spec.graph_type,
+                 "axes": [[g.kind, *g.names] for g in spec.axes]},
+        "variables": list(variables),
+        "trajectories": [{"label": traj.label, "outcome": _ref_outcome(traj.outcome),
+                          "segments": [_ref_segment(s) for s in traj.segments],
+                          "samples": traj.samples} for traj in trajs],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _ref_plot(trajs, spec) -> str:
+    lines = ["# generated by hybridsim; run with: gnuplot <this file>",
+             "set terminal pngcairo size 960,640", "set key outside", "set grid"]
+    plot_cmds = []
+    for gi, g in enumerate(spec.axes, start=1):
+        cols = ("time",) + g.names if g.kind == "time" else g.names
+        series, starts, ends = [], [], []
+        for ti, traj in enumerate(trajs):
+            block = f"$g{gi}_t{ti}"
+            rows = [" ".join([format(t, ".17g")] * (g.kind == "time")
+                             + [format(env[n], ".17g") for n in g.names])
+                    for t, env in traj.samples if set(g.names) <= env.keys()]
+            lines += [f"{block} << EOD", *rows, "EOD"]
+            series.append((block, traj.label or "trajectory"))
+            if rows:
+                starts.append(rows[0])
+                ends.append(rows[-1])
+        for mark, pts in (("start", starts), ("end", ends)):
+            lines += [f"$g{gi}_{mark} << EOD", *pts, "EOD"]
+        use = ":".join(str(i + 1) for i in range(len(cols)))
+        plot_cmds.append(f"set output 'group_{gi}.png'")
+        plot_cmds += [f"set {a}label '{c}'" for a, c in zip("xyz", cols)]
+        parts = [f"{block} using {use} with linespoints pointsize 0.4 title '{title}'"
+                 for block, title in series]
+        parts.append(f"$g{gi}_start using {use} with points pointtype 6 pointsize 2.5 title 'start'")
+        parts.append(f"$g{gi}_end using {use} with points pointtype 7 pointsize 2.5 title 'end'")
+        plot_cmds.append(("splot " if g.kind == "triple" else "plot ")
+                         + ", \\\n     ".join(parts))
+    return "\n".join(lines + plot_cmds) + "\n"
+
+
+def _system(names, rate_only):
+    n = len(names)
+    return AffineSystem(tuple(names), np.zeros((n, n)) if rate_only else np.eye(n),
+                        np.ones(n))
+
+
+# the values the fast paths must write as the references do, and those that
+# must take the general path (inf, nan, int, bool)
+_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_SPOILERS = [math.inf, -math.inf, math.nan, 0, -7, 2**70, True, False]
+_VALUE = st.one_of(_FINITE, _FINITE, _FINITE, st.sampled_from(_EDGES),
+                   st.sampled_from(_EDGES + _SPOILERS))
+_NAME = st.sampled_from(["x", "v", "time", "%", "a%sb", "%%r", 'q"', "b\\s", "é", "ß∂"])
+_LABEL = st.sampled_from(["", "x=1", "%", "%s %d", 'say "hi"', "back\\slash", "δ=2"]) | st.text()
+# the three ways a continuous segment is solved: Exact, RK4 closed-form, RK4 stepped
+_SOLUTIONS = [Solution(_system(names, rate_only), [0.0] * len(names), mode, 0.5)
+              for names, rate_only, mode in [(("x", "v"), False, Exact()),
+                                             (("%", 'q"'), True, RK4()),
+                                             (("é", "x"), False, RK4()),
+                                             ((), True, RK4())]]
+_INFO = ErrorInfo(ErrorKind.DIVISION_BY_ZERO, 'the divisor of "1/x" is 0%', "1/x", 4, 6)
+
+
+@st.composite
+def _samples(draw):
+    """Runs of samples whose environments share key tuples, which come back
+    and whose order may differ from one sample to the next."""
+    samples = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = draw(st.lists(_NAME, unique=True, max_size=4))
+        for _ in range(draw(st.integers(1, 5))):
+            order = draw(st.permutations(keys)) if draw(st.booleans()) else keys
+            samples.append((draw(_VALUE), {k: draw(_VALUE) for k in order}))
+    return samples
+
+
+_ENV = st.dictionaries(_NAME, _VALUE, max_size=3)
+_OUTCOME = st.one_of(
+    st.builds(Skip, _ENV, _VALUE, st.booleans()), st.builds(Stop, _ENV),
+    st.just(Err(_INFO)), st.builds(BoundReached, st.just(BoundKind.MAX_ITERATIONS), _ENV, _VALUE))
+_SEGMENT = st.builds(Segment, _VALUE, _VALUE, st.one_of(
+    st.builds(Continuous, st.sampled_from(_SOLUTIONS), _VALUE),
+    st.builds(Discrete, _NAME, st.none() | _VALUE, _VALUE),
+    st.builds(TerminalMark, _OUTCOME)), st.just({}))
+_TRAJECTORY = st.builds(Trajectory, _LABEL, st.lists(_SEGMENT, max_size=6), _samples(), _OUTCOME)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TRAJECTORY, max_size=3), st.lists(_NAME, unique=True),
+       st.sampled_from([Exact(), RK4(), RK4(0.125)]))
+def test_writers_match_the_reference_writers(trajs, variables, mode):
+    used = sorted({k for tr in trajs for _, env in tr.samples for k in env})
+    variables = list(dict.fromkeys(variables + used))  # every sample's names, and more
+    axes = [Axis((n,)) for n in used[:2]] + [Axis(tuple(used[:k])) for k in (2, 3)
+                                             if len(used) >= k]
+    spec = PlotSpec(tuple(axes), "scatter", 5.0, 10)
+    limits = Limits(max_time=5.0, max_iterations=10)
+    assert export_csv(trajs, variables) == _ref_csv(trajs, variables)
+    assert export_json(trajs, spec, mode, limits, variables) == _ref_json(
+        trajs, spec, mode, limits, variables)
+    assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
+
+
+def _long_trajectory(n: int, names: list, label: str = "") -> Trajectory:
+    """n samples over `names`, each value a distinct 17-digit float; the last
+    ten lack `names[-1]`, so the first n - 10 make one run."""
+    samples = [(i / 3, {name: (i * 8 + j) / 7
+                        for j, name in enumerate(names[:-1] if i >= n - 10 else names)})
+               for i in range(n)]
+    return Trajectory(label=label, samples=samples, outcome=Skip(samples[-1][1], n / 3, False))
+
+
+def test_runs_longer_than_a_chunk_match_the_reference_writers():
+    trajs = [_long_trajectory(2600, ["x", "y%", "z"], "a%b"), _long_trajectory(2500, ["x", "y%"])]
+    trajs[1].samples[1300][1]["x"] = math.inf  # one chunk off the fast path
+    # a run is written at most 1024 samples at a time
+    assert [len(times) for _, times, _ in _runs(trajs[0].samples)] == [1024, 1024, 542, 10]
+    variables = ["x", "y%", "z"]
+    spec = PlotSpec((Axis(("z",)), Axis(("x", "y%")), Axis(("x", "y%", "z"))), "scatter", 9e3, 10)
+    limits = Limits(max_time=9e3, max_iterations=10)
+    assert export_csv(trajs, variables) == _ref_csv(trajs, variables)
+    assert export_json(trajs, spec, Exact(), limits, variables) == _ref_json(
+        trajs, spec, Exact(), limits, variables)
+    assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", ["eq1", "eq2", "ex21", "zeno", "aeb", "aebom",
+                                  "rlcs-under", "rlcs-over", "pursuit"])
+def test_csv_and_plot_of_the_corpus_match_the_reference_writers(name, mode):
+    unit = load_core(name)
+    limits = Limits(max_time=50.0)
+    variables = ordered_vars(unit)
+    axes = [TimeAxis(v) for v in variables] + ([PairAxis(*variables[:2])]
+                                               if len(variables) > 1 else [])
+    spec = make_plot_spec(axes, "scatter", variables, limits)
+    trajs = simulate(unit, mode, limits, dt=0.1)
+    assert export_csv(trajs, variables) == _ref_csv(trajs, variables)
+    assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
+
+
+def _peak(write, *args) -> int:
+    """The most memory `write(*args)` holds at once beyond what was held before."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    write(*args)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_export_memory_stays_within_the_reference_writers():
+    """A trajectory ten chunks long costs each writer no more memory at its
+    peak than the reference writer for its format."""
+    names = [f"x{i}" for i in range(8)]
+    trajs = [_long_trajectory(10_000, names)]
+    spec = PlotSpec((Axis(("x0",)), Axis(("x1", "x2"))), "scatter", 1e6, 10)
+    limits = Limits(max_time=1e6, max_iterations=10)
+    tracemalloc.start()
+    try:
+        for new, ref, args in [(export_csv, _ref_csv, (trajs, names)),
+                               (export_json, _ref_json, (trajs, spec, Exact(), limits, names)),
+                               (emit_plot_script, _ref_plot, (trajs, spec))]:
+            ref_peak = _peak(ref, *args)
+            assert _peak(new, *args) <= 1.1 * ref_peak, new.__name__
+    finally:
+        tracemalloc.stop()

@@ -1,0 +1,29 @@
+#!/bin/sh
+# The export grid: every corpus program under both solvers in all three
+# formats, 54 runs.  Each run's files, its messages and its exit code land
+# under OUT/<solver>-<format>/.
+#
+#     tools/export_grid.sh OUT [ROOT]
+#
+# ROOT is the checkout to run; it defaults to the one holding this script.
+# Run it on two checkouts, then `diff -r` the two OUTs: empty output means
+# every export, message and exit code is byte-identical.
+set -eu
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 OUT [ROOT]" >&2
+    exit 2
+fi
+ROOT=$(cd "${2:-$(dirname "$0")/..}" && pwd)
+for p in eq1 eq2 ex21 zeno aeb aebom rlcs-under rlcs-over pursuit; do
+    for s in exact rk4; do
+        for f in csv json plot; do
+            d=$1/$s-$f
+            mkdir -p "$d"
+            code=0
+            PYTHONPATH="$ROOT/src" python3 -m hybridsim simulate \
+                "$ROOT/src/hybridsim/corpus/$p.lince" --solver $s --format $f \
+                --max-time 50 --dt 0.1 --out "$d" > "$d/$p.stdout" 2>&1 || code=$?
+            echo "exit=$code" >> "$d/$p.stdout"
+        done
+    done
+done
