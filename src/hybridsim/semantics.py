@@ -16,6 +16,15 @@ segments.  Both styles share one differential-statement solver and one
 residual-time arithmetic (subtraction only, never re-addition), so the two
 styles agree bit-for-bit on every outcome.
 
+The machine is refocused (O. Danvy and L. R. Nielsen, "Refocusing in
+reduction semantics", BRICS RS-04-26, 2004): a Config keeps its evaluation
+context as an explicit stack of the `rest` programs pending after the
+statement in focus, so a step pushes and pops there instead of descending
+the `Seq` spine by recursion and rebuilding it.  The rules, and so every
+step, stay those of the small-step semantics.  Neither semantics recurses
+along a `Seq` spine, so a program's length is bounded by memory, not by the
+recursion limit.
+
 Durations are evaluated once, at statement entry.  A negative duration is an
 error.  Assignments consume no time.
 """
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
@@ -103,11 +112,60 @@ def outcome_bits(o: Outcome) -> tuple:
     return ("bound", o.kind, env, o.elapsed.hex())
 
 
-@dataclass(frozen=True)
 class Config:
-    program: Program
-    env: Env
-    residual: float
+    """A machine configuration (program, env, residual time), held
+    refocused: the statement in `focus` and a `stack` of the `rest`
+    programs pending after it, as persistent cons cells (rest, below) or
+    None.  `program` rebuilds the nested `Seq`s when read.  Immutable, and
+    compared and shown by (program, env, residual), as a frozen dataclass."""
+
+    __slots__ = ("focus", "stack", "env", "residual")
+
+    def __new__(cls, program: Program, env: Env, residual: float):
+        return _config(program, None, env, residual)
+
+    @property
+    def program(self) -> Program:
+        p, below = self.focus, self.stack
+        while below is not None:
+            rest, below = below
+            p = Seq(p, rest)
+        return p
+
+    def _key(self) -> tuple:
+        return self.program, self.env, self.residual
+
+    def __eq__(self, other):
+        if not isinstance(other, Config):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"Config(program={self.program!r}, env={self.env!r}, "
+                f"residual={self.residual!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Config, self._key()
+
+
+_put_focus, _put_stack, _put_env, _put_residual = (
+    Config.__dict__[name].__set__ for name in Config.__slots__)
+
+
+def _config(focus, stack, env: Env, residual: float) -> Config:
+    """A Config, its slots set past the frozen `__setattr__`."""
+    cfg = object.__new__(Config)
+    _put_focus(cfg, focus)
+    _put_stack(cfg, stack)
+    _put_env(cfg, env)
+    _put_residual(cfg, residual)
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -179,37 +237,41 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
     """Run `p` to the machine's terminals: TSkip carries the REMAINING
     residual time, computed by the same subtractions the machine performs.
     A run stopped by the iteration budget ends in the Config where it
-    tripped."""
-    while isinstance(p, Seq):  # a Seq spine: (seq-skip) steps along it
-        r = _big(p.first, env, t, mode, limits, counter)
-        if not isinstance(r, TSkip):
-            return r  # (seq-stop) / (seq-err) / bound
-        p, env, t = p.rest, r.env, r.residual
-    if isinstance(p, Atom):
-        return _atom(p.atomic, env, t, mode)[0]
-    if isinstance(p, If):
-        try:
-            g = eval_bool(env, p.cond)
-        except HybridError as ex:
-            return Err(ex.info)  # (if-err)
-        branch = p.then if g else p.orelse
-        return _big(branch, env, t, mode, limits, counter)
-    # While: iterate (wh-true) unfoldings without growing the call stack
-    cur, rem = env, t
+    tripped.  A `Seq` spine is walked over a local stack of pending rests,
+    cons cells as in a Config; only `if` branches and `while` bodies
+    recurse, to `MAX_NESTING` deep."""
+    pending = None
     while True:
-        try:
-            g = eval_bool(cur, p.cond)
-        except HybridError as ex:
-            return Err(ex.info)  # (wh-err)
-        if not g:
-            return TSkip(cur, rem)  # (wh-false)
-        counter[0] += 1
-        if counter[0] > limits.max_iterations:
-            return Config(p, cur, rem)
-        r = _big(p.body, cur, rem, mode, limits, counter)
-        if not isinstance(r, TSkip):
-            return r
-        cur, rem = r.env, r.residual
+        while isinstance(p, Seq):
+            pending = (p.rest, pending)
+            p = p.first
+        if isinstance(p, Atom):
+            r = _atom(p.atomic, env, t, mode)[0]
+        elif isinstance(p, If):
+            try:
+                g = eval_bool(env, p.cond)
+            except HybridError as ex:
+                return Err(ex.info)  # (if-err)
+            r = _big(p.then if g else p.orelse, env, t, mode, limits, counter)
+        else:  # While: iterate (wh-true) unfoldings without growing the call stack
+            while True:
+                try:
+                    g = eval_bool(env, p.cond)
+                except HybridError as ex:
+                    return Err(ex.info)  # (wh-err)
+                if not g:
+                    r = TSkip(env, t)  # (wh-false)
+                    break
+                counter[0] += 1
+                if counter[0] > limits.max_iterations:
+                    return Config(p, env, t)
+                r = _big(p.body, env, t, mode, limits, counter)
+                if not isinstance(r, TSkip):
+                    return r
+                env, t = r.env, r.residual
+        if pending is None or not isinstance(r, TSkip):
+            return r  # (seq-stop) / (seq-err) / bound, or the last statement
+        (p, pending), env, t = pending, r.env, r.residual  # (seq-skip)
 
 
 def _outcome(r, t0: float) -> Outcome:
@@ -250,35 +312,40 @@ def big_step(p: Program, env: Env, t: float, mode: SolverMode,
 
 
 def _step(cfg: Config, mode: SolverMode) -> tuple:
-    """One machine step.  Returns (successor, leaf_rule, detail):
-    successor is a Config or a terminal; leaf_rule names the innermost rule
-    that fired; detail is `_atom`'s for an atomic step, else None."""
-    p, env, t = cfg.program, cfg.env, cfg.residual
+    """One refocused machine step (Danvy and Nielsen): push the `rest` of
+    each `Seq` down the focus's spine, then apply the one rule at the
+    focus.  `if` focuses the chosen branch; (wh-true) pushes the `while`
+    and focuses its body; a skip pops the next pending program
+    (seq-skip), or is the terminal when the stack is empty.  Returns
+    (successor, leaf_rule, detail): successor is a Config or a terminal;
+    leaf_rule names the innermost rule that fired; detail is `_atom`'s for
+    an atomic step, else None."""
+    p, stack, env, t = cfg.focus, cfg.stack, cfg.env, cfg.residual
+    while isinstance(p, Seq):
+        stack = (p.rest, stack)
+        p = p.first
     if isinstance(p, Atom):
-        return _atom(p.atomic, env, t, mode)
-    if isinstance(p, Seq):
-        r, rule, det = _step(Config(p.first, env, t), mode)
-        if isinstance(r, TSkip):
-            return Config(p.rest, r.env, r.residual), rule, det  # (seq-skip)
-        if isinstance(r, Config):
-            return Config(Seq(r.program, p.rest), r.env, r.residual), rule, det
-        return r, rule, det  # (seq-stop) / (seq-err)
-    if isinstance(p, If):
+        r, rule, det = _atom(p.atomic, env, t, mode)
+    elif isinstance(p, If):
         try:
             g = eval_bool(env, p.cond)
         except HybridError as ex:
             return Err(ex.info), "if-err", None
         if g:
-            return Config(p.then, env, t), "if-true", None
-        return Config(p.orelse, env, t), "if-false", None
-    # While
-    try:
-        g = eval_bool(env, p.cond)
-    except HybridError as ex:
-        return Err(ex.info), "wh-err", None
-    if g:
-        return Config(Seq(p.body, p), env, t), "wh-true", None
-    return TSkip(env, t), "wh-false", None
+            return _config(p.then, stack, env, t), "if-true", None
+        return _config(p.orelse, stack, env, t), "if-false", None
+    else:  # While
+        try:
+            g = eval_bool(env, p.cond)
+        except HybridError as ex:
+            return Err(ex.info), "wh-err", None
+        if g:
+            return _config(p.body, (p, stack), env, t), "wh-true", None
+        r, rule, det = TSkip(env, t), "wh-false", None
+    if stack is None or not isinstance(r, TSkip):
+        return r, rule, det
+    rest, stack = stack  # (seq-skip)
+    return _config(rest, stack, r.env, r.residual), rule, det
 
 
 def small_step(cfg: Config, mode: SolverMode):
@@ -288,12 +355,13 @@ def small_step(cfg: Config, mode: SolverMode):
 
 def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
     """Iterate small steps from `cfg` until a terminal or the iteration
-    budget trips.  Yields (pre-step config, successor, rule, detail) for
-    every step, the step that exceeds the budget included; returns the
-    Outcome.  A differential step's detail is (solution, advanced), the
-    local time it followed the flow; an assignment's is (var, old, new).
-    Refuses `cfg` up front, before any step, as `big_step` refuses its
-    arguments."""
+    budget trips, calling the module's `_step` once per step.  Yields
+    (pre-step config, successor, rule, detail) for every step, the step
+    that exceeds the budget included; returns the Outcome.  A yielded
+    Config builds its `program` only when that is read.  A differential
+    step's detail is (solution, advanced), the local time it followed the
+    flow; an assignment's is (var, old, new).  Refuses `cfg` up front,
+    before any step, as `big_step` refuses its arguments."""
     _check_start(cfg.env, cfg.residual)
     return _machine(cfg, mode, limits)
 

@@ -1,0 +1,175 @@
+"""The refocused machine against the recursive step it replaced.
+
+`reference_step` is the small-step rule set as `semantics._step` stated it
+before refocusing: it descends the `Seq` spine by recursion on every step and
+rebuilds it around the successor.  It is the oracle here: `machine` driving
+it in place of `_step` must yield, step for step, the same pre-step program,
+environment bits, residual bits and rule, and the same successor (its
+program, or the terminal's bits), and return the same Outcome.
+"""
+import copy
+import dataclasses
+import pickle
+from unittest import mock
+
+import pytest
+
+from hybridsim import corpus_path, desugar, parse, randprog, semantics
+from hybridsim.errors import HybridError
+from hybridsim.odesolve import RK4, Exact
+from hybridsim.semantics import (Config, Err, TSkip, _atom, big_step,
+                                 eval_bool, machine, outcome_bits,
+                                 run_to_terminal, small_step)
+from hybridsim.syntax import Atom, If, Seq, desugar_program, parse_program
+from hybridsim.trajectory import expand_variability
+
+EXACT = Exact()
+CORPUS = sorted(p.stem for p in corpus_path("eq1").parent.glob("*.lince"))
+
+
+# -- the oracle: the recursive step, as it stood before refocusing
+
+
+def reference_step(cfg, mode):
+    p, env, t = cfg.program, cfg.env, cfg.residual
+    if isinstance(p, Atom):
+        return _atom(p.atomic, env, t, mode)
+    if isinstance(p, Seq):
+        r, rule, det = reference_step(Config(p.first, env, t), mode)
+        if isinstance(r, TSkip):
+            return Config(p.rest, r.env, r.residual), rule, det  # (seq-skip)
+        if isinstance(r, Config):
+            return Config(Seq(r.program, p.rest), r.env, r.residual), rule, det
+        return r, rule, det  # (seq-stop) / (seq-err)
+    if isinstance(p, If):
+        try:
+            g = eval_bool(env, p.cond)
+        except HybridError as ex:
+            return Err(ex.info), "if-err", None
+        if g:
+            return Config(p.then, env, t), "if-true", None
+        return Config(p.orelse, env, t), "if-false", None
+    # While
+    try:
+        g = eval_bool(env, p.cond)
+    except HybridError as ex:
+        return Err(ex.info), "wh-err", None
+    if g:
+        return Config(Seq(p.body, p), env, t), "wh-true", None
+    return TSkip(env, t), "wh-false", None
+
+
+# -- comparing runs
+
+
+def _env_bits(env):
+    return tuple(sorted((k, v.hex()) for k, v in env.items()))
+
+
+def _successor(r):
+    if isinstance(r, Config):
+        return r.program
+    if isinstance(r, TSkip):
+        return ("tskip", _env_bits(r.env), r.residual.hex())
+    return outcome_bits(r)
+
+
+def _record(steps) -> tuple:
+    """(per step: pre-step program, env bits, residual bits, rule,
+    successor) and the Outcome's bits."""
+    out = []
+    try:
+        while True:
+            cfg, r, rule, _ = next(steps)
+            out.append((cfg.program, _env_bits(cfg.env), cfg.residual.hex(),
+                        rule, _successor(r)))
+    except StopIteration as done:
+        return out, outcome_bits(done.value)
+
+
+def _agree(program, env, t, mode):
+    got = _record(machine(Config(program, dict(env), t), mode))
+    calls = []
+
+    def step(cfg, mode):
+        calls.append(cfg)
+        return reference_step(cfg, mode)
+    with mock.patch.object(semantics, "_step", step):
+        want = _record(machine(Config(program, dict(env), t), mode))
+    assert len(calls) == len(want[0]) == len(got[0])
+    for i, (a, b) in enumerate(zip(got[0], want[0])):
+        assert a == b, (i, a, b)
+    assert got[1] == want[1]
+    return len(got[0])
+
+
+def test_machine_matches_the_recursive_step_on_random_programs():
+    steps = 0
+    for seed in range(1000):
+        program, env = randprog.gen_program(seed)
+        steps += _agree(program, env, randprog.gen_times(seed, 1)[0], EXACT)
+    assert steps > 10_000
+
+
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_machine_matches_the_recursive_step_on_the_corpus(name, mode):
+    unit = desugar(parse(corpus_path(name).read_text(encoding="utf-8")))
+    env = expand_variability(unit)[0][0]
+    assert _agree(unit.body, env, 10.0, mode) > 1
+
+
+# -- configurations
+
+# the frozen dataclass that `Config` was before refocusing
+FrozenConfig = dataclasses.make_dataclass(
+    "Config", ["program", "env", "residual"], frozen=True)
+
+
+def test_a_machine_config_is_a_hand_built_one():
+    p = desugar_program(parse_program(
+        "x := 0 ; while x <= 2 do { if x <= 1 then x := x + 1 else "
+        "{ x := x + 2 ; x' = 1 for 0.5 } } ; y := x"))
+    seen = 0
+    for cfg, r, *_ in machine(Config(p, {}, 1.0), EXACT):
+        for c in (cfg, r):
+            if not isinstance(c, Config):
+                continue
+            twin = Config(c.program, dict(c.env), c.residual)
+            assert c == twin and twin == c
+            assert c == copy.copy(c) == pickle.loads(pickle.dumps(c))
+            assert repr(c) == repr(twin) == repr(
+                FrozenConfig(c.program, c.env, c.residual))
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(c)
+            for name in ("program", "env", "residual", "focus", "stack"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(c, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(c, name)
+            seen += 1
+    assert seen > 10
+    assert Config(p, {}, 1.0) != Config(p, {}, 2.0)
+    assert Config(p, {}, 1.0) != (p, {}, 1.0)
+
+
+# -- long programs
+
+
+def _left_nested(n):
+    """`x := x + 1` n + 1 times, as Seq(Seq(Seq(a, a), a), ...)."""
+    a = desugar_program(parse_program("x := x + 1"))
+    p = a
+    for _ in range(n):
+        p = Seq(p, a)
+    return p
+
+
+def test_a_deep_left_nested_sequence_runs_in_both_semantics():
+    p = _left_nested(10_000)
+    big = big_step(p, {"x": 0.0}, 1.0, EXACT)
+    small = run_to_terminal(Config(p, {"x": 0.0}, 1.0), EXACT)
+    assert outcome_bits(big) == outcome_bits(small)
+    assert big.env == {"x": 10_001.0} and big.early
+    first = small_step(Config(p, {"x": 0.0}, 1.0), EXACT)
+    assert first.env == {"x": 1.0}
