@@ -140,13 +140,17 @@ class Solution:
     __slots__ = ("system", "x0", "mode", "step")
 
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
-                 duration: float | None = None):
+                 duration: float | None = None, *, checked: bool = False):
+        """`checked` says the caller read x0, one finite value per system
+        variable, from an environment (whose values are finite), so it is
+        not checked again."""
         self.system = system
         self.x0 = np.asarray(x0, dtype=float)
-        if self.x0.shape != (system.dim,):
-            raise ValueError(f"x0 has shape {self.x0.shape}, system is {system.dim}-dimensional")
-        if not all(map(math.isfinite, self.x0.tolist())):
-            raise ValueError("x0 entries must be finite")
+        if not checked:
+            if self.x0.shape != (system.dim,):
+                raise ValueError(f"x0 has shape {self.x0.shape}, system is {system.dim}-dimensional")
+            if not all(map(math.isfinite, self.x0.tolist())):
+                raise ValueError("x0 entries must be finite")
         self.mode = mode
         if isinstance(mode, RK4):
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)

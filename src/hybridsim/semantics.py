@@ -180,7 +180,9 @@ class TSkip:
 
 def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
     """Evaluate the duration, freeze the dynamics, and build the flow.
-    Returns (duration, Solution); raises HybridError on any failure."""
+    Returns (duration, Solution); raises HybridError on any failure.  Every
+    entry point refuses a non-finite start, and evaluation and flows yield
+    finite values only, so x0, read from `env`, is finite."""
     d = eval_expr(env, a.duration)
     if d < 0.0:
         raise fail(ErrorKind.NEGATIVE_DURATION, a.duration, env)
@@ -194,7 +196,7 @@ def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
                 loc = a.loc and Loc(a.loc.line, a.loc.col, 0, len(name), name)
                 blamed = Var(name, loc=loc)
                 raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env) from None
-    return d, Solution(system, x0, mode, duration=d)
+    return d, Solution(system, x0, mode, duration=d, checked=True)
 
 
 def flow_env(sol: Solution, env: Env, tau: float) -> Env:
@@ -349,7 +351,9 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
 
 
 def small_step(cfg: Config, mode: SolverMode):
-    """Apply the unique applicable rule; returns a Config or a terminal."""
+    """Apply the unique applicable rule; returns a Config or a terminal.
+    Refuses `cfg` up front, as `machine` does."""
+    _check_start(cfg.env, cfg.residual)
     return _step(cfg, mode)[0]
 
 
@@ -409,34 +413,43 @@ def _holding(*guards) -> tuple:
     return tuple(rule for rule, holds in guards if holds)
 
 
+def _in_seq(rule: str) -> str:
+    """The rule a `Seq` fires when its first statement fires `rule`."""
+    if rule in ("diff-stop", "seq-stop"):
+        return "seq-stop"
+    if rule in ("asg", "diff-skip", "wh-false"):
+        return "seq-skip"
+    if rule.endswith("err"):
+        return "seq-err"
+    return "seq"  # the head steps to a non-terminal configuration
+
+
 def applicable_rules(cfg: Config, mode: SolverMode) -> tuple:
     """Names of the machine rules whose guards hold in `cfg`, each guard
     checked on its own (over one evaluation of the expression or condition
-    they share).  Determinism = at most one name comes back."""
+    they share).  Determinism = at most one name comes back.  The rules of
+    the statement at the head of the `Seq` spine are found first, then
+    carried out through each enclosing `Seq`, so the spine is walked, not
+    recursed."""
     p, env, t = cfg.program, cfg.env, cfg.residual
+    depth = 0
+    while isinstance(p, Seq):
+        p, depth = p.first, depth + 1
     if isinstance(p, Atom):
         a = p.atomic
         if isinstance(a, Assign):
             v = _value(eval_expr, env, a.expr)
-            return _holding(("asg", v is not None), ("asg-err", v is None))
-        d = _value(eval_expr, env, a.duration)
-        ok = d is not None and d >= 0.0
-        return _holding(("diff-stop", ok and d > t), ("diff-skip", ok and d <= t),
-                        ("diff-err", not ok))
-    if isinstance(p, Seq):
-        out = []
-        for rule in applicable_rules(Config(p.first, env, t), mode):
-            if rule in ("diff-stop", "seq-stop"):
-                out.append("seq-stop")
-            elif rule in ("asg", "diff-skip", "wh-false"):
-                out.append("seq-skip")
-            elif rule.endswith("err"):
-                out.append("seq-err")
-            else:
-                # the head steps to a non-terminal configuration
-                out.append("seq")
-        return tuple(out)
-    g = _value(eval_bool, env, p.cond)
-    kw = "if" if isinstance(p, If) else "wh"
-    return _holding((f"{kw}-true", g is True), (f"{kw}-false", g is False),
-                    (f"{kw}-err", g is None))
+            rules = _holding(("asg", v is not None), ("asg-err", v is None))
+        else:
+            d = _value(eval_expr, env, a.duration)
+            ok = d is not None and d >= 0.0
+            rules = _holding(("diff-stop", ok and d > t), ("diff-skip", ok and d <= t),
+                             ("diff-err", not ok))
+    else:
+        g = _value(eval_bool, env, p.cond)
+        kw = "if" if isinstance(p, If) else "wh"
+        rules = _holding((f"{kw}-true", g is True), (f"{kw}-false", g is False),
+                         (f"{kw}-err", g is None))
+    for _ in range(depth):
+        rules = tuple(map(_in_seq, rules))
+    return rules

@@ -227,6 +227,22 @@ class Seq(_Node):
     first: "Program"
     rest: "Program"
 
+    def __repr__(self):
+        """The dataclass repr, built over an explicit stack, so a sequence
+        nested either way is shown however long it is."""
+        out = []
+        todo = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif type(item) is Seq:
+                out.append("Seq(first=")
+                todo += (")", item.rest, ", rest=", item.first)
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
 
 @dataclass(frozen=True)
 class If(_Node):

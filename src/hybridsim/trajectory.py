@@ -120,7 +120,8 @@ def _push_sample(samples: list, t: float, env: Env):
 
 def _sample_continuous(traj: Trajectory, seg: Segment, dt: float, end: Env):
     """Sample at t_start, t_start+dt, ..., and exactly t_end, where the
-    state is `end`, the one the machine advanced to."""
+    state is `end`, the one the machine advanced to.  The state at t_start
+    is the one the segment starts from, which the flow leaves unchanged."""
     sol: Solution = seg.kind.solution
     length = seg.kind.duration
     k = 0
@@ -129,7 +130,8 @@ def _sample_continuous(traj: Trajectory, seg: Segment, dt: float, end: Env):
         t_abs = seg.t_start + tau
         if tau >= length or t_abs >= seg.t_end:
             break
-        _push_sample(traj.samples, t_abs, flow_env(sol, seg.env_at_start, tau))
+        _push_sample(traj.samples, t_abs,
+                     flow_env(sol, seg.env_at_start, tau) if k else dict(seg.env_at_start))
         k += 1
     _push_sample(traj.samples, seg.t_end, dict(end))
 

@@ -1,7 +1,11 @@
 import gc
 import math
+import pickle
 import random
+import sys
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsim.errors import ErrorKind, HybridError
-from hybridsim import linearize
+from hybridsim import corpus_path, linearize, parse, randprog, semantics
 from hybridsim.linearize import AFFINE_CACHE_SIZE, fold_constants, to_affine
+from hybridsim.odesolve import RK4, Exact
 from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_vars,
-                              parse_expression, parse_program)
-from hybridsim.semantics import eval_expr
+                              nodes, parse_expression, parse_program)
+from hybridsim.semantics import Limits, eval_expr
+from hybridsim.trajectory import simulate
 
 
 def _diff(text):
@@ -302,3 +308,171 @@ def test_fold_preserves_value(seed):
     folded = fold_constants(e, env, set(frozen))
     assert eval_expr(env, folded) == eval_expr(env, e)
     assert expr_vars(folded) <= set(bound)
+
+
+# -- the compiled form against the tree path, bit for bit
+
+
+def _built(build, diff, env) -> tuple:
+    """What building the system gives: its vars, the bytes of A, b and M
+    and `closed_form`, or the error with the environment it carries."""
+    try:
+        s = build(diff, env)
+    except HybridError as ex:
+        return "err", ex.info, ex.info.env
+    return s.vars, s.A.tobytes(), s.b.tobytes(), s.M.tobytes(), s.closed_form
+
+
+def _agree(diff, env) -> bool:
+    """The compiled form builds what `fold_constants` + `_decompose` build,
+    and `_linearize` raises their error; True when the system was built."""
+    want = _built(linearize._folded_system, diff, env)
+    assert _built(linearize._linearize, diff, env) == want
+    compiled = linearize._compiled_system(diff, env)
+    if want[0] == "err":
+        assert compiled is None
+        return False
+    assert _built(lambda d, e: compiled, diff, env) == want
+    return True
+
+
+# values a frozen variable takes in the perturbed environments (the zeros
+# twice, as they are the ones that tell -0.0 and zero divisors apart)
+_ODD_VALUES = (0.0, -0.0, 0.0, -0.0, 1e308, -1e308, 5e-324, 2, 2**70)
+
+
+def _perturbed(rng, frozen, base) -> dict:
+    env = dict(base)
+    for name in frozen:
+        r = rng.random()
+        if r < 0.05:
+            env.pop(name, None)
+        elif r < 0.4:
+            env[name] = rng.choice(_ODD_VALUES)
+        else:
+            env[name] = rng.randrange(-16, 17) / 4.0
+    return env
+
+
+def test_compiled_form_matches_the_tree_path_on_random_programs():
+    built = 0
+    for seed in range(1000):
+        program, env = randprog.gen_program(seed)
+        rng = random.Random(seed)
+        for diff in (n for n in nodes(program) if type(n) is Diff):
+            for e in [env] + [_perturbed(rng, diff.frozen, env) for _ in range(3)]:
+                built += _agree(diff, e)
+    assert built > 4000
+
+
+def _gen_rhs(rng, bound, frozen, depth):
+    """Right-hand sides of every shape the tree path accepts or rejects:
+    the affine combinators with frozen or bound operands on either side,
+    unary minus, frozen calls and divisors, and non-affine nodes."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        w = rng.random()
+        if w < 0.4:
+            return Var(rng.choice(bound))
+        if w < 0.7:
+            return Var(rng.choice(frozen))
+        return Const(rng.choice((0.0, -0.0, 0.5, -3.0, 1e308)))
+
+    def sub():
+        return _gen_rhs(rng, bound, frozen, depth - 1)
+
+    if r < 0.45:
+        return Apply(rng.choice("+-"), (sub(), sub()))
+    if r < 0.55:
+        return Apply("-", (sub(),))
+    if r < 0.7:
+        return Apply("*", (sub(), sub()))
+    if r < 0.85:
+        return Apply("/", (sub(), sub()))
+    if r < 0.95:
+        return Apply(rng.choice(("sqrt", "sin", "exp")), (sub(),))
+    return Apply("min", (sub(), sub()))
+
+
+def test_compiled_form_matches_the_tree_path_on_every_shape():
+    built = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        bound = ["x", "y", "z"][: rng.randrange(1, 4)]
+        frozen = ["a", "b"]
+        diff = Diff(tuple((x, _gen_rhs(rng, bound, frozen, 4)) for x in bound),
+                    Const(1.0))
+        for _ in range(3):
+            built += _agree(diff, _perturbed(rng, frozen, {}))
+    assert built > 500
+
+
+def test_compiled_form_matches_the_tree_path_on_the_corpus():
+    entries = []
+
+    def record(diff, env):
+        entries.append((diff, dict(env)))
+        return to_affine(diff, env)
+
+    with mock.patch.object(semantics, "to_affine", record):
+        for path in sorted(corpus_path("eq1").parent.glob("*.lince")):
+            unit = parse(path.read_text())
+            for mode in (Exact(), RK4()):
+                simulate(unit, mode, Limits(max_time=5.0), 0.5)
+    rng = random.Random(7)
+    seen = set()
+    for diff, env in entries:
+        key = (id(diff),) + tuple(map(env.get, diff.frozen))
+        if key not in seen:
+            seen.add(key)
+            assert _agree(diff, env)
+            _agree(diff, _perturbed(rng, diff.frozen, env))
+    assert len(seen) > 20
+
+
+def test_a_numpy_zero_divisor_is_a_division_by_zero_with_no_warning():
+    a = _diff("x' = x / k for 1")
+    for zero in (np.float64(0.0), np.float64(-0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HybridError) as exc:
+                to_affine(a, {"k": zero})
+        assert exc.value.info.kind == ErrorKind.DIVISION_BY_ZERO
+
+
+def test_the_compiled_form_lives_on_the_statement():
+    a = _diff("x' = k*x + 1, y' = x / k - y for 1")
+    assert a._code is None
+    to_affine(a, {"k": 2.0})
+    assert a._code
+    assert pickle.loads(pickle.dumps(a))._code is None
+    rejected = _diff("x' = x*x for 1")
+    with pytest.raises(HybridError):
+        to_affine(rejected, {})
+    assert rejected._code == ()
+
+
+def test_a_long_right_hand_side_linearizes_without_deep_recursion():
+    n = 10_000
+    x, a = Var("x"), Var("a")
+    left = x
+    for i in range(n):  # x + 2*a - a/4 + a*x - ..., left-nested
+        term = (Apply("*", (Const(2.0), a)), Apply("/", (a, Const(4.0))),
+                Apply("*", (a, x)), Apply("-", (x,)))[i % 4]
+        left = Apply("+-"[i % 2], (left, term))
+    right = x
+    for i in range(n):  # a + (x - (a + ...)), right-nested
+        right = Apply("+-"[i % 2], (a if i % 3 else x, right))
+    frozen_head = a
+    for _ in range(n):  # a + a + ... + a + x: one deep frozen operand
+        frozen_head = Apply("+", (frozen_head, a))
+    frozen_head = Apply("+", (frozen_head, x))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for rhs in (left, right, frozen_head):
+            diff = Diff((("x", rhs),), Const(1.0))
+            assert _agree(diff, {"a": 0.75})
+            assert to_affine(diff, {"a": 0.75}).A[0, 0] != 0.0
+    finally:
+        sys.setrecursionlimit(limit)

@@ -173,3 +173,78 @@ def test_a_deep_left_nested_sequence_runs_in_both_semantics():
     assert big.env == {"x": 10_001.0} and big.early
     first = small_step(Config(p, {"x": 0.0}, 1.0), EXACT)
     assert first.env == {"x": 1.0}
+
+
+def _reference_rules(cfg, mode):
+    """`applicable_rules` as it stood: recursing into a `Seq`'s head."""
+    p, env, t = cfg.program, cfg.env, cfg.residual
+    if not isinstance(p, Seq):
+        return semantics.applicable_rules(cfg, mode)
+    out = []
+    for rule in _reference_rules(Config(p.first, env, t), mode):
+        if rule in ("diff-stop", "seq-stop"):
+            out.append("seq-stop")
+        elif rule in ("asg", "diff-skip", "wh-false"):
+            out.append("seq-skip")
+        elif rule.endswith("err"):
+            out.append("seq-err")
+        else:
+            out.append("seq")
+    return tuple(out)
+
+
+def test_applicable_rules_walks_a_deep_left_nested_sequence():
+    rest = desugar_program(parse_program("x := x + 1"))
+    heads = ("x := 1", "x := 1 / 0", "x' = 1 for 2", "x' = 1 for 0.5",
+             "x' = 1 for -1", "if x <= 0 then x := 1 else x := 2",
+             "if q <= 0 then x := 1 else x := 2", "while x <= 0 do { x := x + 1 }",
+             "while x <= -1 do { x := x + 1 }")
+    seen = set()
+    for text in heads:
+        p = desugar_program(parse_program(text))
+        for depth in range(4):
+            cfg = Config(p, {"x": 0.0}, 1.0)
+            rules = semantics.applicable_rules(cfg, EXACT)
+            assert rules == _reference_rules(cfg, EXACT)
+            seen.update(rules)
+            p = Seq(p, rest)
+    assert {"seq", "seq-skip", "seq-stop", "seq-err"} <= seen
+    deep = Config(_left_nested(10_000), {"x": 0.0}, 1.0)
+    assert semantics.applicable_rules(deep, EXACT) == ("seq",)
+
+
+def _reference_repr(p):
+    """The dataclass repr of a `Seq`, by recursion."""
+    if isinstance(p, Seq):
+        return f"Seq(first={_reference_repr(p.first)}, rest={_reference_repr(p.rest)})"
+    return repr(p)
+
+
+def test_a_sequence_shows_as_its_dataclass_did_however_deep():
+    a = desugar_program(parse_program("x := x + 1"))
+    assert repr(Seq(a, a)) == ("Seq(first=Atom(atomic=Assign(var='x', expr=Apply(fn='+', "
+                               "args=(Var(name='x'), Const(value=1.0))))), rest=Atom("
+                               "atomic=Assign(var='x', expr=Apply(fn='+', args=(Var("
+                               "name='x'), Const(value=1.0))))))")
+    for seed in range(50):
+        p = randprog.gen_program(seed)[0]
+        assert repr(p) == _reference_repr(p)
+        assert repr(Seq(p, Seq(a, p))) == _reference_repr(Seq(p, Seq(a, p)))
+    n, r = 10_000, repr(a)
+    left = "Seq(first=" * n + r + (", rest=" + r + ")") * n
+    assert repr(Config(_left_nested(n), {"x": 0.0}, 1.0)) == \
+        f"Config(program={left}, env={{'x': 0.0}}, residual=1.0)"
+    right = a
+    for _ in range(n):
+        right = Seq(a, right)
+    assert repr(right) == ("Seq(first=" + r + ", rest=") * n + r + ")" * n
+
+
+def test_small_step_refuses_a_start_the_machine_refuses():
+    p = desugar_program(parse_program("x' = 1 for 1"))
+    for env, t in (({"x": float("nan")}, 1.0), ({"x": 0.0}, -1.0),
+                   ({"x": 0.0}, float("inf"))):
+        with pytest.raises(ValueError):
+            small_step(Config(p, env, t), EXACT)
+        with pytest.raises(ValueError):
+            run_to_terminal(Config(p, env, t), EXACT)

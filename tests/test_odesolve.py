@@ -368,6 +368,12 @@ def test_solution_refuses_a_non_finite_x0_of_any_kind():
             Solution(DECAY, bad, Exact())
 
 
+def test_solution_refuses_an_x0_of_the_wrong_shape():
+    for system, bad in ((DECAY, [1.0, 2.0]), (DECAY, []), (DOUBLE_INT, [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="shape"):
+            Solution(system, bad, RK4())
+
+
 def test_system_copies_the_arrays_it_is_given():
     A, b = np.array([[1.0]]), np.array([2.0])
     sys = AffineSystem(("x",), A, b)
