@@ -6,31 +6,32 @@ results) raise `HybridError`; callers fold that into outcome values.
 Conjunction and disjunction do NOT short-circuit: both operands are always
 evaluated so that an undefined operand is never masked.
 
-Each expression or condition is compiled once, at its first evaluation, into
-closures (Feeley and Lapalme, "Using closures for code generation", 1987),
-each a flat tuple `(run, *captured)` that runs as `run(env, code)`: on
-CPython 3.11 a tuple takes about 60 bytes where a function object with its
-cells takes 240 to 330, and a program keeps one per node it has evaluated.
-Operations are looked up while compiling, so evaluation tests no node type.
-The code is kept on the evaluated node, under `_code`: it is found by node
-identity, so an equal subtree at another `loc` blames its own node, and
-`_Node.__getstate__` leaves it out of pickles and copies.
+Each expression or condition is compiled once, at its first evaluation, by
+one `syntax.fold`, into one straight-line Python function: one local per
+node, assigned in evaluation order (children first, left to right), so an
+evaluation is one Python call however large the tree is, and a tree's depth
+is bounded by memory, not by the recursion limit.  An arithmetic operation
+or a named function runs inline under a `try`; only when it raises or gives
+a non-finite value (`r - r` is 0.0 exactly when r is finite) does `apply_fn`
+run it again, to raise the failure blamed on its node.
 
-A left-nested chain of binary operations (`a + b + ...`, `p && q && ...`)
-compiles to one closure that loops over its (operation, right operand)
-steps, innermost first as in the tree, so its length is bounded by memory,
-not by the recursion limit.  An operation runs directly; only when it
-raises or gives a non-finite value does `apply_fn` run it again, to raise
-the failure.
+The generated text depends only on the tree's shape: the node kinds, and
+which of `+ - * /` and unary `-` each operation is.  Everything else, the
+variable names, the constants, the named functions and the nodes a failure
+blames, is passed in a tuple of slots, so no program text reaches `exec`.
+A bounded memo compiles each distinct text once, and a node keeps only
+(function, slots) under `_code`: found by node identity, so an equal
+subtree at another `loc` blames its own node, and left out of pickles and
+copies by `_Node.__getstate__`.  Trees of one shape share one function.
 """
 from __future__ import annotations
 
+import functools
 import math
-from operator import and_, or_
 
 from .errors import ErrorKind, fail
 from .syntax import (FUNCTIONS, And, Apply, BFalse, BoolExpr, BTrue, Const, Expr,
-                     Leq, Not, Or, Var)
+                     Leq, Not, Or, Var, fold)
 
 Env = dict
 
@@ -42,8 +43,8 @@ def eval_expr(env: Env, e: Expr) -> float:
     `desugar_expr` rewrites to `0 - e`, is evaluated as negation."""
     code = e._code
     if code is None:
-        code = _compiled(e, _compile_expr)
-    return code[0](env, code)
+        code = _compiled(e)
+    return code[0](env, code[1])
 
 
 def eval_bool(env: Env, b: BoolExpr) -> bool:
@@ -53,8 +54,8 @@ def eval_bool(env: Env, b: BoolExpr) -> bool:
     a surface comparison must go through `desugar_bool` first."""
     code = b._code
     if code is None:
-        code = _compiled(b, _compile_bool)
-    return code[0](env, code)
+        code = _compiled(b)
+    return code[0](env, code[1])
 
 
 def apply_fn(env: Env, e: Expr, args: list) -> float:
@@ -76,101 +77,87 @@ def apply_fn(env: Env, e: Expr, args: list) -> float:
     return v
 
 
-def _compiled(node, compile_node) -> tuple:
-    code = compile_node(node)
-    object.__setattr__(node, "_code", code)
+# the names generated code reads besides its locals, all on failure paths
+_GLOBALS = {"apply_fn": apply_fn, "fail": fail, "nan": math.nan,
+            "UNSET": ErrorKind.UNINITIALIZED_VARIABLE}
+
+# one operation, run inline: `{op}` is its text over the operand locals
+_CHECKED = """\
+    try:
+        {v} = {op}
+    except (ArithmeticError, ValueError):
+        {v} = nan
+    if {v} - {v} != 0.0:
+        {v} = apply_fn(env, {node}, [{args}])"""
+
+_VAR = """\
+    try:
+        {v} = env[{name}]
+    except KeyError:
+        raise fail(UNSET, {node}, env) from None"""
+
+_INFIX = ("+", "-", "*", "/")
+_JUNCTION = {And: "and", Or: "or"}
+
+
+def _compiled(root) -> tuple:
+    """Compile `root` and keep (function, slots) on it, under `_code`."""
+    slots = []  # passed to the function, unpacked into k0, k1, ...
+    lines = []  # one entry per node that computes, in evaluation order
+
+    def slot(value) -> str:
+        slots.append(value)
+        return f"k{len(slots) - 1}"
+
+    def combine(node, kids: list) -> tuple:
+        """(the local or literal holding `node`'s value, the index in
+        `lines` where the code of `node`'s subtree starts)."""
+        start = kids[0][1] if kids else len(lines)
+        args = [k[0] for k in kids]
+        v = f"v{len(lines)}"
+        t = type(node)
+        if t is Const:
+            return slot(node.value), start
+        if t is BTrue or t is BFalse:
+            return str(t is BTrue), start
+        if t is Var:
+            code = _VAR.format(v=v, name=slot(node.name), node=slot(node))
+        elif t is Apply:
+            fn, n = node.fn, len(args)
+            if fn == "-" and n == 1:
+                code = f"    {v} = -{args[0]}"
+            elif n == FUNCTIONS.get(fn, (None,))[0]:
+                op = (f" {fn} ".join(args) if fn in _INFIX
+                      else f"{slot(FUNCTIONS[fn][1])}({', '.join(args)})")
+                code = _CHECKED.format(v=v, op=op, node=slot(node),
+                                       args=", ".join(args))
+            else:  # an arity error, raised once its arguments are evaluated
+                code = f"    {v} = apply_fn(env, {slot(node)}, [{', '.join(args)}])"
+        elif t is Leq:
+            code = f"    {v} = {args[0]} <= {args[1]}"
+        elif t is Not:
+            code = f"    {v} = not {args[0]}"
+        elif t in _JUNCTION:
+            code = f"    {v} = {args[0]} {_JUNCTION[t]} {args[1]}"
+        else:  # a surface comparison is refused when reached, unevaluated
+            del lines[start:]
+            message = (f"eval_bool takes desugared conditions; pass this "
+                       f"{t.__name__} through desugar_bool first")
+            code, v = f"    raise TypeError({slot(message)})", "None"
+        lines.append(code)
+        return v, start
+
+    result = fold(root, combine)[0]
+    unpack = f"    {', '.join(f'k{i}' for i in range(len(slots)))}, = k\n" if slots else ""
+    text = f"def f(env, k):\n{unpack}" + "".join(s + "\n" for s in lines) + f"    return {result}\n"
+    code = (_function(text), tuple(slots))
+    object.__setattr__(root, "_code", code)
     return code
 
 
-# -- expressions
-
-
-def _const(env: Env, code: tuple):
-    return code[1]
-
-
-def _var(env: Env, code: tuple) -> float:
-    try:
-        return env[code[1]]
-    except KeyError:
-        raise fail(ErrorKind.UNINITIALIZED_VARIABLE, code[2], env) from None
-
-
-def _chain(env: Env, code: tuple) -> float:
-    _, first, steps = code
-    v = first[0](env, first)
-    for op, rhs, node in steps:
-        w = rhs[0](env, rhs)
-        try:
-            r = op(v, w)
-        except (ArithmeticError, ValueError):
-            r = math.nan
-        # r - r is 0.0 exactly when r is finite (inf - inf is nan)
-        v = r if r - r == 0.0 else apply_fn(env, node, [v, w])
-    return v
-
-
-def _apply(env: Env, code: tuple) -> float:
-    _, args, node = code
-    return apply_fn(env, node, [a[0](env, a) for a in args])
-
-
-_BINARY = {fn: op for fn, (arity, op) in FUNCTIONS.items() if arity == 2}
-
-
-def _compile_expr(e: Expr) -> tuple:
-    t = type(e)
-    if t is Const:
-        return (_const, e.value)
-    if t is Var:
-        return (_var, e.name, e)
-    steps = []
-    while type(e) is Apply and len(e.args) == 2 and e.fn in _BINARY:
-        steps.append((_BINARY[e.fn], _compile_expr(e.args[1]), e))
-        e = e.args[0]
-    if steps:  # e is the leftmost operand, off the spine
-        return (_chain, _compile_expr(e), tuple(reversed(steps)))
-    return (_apply, tuple(_compile_expr(a) for a in e.args), e)
-
-
-# -- conditions
-
-
-def _leq(env: Env, code: tuple) -> bool:
-    _, lhs, rhs = code
-    return lhs[0](env, lhs) <= rhs[0](env, rhs)
-
-
-def _not(env: Env, code: tuple) -> bool:
-    arg = code[1]
-    return not arg[0](env, arg)
-
-
-def _junction(env: Env, code: tuple) -> bool:
-    _, first, steps = code
-    v = first[0](env, first)
-    for op, rhs in steps:  # the right operand is always evaluated
-        v = op(v, rhs[0](env, rhs))
-    return v
-
-
-def _surface(env: Env, code: tuple):
-    raise TypeError(f"eval_bool takes desugared conditions; pass this "
-                    f"{code[1].__name__} through desugar_bool first")
-
-
-def _compile_bool(b: BoolExpr) -> tuple:
-    t = type(b)
-    if t is Leq:
-        return (_leq, _compile_expr(b.lhs), _compile_expr(b.rhs))
-    if t is BTrue or t is BFalse:
-        return (_const, t is BTrue)
-    if t is Not:
-        return (_not, _compile_bool(b.arg))
-    steps = []
-    while type(b) is And or type(b) is Or:
-        steps.append((and_ if type(b) is And else or_, _compile_bool(b.rhs)))
-        b = b.lhs
-    if steps:  # b is the leftmost operand, off the spine
-        return (_junction, _compile_bool(b), tuple(reversed(steps)))
-    return (_surface, t)
+@functools.lru_cache(maxsize=256)
+def _function(text: str):
+    """The function `text` defines, compiled once per distinct text."""
+    scope = {}
+    exec(text, _GLOBALS, scope)
+    return scope["f"]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  check FILE      parse the program and linearize every differential
-                  statement against the declared initial values; one that
-                  reads a variable the body sets before it is left to run time
+  check FILE      run the leading assignments from the declared values, then
+                  linearize every differential statement against their values;
+                  one reading an undeclared name set before it waits for a run
   run FILE        print the environment the program outputs at --time T
   simulate FILE   full pipeline: expand initial conditions, simulate,
                   export CSV/JSON/plot-script files
@@ -33,8 +33,8 @@ from pathlib import Path
 from .errors import HybridError
 from .odesolve import Exact, RK4, default_rk4_step
 from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
-                        outcome_bits, run_to_terminal, Config)
-from .syntax import (Assign, Diff, ParseError, SourceUnit, VarList, While, desugar,
+                        eval_expr, outcome_bits, run_to_terminal, Config)
+from .syntax import (Assign, Diff, If, ParseError, SourceUnit, VarList, While, desugar,
                      nodes, ordered_vars, parse)
 from .linearize import to_affine
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
@@ -118,21 +118,30 @@ def _settings(args, time: float, dt: float | None = None) -> tuple:
 
 def cmd_check(args) -> int:
     unit = _load(args.file)
-    env = {}
+    declared = {}
     for d in unit.declarations:
-        env[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
+        declared[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
+    env = dict(declared)  # then the values the leading assignments reach
+    leading = True  # no differential statement, `if` or `while` yet
     set_before = set()  # names the body may have set, in program order
     linearized = failures = deferred = 0
     for node in nodes(unit.body):
         t = type(node)
+        leading = leading and t not in (Diff, If, While)
         if t is While:  # a later iteration sees every name the body sets
             set_before.update(n.var if type(n) is Assign else n[0]
                               for n in nodes(node.body) if type(n) in (Assign, tuple))
         elif t is Assign:
             set_before.add(node.var)
+            if leading:  # it takes no time, so every run performs it
+                try:
+                    env[node.var] = eval_expr(env, node.expr)
+                except HybridError as ex:
+                    print(ex.info.render())
+                    return EXIT_PROGRAM_ERROR
         elif t is tuple:  # a differential statement's (variable, right-hand side)
             set_before.add(node[0])
-        elif t is Diff and any(x in set_before and x not in env for x in node.frozen):
+        elif t is Diff and any(x in set_before and x not in declared for x in node.frozen):
             deferred += 1  # a value it reads exists only at run time
         elif t is Diff:
             try:

@@ -32,14 +32,15 @@ identity together with its frozen variables' values, compared as floats,
 or by their exact bit patterns (`float.hex`) when one of them is zero, so
 -0.0 and 0.0 are different keys; the result never depends on anything else
 in the environment.  The statement knows its frozen variables' names
-(`Diff.frozen`, computed once), so a hit is one tuple of values, one lock
-acquisition and one dict lookup.  The cache holds the `Diff` itself in
-each entry, so its `id` cannot be reused while the entry lives, and keeps
-the AFFINE_CACHE_SIZE most recently used systems.  Failures are
+(`Diff.frozen`, computed once), so a hit is one tuple of values, one dict
+lookup and one move to the recent end.  The cache holds the `Diff` itself
+in each entry, so its `id` cannot be reused while the entry lives, and
+keeps the AFFINE_CACHE_SIZE most recently used systems.  Failures are
 never cached (their error carries the environment), nor are calls whose
 frozen values are missing or not plain floats.  A cached system is shared
-by every caller, threads included (the cache is locked), so its arrays
-are read-only.
+by every caller, threads included, so its arrays are read-only.  Only a
+miss locks: each `OrderedDict` call of a hit is atomic, and an entry
+evicted between its lookup and its move is still a correct answer.
 """
 from __future__ import annotations
 
@@ -350,11 +351,13 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
         if 0.0 in values:  # equal to -0.0 as well: key on the bits
             values = tuple(map(float.hex, values))
         key = id(diff), values
-        with _lock:
-            hit = _systems.get(key)
-            if hit is not None:
+        hit = _systems.get(key)
+        if hit is not None:
+            try:
                 _systems.move_to_end(key)
-                return hit[1]
+            except KeyError:  # evicted since, by a miss on another thread
+                pass
+            return hit[1]
     system = _linearize(diff, env)
     if key is not None:
         with _lock:

@@ -104,7 +104,7 @@ def _rk4_map(m: np.ndarray, h: float) -> np.ndarray:
     return eye + hm @ r
 
 
-def _rk4_step(parts: tuple, x0: np.ndarray) -> np.ndarray:
+def _rk4_step(parts: tuple, x0: list) -> np.ndarray:
     """The RK4 state E x0 + c from the propagator's blocks (E, c); called
     once per RK4 state, looked up by name, so that a tracer can count them."""
     e, c = parts
@@ -141,16 +141,18 @@ class Solution:
 
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
                  duration: float | None = None, *, checked: bool = False):
-        """`checked` says the caller read x0, one finite value per system
-        variable, from an environment (whose values are finite), so it is
-        not checked again."""
+        """`checked` says the caller read x0, a list of one finite float per
+        system variable, from an environment (whose values are finite), so
+        it is kept as it is; an unchecked x0 is checked, then held so too."""
         self.system = system
-        self.x0 = np.asarray(x0, dtype=float)
         if not checked:
-            if self.x0.shape != (system.dim,):
-                raise ValueError(f"x0 has shape {self.x0.shape}, system is {system.dim}-dimensional")
-            if not all(map(math.isfinite, self.x0.tolist())):
+            x0 = np.asarray(x0, dtype=float)
+            if x0.shape != (system.dim,):
+                raise ValueError(f"x0 has shape {x0.shape}, system is {system.dim}-dimensional")
+            x0 = x0.tolist()
+            if not all(map(math.isfinite, x0)):
                 raise ValueError("x0 entries must be finite")
+        self.x0 = x0
         self.mode = mode
         if isinstance(mode, RK4):
             self.step = mode.step if mode.step is not None else default_rk4_step(duration)
@@ -166,11 +168,11 @@ class Solution:
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"time must be finite and non-negative, got {t}")
         if t == 0.0:
-            return self.x0.copy()
+            return np.array(self.x0, dtype=float)
         sys = self.system
         # overflow surfaces as a non-finite state, reported below
         if sys.closed_form:
-            x = np.array([a + b * t for a, b in zip(self.x0.tolist(), sys.b.tolist())])
+            x = np.array([a + b * t for a, b in zip(self.x0, sys.b.tolist())])
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.step is None:

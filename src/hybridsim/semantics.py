@@ -21,9 +21,11 @@ reduction semantics", BRICS RS-04-26, 2004): a Config keeps its evaluation
 context as an explicit stack of the `rest` programs pending after the
 statement in focus, so a step pushes and pops there instead of descending
 the `Seq` spine by recursion and rebuilding it.  The rules, and so every
-step, stay those of the small-step semantics.  Neither semantics recurses
-along a `Seq` spine, so a program's length is bounded by memory, not by the
-recursion limit.
+step, stay those of the small-step semantics.  `_big` is the same loop
+run to its end without building configurations (M. S. Ager et al., "A
+functional correspondence between evaluators and abstract machines", PPDP
+2003).  Neither semantics recurses, so a program's length and nesting depth
+are bounded by memory, not by the recursion limit.
 
 Durations are evaluated once, at statement entry.  A negative duration is an
 error.  Assignments consume no time.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
@@ -168,8 +171,7 @@ def _config(focus, stack, env: Env, residual: float) -> Config:
     return cfg
 
 
-@dataclass(frozen=True)
-class TSkip:
+class TSkip(NamedTuple):
     env: Env
     residual: float
 
@@ -234,46 +236,43 @@ def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
 # Big-step semantics
 
 
-def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits,
-         counter: list):
+def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits):
     """Run `p` to the machine's terminals: TSkip carries the REMAINING
     residual time, computed by the same subtractions the machine performs.
     A run stopped by the iteration budget ends in the Config where it
-    tripped.  A `Seq` spine is walked over a local stack of pending rests,
-    cons cells as in a Config; only `if` branches and `while` bodies
-    recurse, to `MAX_NESTING` deep."""
+    tripped.  One loop over a local stack of pending programs, cons cells
+    as in a Config, refocused as `_step` is: a `Seq` pushes its rest, `if`
+    focuses its branch, and (wh-true) pushes the `while` and focuses its
+    body, so nothing recurses however deep the program nests."""
     pending = None
+    iterations = 0
     while True:
-        while isinstance(p, Seq):
+        while type(p) is Seq:
             pending = (p.rest, pending)
             p = p.first
-        if isinstance(p, Atom):
+        if type(p) is Atom:
             r = _atom(p.atomic, env, t, mode)[0]
-        elif isinstance(p, If):
+            if type(r) is not TSkip:
+                return r  # (seq-stop) / (seq-err)
+            env, t = r
+        else:
             try:
                 g = eval_bool(env, p.cond)
             except HybridError as ex:
-                return Err(ex.info)  # (if-err)
-            r = _big(p.then if g else p.orelse, env, t, mode, limits, counter)
-        else:  # While: iterate (wh-true) unfoldings without growing the call stack
-            while True:
-                try:
-                    g = eval_bool(env, p.cond)
-                except HybridError as ex:
-                    return Err(ex.info)  # (wh-err)
-                if not g:
-                    r = TSkip(env, t)  # (wh-false)
-                    break
-                counter[0] += 1
-                if counter[0] > limits.max_iterations:
+                return Err(ex.info)  # (if-err) / (wh-err)
+            if type(p) is If:
+                p = p.then if g else p.orelse
+                continue
+            if g:  # (wh-true)
+                iterations += 1
+                if iterations > limits.max_iterations:
                     return Config(p, env, t)
-                r = _big(p.body, env, t, mode, limits, counter)
-                if not isinstance(r, TSkip):
-                    return r
-                env, t = r.env, r.residual
-        if pending is None or not isinstance(r, TSkip):
-            return r  # (seq-stop) / (seq-err) / bound, or the last statement
-        (p, pending), env, t = pending, r.env, r.residual  # (seq-skip)
+                pending = (p, pending)
+                p = p.body
+                continue
+        if pending is None:  # the last statement skipped
+            return TSkip(env, t)
+        p, pending = pending  # (seq-skip)
 
 
 def _outcome(r, t0: float) -> Outcome:
@@ -306,7 +305,7 @@ def big_step(p: Program, env: Env, t: float, mode: SolverMode,
     negative or not finite, or a non-finite value in `env`, is refused up
     front with ValueError."""
     _check_start(env, t)
-    return _outcome(_big(p, dict(env), t, mode, limits, [0]), t)
+    return _outcome(_big(p, dict(env), t, mode, limits), t)
 
 
 # ---------------------------------------------------------------------------

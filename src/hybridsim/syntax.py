@@ -86,9 +86,9 @@ NAMED_FUNCS = tuple(name for name in FUNCTIONS if name.isidentifier())
 KEYWORDS = ("if", "then", "else", "while", "do", "for", "tt", "ff")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
 RESERVED = set(KEYWORDS) | set(NAMED_FUNCS) | set(CONSTANTS)
-# deepest nesting the parser accepts; it keeps the recursive-descent parser,
-# and the semantics' recursion into nested if/while bodies, well inside
-# Python's recursion limit
+# deepest nesting the parser accepts; it keeps the recursive-descent parser
+# well inside Python's recursion limit (the semantics and the evaluator
+# loop over explicit stacks and need no limit)
 MAX_NESTING = 100
 
 

@@ -122,6 +122,22 @@ def test_check_reports_a_name_the_body_sets_only_after_the_statement(tmp_path, c
     assert capsys.readouterr().out == message
 
 
+def test_check_runs_the_leading_assignments_before_it_linearizes(tmp_path, capsys):
+    """They take no time, so every run performs them: `check` fails where
+    `run` does, on the value `a` reaches or on a failing assignment."""
+    f = tmp_path / "leading.lince"
+    for text, at in (("a := 1 ; x := 1 ; a := a - 1 ; x' = x / a for 1",
+                      "the division 'x / a' is zero at 1:37"),
+                     ("x := 0 ; y := 1 / x ; x' = 1 for 1",
+                      "the division '1 / x' is zero at 1:15")):
+        f.write_text(text, encoding="utf-8")
+        message = f"Error: the divisor of {at}\n"
+        assert cli_main(["check", str(f)]) == 1
+        assert capsys.readouterr().out == message
+        assert cli_main(["run", str(f), "--time", "1"]) == 1
+        assert capsys.readouterr().out == message
+
+
 def test_check_reports_a_variable_nothing_declares_or_sets(tmp_path, capsys):
     f = tmp_path / "unset.lince"
     f.write_text("x := 0 ; a := x + 1 ; x' = b for 1", encoding="utf-8")

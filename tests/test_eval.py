@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hybridsim.errors import ErrorKind, HybridError, fail
 from hybridsim.semantics import eval_bool, eval_expr
-from hybridsim.syntax import (FUNCTIONS, And, Apply, BFalse, BTrue, Const, Leq,
+from hybridsim.syntax import (FUNCTIONS, And, Apply, BFalse, BTrue, Cmp, Const, Leq,
                               Not, Or, ParseError, Var, parse_boolean,
                               parse_expression, parse_program, pretty)
 
@@ -177,6 +177,18 @@ DECIDED = [Or(BTrue(), Leq(Apply("/", (Const(1.0), Var("x"))), Const(0.0))),
 @example(Apply("sqrt", (Const(4.0), Const(1.0))), {})
 @example(Apply("nope", (Const(1.0),)), {})
 @example(Apply("-", (Var("x"),)), {"x": -0.0})
+# an infinite intermediate that a later operation would make finite
+@example(Apply("/", (Const(1.0), Apply("*", (Const(1e200), Const(1e200))))), {})
+# results of -0.0
+@example(Apply("*", (Const(0.0), Const(-1.0))), {})
+@example(Apply("+", (Var("x"), Const(-0.0))), {"x": -0.0})
+@example(Apply("sin", (Var("x"),)), {"x": -0.0})
+@example(Apply("min", (Const(0.0), Var("x"))), {"x": -0.0})
+# arity errors, raised once the arguments are evaluated
+@example(Apply("+", (Const(1.0),)), {})
+@example(Apply("min", (Const(1.0), Const(2.0), Const(3.0))), {})
+@example(Apply("-", ()), {})
+@example(Apply("nope", (Var("unset"), Const(1.0))), {})
 def test_compiled_expressions_match_the_tree_walker(e, env):
     agree(walk_expr, eval_expr, env, e)
     located = _parsed(e, parse_expression)
@@ -224,9 +236,35 @@ def test_a_surface_comparison_is_refused_when_reached():
     # the left operand fails first, as the walker found
     b = And(Leq(Var("unset"), Const(0.0)), cmp_)
     assert agree(walk_bool, eval_bool, {}, b)[1] == ErrorKind.UNINITIALIZED_VARIABLE
+    # refused unevaluated: its failing operand is never reached
+    unevaluated = Cmp("<", Var("unset"), Apply("/", (Const(1.0), Const(0.0))))
     for evaluate in (walk_bool, eval_bool):
-        with pytest.raises(TypeError, match="pass this Cmp through desugar_bool"):
-            evaluate({"x": 0.0}, cmp_)
+        for b in (cmp_, Not(unevaluated), Or(BTrue(), unevaluated)):
+            with pytest.raises(TypeError, match="pass this Cmp through desugar_bool"):
+                evaluate({"x": 0.0}, b)
+
+
+def test_an_infinite_intermediate_is_blamed_where_it_arises():
+    e = parse_expression("1 / (1e200 * 1e200)")
+    said = agree(walk_expr, eval_expr, {}, e)
+    assert said[1] == ErrorKind.DOMAIN_ERROR and said[3] == "1e200 * 1e200"
+
+
+def test_trees_of_one_shape_share_a_function_but_not_its_slots():
+    """Names, constants, named functions and blamed nodes are slots: the
+    two trees of each pair run one function, each over its own slots."""
+    env = {"x": 1.0, "y": 2.0, "z": 3.0}
+    for parse, walk, evaluate, texts in (
+            (parse_expression, walk_expr, eval_expr, ("x / 2 + sin(y)", "z / 0 + cos(x)")),
+            (parse_boolean, walk_bool, eval_bool, ("x <= 1 && !(y <= 2)",
+                                                   "z <= 0 && !(unset <= 5)"))):
+        first, second = (parse(text) for text in texts)
+        for _ in range(2):  # compiled, then run from the stored code
+            said = [agree(walk, evaluate, env, node) for node in (first, second)]
+        assert first._code[0] is second._code[0]
+        assert first._code[1] != second._code[1]
+        assert said[0][0] != "err" and said[1][0] == "err"
+        assert said[1][3] in ("z / 0", "unset")
 
 
 def test_compiled_code_stays_out_of_pickles_and_copies():

@@ -1,13 +1,14 @@
 #!/bin/sh
 # The export grid: every corpus program under both solvers in all three
 # formats, 54 runs.  Each run's files, its messages and its exit code land
-# under OUT/<solver>-<format>/.
+# under OUT/<solver>-<format>/; each program's `hybridsim check` messages
+# and exit code land under OUT/check/.
 #
 #     tools/export_grid.sh OUT [ROOT]
 #
 # ROOT is the checkout to run; it defaults to the one holding this script.
 # Run it on two checkouts, then `diff -r` the two OUTs: empty output means
-# every export, message and exit code is byte-identical.
+# every export, message and exit code, `check`'s included, is byte-identical.
 set -eu
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
     echo "usage: $0 OUT [ROOT]" >&2
@@ -15,6 +16,11 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
 fi
 ROOT=$(cd "${2:-$(dirname "$0")/..}" && pwd)
 for p in eq1 eq2 ex21 zeno aeb aebom rlcs-under rlcs-over pursuit; do
+    mkdir -p "$1/check"
+    code=0
+    PYTHONPATH="$ROOT/src" python3 -m hybridsim check \
+        "$ROOT/src/hybridsim/corpus/$p.lince" > "$1/check/$p.stdout" 2>&1 || code=$?
+    echo "exit=$code" >> "$1/check/$p.stdout"
     for s in exact rk4; do
         for f in csv json plot; do
             d=$1/$s-$f
