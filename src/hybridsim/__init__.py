@@ -7,7 +7,7 @@ from .syntax import (parse, parse_program, parse_expression, parse_boolean,
                      desugar, pretty, pretty_unit, ordered_vars, ParseError,
                      ArityError)
 from .errors import ErrorInfo, ErrorKind, HybridError
-from .linearize import AffineSystem, fold_constants, to_affine
+from .linearize import AffineSystem, to_affine
 from .odesolve import (Exact, RK4, Solution, NumericalOverflow, solve_exact,
                        solve_rk4)
 from .semantics import (Limits, Skip, Stop, Err, BoundReached, BoundKind,

@@ -2,30 +2,38 @@
 
 Inside a differential statement the bound variables evolve; every other
 variable is a constant for the statement's duration, frozen at its value on
-entry.  `fold_constants` collapses the frozen parts of a right-hand side to
-numeric constants, after which `to_affine` decomposes each right-hand side
-as sum(c_j * x_j) + c_0 over the bound variables, yielding x' = A x + b.
+entry.  `to_affine` writes each right-hand side as sum(c_j * x_j) + c_0
+over the bound variables, yielding x' = A x + b.
 
-Accepted shapes after folding: +, binary/unary -, scalar * expression (the
-scalar on either side; it is commuted to the left), and division by a
-non-zero constant.  Anything else over a bound variable is rejected as
+The shapes it accepts over a bound variable: +, binary and unary -, a
+frozen scalar times an expression (on either side), and division by a
+frozen non-zero divisor.  Any other node over a bound variable is
 non-linear.
 
 Which subtrees of a right-hand side are frozen is fixed by the statement;
 only their values change from one entry to the next (the static/dynamic
 split of partial evaluation: N. D. Jones, C. K. Gomard and P. Sestoft,
 "Partial Evaluation and Automatic Program Generation", 1993).  So at its
-first linearization a statement's right-hand sides are compiled, by one
-`fold` each, into flat postfix programs kept on the statement under
-`_code`, as `_eval` keeps an expression's: bound variables, frozen operands
-(a literal's value, or a maximal frozen subtree for `eval_expr`) and the
-affine combinators.  A linearization then runs each program in one loop,
-doing `_affine_parts`' IEEE operations on the folded tree in the same
-order, so A and b come out bit for bit, -0.0 included, and builds one
-augmented matrix M, with A and b read-only views of it.  Any failure (a
-rejected node, an evaluation error, a zero divisor, a non-finite
-coefficient) is a cold path: the tree path, `fold_constants` then
-`_decompose`, runs again and raises the error it always has.
+first linearization each right-hand side is compiled, by one `fold`, and
+kept on the statement under `_code`, as `_eval` keeps an expression's:
+- its frozen operands, the maximal frozen subtrees in the order their
+  evaluation runs (children first, left to right): a literal's value, or
+  the subtree for `eval_expr`;
+- a flat postfix program over the bound variables, the frozen operands
+  (taken by index) and the affine combinators;
+- its checks, in pre-order: a node of no accepted shape, which always
+  fails, and a `/` over a bound variable, which fails when its divisor
+  is zero.
+
+A linearization evaluates every frozen operand, raising the first
+evaluation error; then raises NON_LINEAR_ODE or DIVISION_BY_ZERO at the
+first failing check, so the outermost, leftmost culprit is the one blamed;
+then runs the program in one loop.  The right-hand sides go in binding
+order, and a non-finite coefficient among them all is a DOMAIN_ERROR on
+the statement.  The program does the IEEE operations of distributing
+scalars over the sum, in one fixed order, so A and b come out bit for bit
+from run to run, -0.0 included, in one augmented matrix M, with A and b
+read-only views of it.
 
 `to_affine` memoises its successful results.  The key is the statement's
 identity together with its frozen variables' values, compared as floats,
@@ -51,23 +59,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._eval import Env, apply_fn, eval_expr
-from .errors import ErrorKind, HybridError, fail
-from .syntax import Apply, Const, Diff, Expr, Var, fold, nodes
+from ._eval import Env, eval_expr
+from .errors import ErrorKind, fail
+from .syntax import Const, Diff, Expr, Var, fold, nodes
 
-__all__ = ["AffineSystem", "fold_constants", "to_affine", "AFFINE_CACHE_SIZE"]
+__all__ = ["AffineSystem", "to_affine", "AFFINE_CACHE_SIZE"]
 
 # The largest per-operation working set measured on the benchmark workloads
 # is 11 distinct (statement, frozen values) pairs (a selftest program), and
 # a whole point-query round over the corpus touches 30.
 AFFINE_CACHE_SIZE = 64
-
-
-def _read_only(a) -> np.ndarray:
-    """A read-only float copy of `a`, safe to share."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,90 +106,6 @@ def _hold(system: AffineSystem, M: np.ndarray, closed_form: bool):
                            closed_form=closed_form)
 
 
-def fold_constants(e: Expr, env: Env, frozen: set) -> Expr:
-    """Replace each maximal subexpression with no un-frozen variable by the
-    constant it evaluates to.  Scalars end up on the left of '*'.
-
-    One bottom-up fold: a frozen node becomes a `Const` as soon as its
-    children are, so evaluation runs in the order (and fails at the node)
-    `eval_expr` would on each maximal frozen subexpression."""
-    frozen = set(frozen)
-
-    def combine(node: Expr, kids: list) -> Expr:
-        t = type(node)
-        if t is Const:
-            return node
-        if t is Var:
-            if node.name in frozen:
-                return Const(eval_expr(env, node), loc=node.loc)
-            return node
-        if all(type(k) is Const for k in kids):
-            value = apply_fn(env, node, [k.value for k in kids])
-            return Const(value, loc=node.loc)
-        if (node.fn == "*" and len(kids) == 2
-                and type(kids[1]) is Const and type(kids[0]) is not Const):
-            kids = kids[::-1]
-        return Apply(node.fn, tuple(kids), loc=node.loc)
-
-    return fold(e, combine)
-
-
-# operator -> arities an affine form accepts
-_AFFINE = {"+": (2,), "-": (1, 2), "*": (2,), "/": (2,)}
-
-
-def _rejection(node: Expr):
-    """The ErrorKind that keeps `node` out of an affine form, or None."""
-    if type(node) is not Apply:
-        return None
-    fn, args = node.fn, node.args
-    if (len(args) not in _AFFINE.get(fn, ())
-            or fn == "*" and Const not in (type(args[0]), type(args[1]))
-            or fn == "/" and type(args[1]) is not Const):
-        return ErrorKind.NON_LINEAR_ODE
-    if fn == "/" and args[1].value == 0.0:
-        return ErrorKind.DIVISION_BY_ZERO
-    return None
-
-
-def _affine_parts(node: Expr, kids: list) -> tuple:
-    """(coefficient per variable, constant term) of an accepted node."""
-    t = type(node)
-    if t is Const:
-        return {}, node.value
-    if t is Var:
-        return {node.name: 1.0}, 0.0
-    if len(kids) == 1:  # unary minus
-        c1, k1 = kids[0]
-        return {name: -v for name, v in c1.items()}, -k1
-    (c1, k1), (c2, k2) = kids
-    fn, args = node.fn, node.args
-    if fn in ("+", "-"):
-        sign = 1.0 if fn == "+" else -1.0  # a - b is a + (-b), bit for bit
-        for name, v in c2.items():
-            c1[name] = c1.get(name, 0.0) + sign * v
-        return c1, k1 + sign * k2
-    if fn == "*":
-        # the scalar side, the left one when both are constants
-        if type(args[0]) is Const:
-            scale, c1, k1 = args[0].value, c2, k2
-        else:
-            scale = args[1].value
-        return {name: scale * v for name, v in c1.items()}, scale * k1
-    d = args[1].value  # '/' by a non-zero constant
-    return {name: v / d for name, v in c1.items()}, k1 / d
-
-
-def _decompose(e: Expr, env: Env) -> tuple:
-    """Folded expression -> (coefficient per bound variable, constant term).
-    The first rejected node in pre-order is the one blamed."""
-    for node in nodes(e):
-        kind = _rejection(node)
-        if kind is not None:
-            raise fail(kind, node, env)
-    return fold(e, _affine_parts)
-
-
 # ---------------------------------------------------------------------------
 # Compiled right-hand sides
 
@@ -220,65 +137,73 @@ _SHAPES = {
 }
 
 
-class _NonAffine(Exception):
-    """A node over a bound variable that no affine form accepts."""
-
-
 def _compile(diff: Diff) -> tuple:
-    """(bound variables, one postfix program per right-hand side), or ()
-    when a right-hand side has a node no affine form accepts.
+    """(bound variables, (frozen operands, program, checks) per right-hand
+    side).  A check is (node, w): the node fails as non-linear when w is
+    None, else as a division by zero when the frozen operand w is zero.
 
     One `fold` per right-hand side, whose `combine` runs children first,
     left to right: a node over a bound variable appends its instructions,
     so the program comes out in postfix order, and returns None; a frozen
-    node returns its operand in a 1-tuple, for its parent to push: a
-    literal's value, or the node itself for `eval_expr`."""
+    node returns the index of its operand, which stands for its children's."""
     bound = tuple(x for x, _ in diff.pairs)
     cols = {x: bound.index(x) for x in bound}
-    code = []
+    operands, code, checks = [], [], []
 
     def combine(node: Expr, kids: list):
         t = type(node)
-        if t is Const:
-            return (node.value if type(node.value) is float else node,)
-        if t is Var:
-            if node.name not in cols:
-                return (node,)
+        if t is Var and node.name in cols:
             code.append((_VAR, cols[node.name]))
             return None
-        if None not in kids:
-            return (node,)  # a frozen subtree
+        if t is Const or t is Var or None not in kids:  # frozen
+            del operands[len(operands) - len(kids):]
+            literal = t is Const and type(node.value) is float
+            operands.append(node.value if literal else node)
+            return len(operands) - 1
         ops = _SHAPES.get((node.fn, tuple(k is None for k in kids)))
         if ops is None:
-            raise _NonAffine
-        code.extend((_LEAF, k[0]) for k in kids if k is not None)
+            checks.append((node, None))
+            return None
+        if node.fn == "/":
+            checks.append((node, kids[1]))
+        code.extend((_LEAF, k) for k in kids if k is not None)
         code.extend(ops)
         return None
 
-    programs = []
-    try:
-        for _, rhs in diff.pairs:
-            leaf = fold(rhs, combine)
-            programs.append(tuple(code) if leaf is None else ((_LEAF, leaf[0]),))
-            code.clear()
-    except _NonAffine:
-        return ()
-    return bound, tuple(programs)
+    compiled = []
+    for _, rhs in diff.pairs:
+        top = fold(rhs, combine)
+        program = tuple(code) if top is None else ((_LEAF, top),)
+        # into pre-order: a node met twice has one check, as it fails alike
+        by_node = {id(check[0]): check for check in checks}
+        ordered = [by_node.pop(id(node)) for node in nodes(rhs) if id(node) in by_node]
+        # nothing after a check that always fails is ever reached
+        cut = next((i + 1 for i, c in enumerate(ordered) if c[1] is None), None)
+        compiled.append((tuple(operands), program, tuple(ordered[:cut])))
+        operands.clear()
+        code.clear()
+        checks.clear()
+    return bound, tuple(compiled)
 
 
-def _run(program: tuple, env: Env) -> tuple:
+def _run(rhs: tuple, env: Env) -> tuple:
     """(coefficient per column, constant term) of one compiled right-hand
-    side: `_affine_parts`' operations on the folded tree, in its order.
-    Raises what evaluating a frozen operand raises, and ZeroDivisionError on
-    a zero divisor, as a Python float division would (a numpy scalar would
-    not)."""
+    side.  Raises what evaluating a frozen operand raises, then the error
+    of the first failing check."""
+    operands, program, checks = rhs
+    values = [w if type(w) is float else eval_expr(env, w) for w in operands]
+    for node, w in checks:
+        if w is None:
+            raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
+        if values[w] == 0.0:
+            raise fail(ErrorKind.DIVISION_BY_ZERO, node, env)
     stack = []
     push, pop = stack.append, stack.pop
     for op, arg in program:
         if op == _VAR:
             push(({arg: 1.0}, 0.0))
         elif op == _LEAF:
-            push(({}, arg if type(arg) is float else eval_expr(env, arg)))
+            push(({}, values[arg]))
         elif op == _NEG:
             c, k = pop()
             push(({j: -v for j, v in c.items()}, -k))
@@ -294,45 +219,9 @@ def _run(program: tuple, env: Env) -> tuple:
                 push((c1, k1))
             elif op == _MUL:
                 push(({j: k2 * v for j, v in c1.items()}, k2 * k1))
-            else:  # _DIV
-                if k2 == 0.0:
-                    raise ZeroDivisionError
+            else:  # _DIV, by a divisor its check found non-zero
                 push(({j: v / k2 for j, v in c1.items()}, k1 / k2))
     return stack[0]
-
-
-def _compiled_system(diff: Diff, env: Env) -> AffineSystem | None:
-    """The system the statement's compiled programs build, or None when it
-    is not one the tree path accepts: a rejected node, a zero divisor, an
-    evaluation error or a non-finite coefficient."""
-    code = diff._code
-    if code is None:
-        code = _compile(diff)
-        object.__setattr__(diff, "_code", code)
-    if not code:
-        return None
-    bound, programs = code
-    n = len(bound)
-    w = n + 1  # M's rows, flattened: [A_i, b_i] for each i, then zeros
-    flat = [0.0] * (w * w)
-    rate = False
-    try:
-        for i, program in enumerate(programs):
-            c, k = _run(program, env)
-            for j, v in c.items():
-                flat[i * w + j] = v
-            flat[i * w + n] = k
-            rate = rate or any(c.values())
-        if not all(map(math.isfinite, flat)):
-            return None
-    except (HybridError, ArithmeticError, RecursionError):
-        return None
-    M = np.array(flat, dtype=float)
-    M.flags.writeable = False  # and so the view of it taken next
-    system = object.__new__(AffineSystem)  # past __init__: M needs no copy
-    system.__dict__["vars"] = bound
-    _hold(system, M.reshape(w, w), not rate)
-    return system
 
 
 # (id(diff), frozen values) -> (diff, system), least recently used first
@@ -341,7 +230,7 @@ _lock = threading.Lock()
 
 
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
-    """Fold and decompose a differential statement's right-hand sides.
+    """The affine system of a differential statement's right-hand sides.
 
     Deterministic, and independent of the values the bound variables may
     have in `env` (they are never read).  Memoised: see the module notes."""
@@ -368,22 +257,27 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
 
 
 def _linearize(diff: Diff, env: Env) -> AffineSystem:
-    system = _compiled_system(diff, env)
-    return system if system is not None else _folded_system(diff, env)
-
-
-def _folded_system(diff: Diff, env: Env) -> AffineSystem:
-    """The tree path: fold each right-hand side, then decompose it."""
-    bound = tuple(x for x, _ in diff.pairs)
+    """The system the statement's compiled right-hand sides build."""
+    code = diff._code
+    if code is None:
+        code = _compile(diff)
+        object.__setattr__(diff, "_code", code)
+    bound, compiled = code
     n = len(bound)
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    for i, (_, rhs) in enumerate(diff.pairs):
-        folded = fold_constants(rhs, env, diff.frozen)
-        coeffs, const = _decompose(folded, env)
-        for name, v in coeffs.items():
-            A[i, bound.index(name)] = v
-        b[i] = const
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    w = n + 1  # M's rows, flattened: [A_i, b_i] for each i, then zeros
+    flat = [0.0] * (w * w)
+    rate = False
+    for i, rhs in enumerate(compiled):
+        c, k = _run(rhs, env)
+        for j, v in c.items():
+            flat[i * w + j] = v
+        flat[i * w + n] = k
+        rate = rate or any(c.values())
+    if not all(map(math.isfinite, flat)):
         raise fail(ErrorKind.DOMAIN_ERROR, diff, env)
-    return AffineSystem(bound, A, b)
+    M = np.array(flat, dtype=float)
+    M.flags.writeable = False  # and so the view of it taken next
+    system = object.__new__(AffineSystem)  # past __init__: M needs no copy
+    system.__dict__["vars"] = bound
+    _hold(system, M.reshape(w, w), not rate)
+    return system

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearize import AffineSystem, _read_only
+from .linearize import AffineSystem
 
 __all__ = ["Exact", "RK4", "SolverMode", "Solution", "NumericalOverflow",
            "solve_exact", "solve_rk4", "default_rk4_step", "FLOW_CACHE_SIZE"]
@@ -92,6 +92,13 @@ def solve_exact(sys: AffineSystem, x0, t: float) -> np.ndarray:
     """State at time t of x' = A x + b, x(0) = x0, via the augmented-matrix
     exponential."""
     return Solution(sys, x0, Exact()).at(t)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of `a`, safe to share through the flow cache."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _rk4_map(m: np.ndarray, h: float) -> np.ndarray:

@@ -102,6 +102,14 @@ CASES = {
         lambda: to_affine(Diff((("x", Apply("+", (Var("x"), _sin_chain(Var("a"))))),),
                                Const(1.0)), ENV).M.tolist(),
         lambda: [[1.0, _sines(0.5)], [0.0, 0.0]]),
+    "to_affine-deep-rhs-unset": (
+        lambda: to_affine(Diff((("x", Apply("+", (Var("x"), _sin_chain(Var("q"))))),),
+                               Const(1.0)), ENV),
+        lambda: ErrorKind.UNINITIALIZED_VARIABLE),
+    "to_affine-deep-rhs-non-linear": (
+        lambda: to_affine(Diff((("x", Apply("*", (Var("x"), _sin_chain(Var("x"))))),),
+                               Const(1.0)), ENV),
+        lambda: ErrorKind.NON_LINEAR_ODE),
     "big_step-if-in-then": (lambda: _run_both(_ifs(BTrue()), ENV, 0.0).env,
                             lambda: dict(ENV, x=1.0)),
     "big_step-if-in-then-error": (

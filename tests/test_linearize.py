@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsim.errors import ErrorKind, HybridError
+from hybridsim.errors import ErrorKind, HybridError, fail
 from hybridsim import corpus_path, linearize, parse, randprog, semantics
-from hybridsim.linearize import AFFINE_CACHE_SIZE, fold_constants, to_affine
+from hybridsim._eval import apply_fn
+from hybridsim.linearize import AFFINE_CACHE_SIZE, AffineSystem, to_affine
 from hybridsim.odesolve import RK4, Exact
 from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_vars,
-                              nodes, parse_expression, parse_program)
+                              fold, nodes, parse_expression, parse_program, pretty)
 from hybridsim.semantics import Limits, eval_expr
 from hybridsim.trajectory import simulate
 
@@ -25,6 +26,114 @@ from hybridsim.trajectory import simulate
 def _diff(text):
     p = desugar_program(parse_program(text))
     return p.atomic
+
+
+# -- the tree path: the oracle the compiled form is held to
+#
+# Fold each right-hand side's frozen subtrees to constants, then decompose
+# the folded tree: the first rejected node in pre-order is blamed, as the
+# node it was folded from.  Slow (a tree per linearization) but plain.
+
+
+def fold_constants(e, env, frozen, origin=None):
+    """Replace each maximal subexpression with no un-frozen variable by the
+    constant it evaluates to.  Scalars end up on the left of '*'.  When
+    `origin` is given, it maps the id of each rebuilt node to the node it
+    was rebuilt from.
+
+    One bottom-up fold: a frozen node becomes a `Const` as soon as its
+    children are, so evaluation runs in the order (and fails at the node)
+    `eval_expr` would on each maximal frozen subexpression."""
+    frozen = set(frozen)
+    origin = {} if origin is None else origin
+
+    def combine(node, kids):
+        t = type(node)
+        if t is Const:
+            return node
+        if t is Var:
+            if node.name in frozen:
+                return Const(eval_expr(env, node), loc=node.loc)
+            return node
+        if all(type(k) is Const for k in kids):
+            value = apply_fn(env, node, [k.value for k in kids])
+            return Const(value, loc=node.loc)
+        if (node.fn == "*" and len(kids) == 2
+                and type(kids[1]) is Const and type(kids[0]) is not Const):
+            kids = kids[::-1]
+        folded = Apply(node.fn, tuple(kids), loc=node.loc)
+        origin[id(folded)] = node
+        return folded
+
+    return fold(e, combine)
+
+
+# operator -> arities an affine form accepts
+_AFFINE = {"+": (2,), "-": (1, 2), "*": (2,), "/": (2,)}
+
+
+def _rejection(node):
+    """The ErrorKind that keeps a folded `node` out of an affine form, or None."""
+    if type(node) is not Apply:
+        return None
+    fn, args = node.fn, node.args
+    if (len(args) not in _AFFINE.get(fn, ())
+            or fn == "*" and Const not in (type(args[0]), type(args[1]))
+            or fn == "/" and type(args[1]) is not Const):
+        return ErrorKind.NON_LINEAR_ODE
+    if fn == "/" and args[1].value == 0.0:
+        return ErrorKind.DIVISION_BY_ZERO
+    return None
+
+
+def _affine_parts(node, kids):
+    """(coefficient per variable, constant term) of an accepted node."""
+    t = type(node)
+    if t is Const:
+        return {}, node.value
+    if t is Var:
+        return {node.name: 1.0}, 0.0
+    if len(kids) == 1:  # unary minus
+        c1, k1 = kids[0]
+        return {name: -v for name, v in c1.items()}, -k1
+    (c1, k1), (c2, k2) = kids
+    fn, args = node.fn, node.args
+    if fn in ("+", "-"):
+        sign = 1.0 if fn == "+" else -1.0  # a - b is a + (-b), bit for bit
+        for name, v in c2.items():
+            c1[name] = c1.get(name, 0.0) + sign * v
+        return c1, k1 + sign * k2
+    if fn == "*":
+        # the scalar side, the left one when both are constants
+        if type(args[0]) is Const:
+            scale, c1, k1 = args[0].value, c2, k2
+        else:
+            scale = args[1].value
+        return {name: scale * v for name, v in c1.items()}, scale * k1
+    d = args[1].value  # '/' by a non-zero constant
+    return {name: v / d for name, v in c1.items()}, k1 / d
+
+
+def _folded_system(diff, env):
+    """Fold each right-hand side, then decompose it."""
+    bound = tuple(x for x, _ in diff.pairs)
+    n = len(bound)
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    for i, (_, rhs) in enumerate(diff.pairs):
+        origin = {}
+        folded = fold_constants(rhs, env, diff.frozen, origin)
+        for node in nodes(folded):
+            kind = _rejection(node)
+            if kind is not None:
+                raise fail(kind, origin[id(node)], env)
+        coeffs, const = fold(folded, _affine_parts)
+        for name, v in coeffs.items():
+            A[i, bound.index(name)] = v
+        b[i] = const
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise fail(ErrorKind.DOMAIN_ERROR, diff, env)
+    return AffineSystem(bound, A, b)
 
 
 def test_fold_commutes_scalar_to_the_left():
@@ -79,19 +188,26 @@ def test_to_affine_nonlinear_product():
 
 
 def test_first_failure_is_blamed_in_source_order():
-    # folding: of two failing frozen parts, the leftmost, though the right
-    # one sits deeper under a live node
-    e = parse_expression("a/b + (c/d)*x")
-    with pytest.raises(HybridError) as exc:
-        fold_constants(e, {"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0}, {"a", "b", "c", "d"})
-    assert exc.value.info.src == "a/b"
-    # decomposing: the outermost non-linear node, before the ones inside it
-    for text, blamed in (("x' = (x*x)/y, y' = 1 for 1", "(x*x)/y"),
-                         ("x' = x*x + sqrt(x) for 1", "x*x")):
+    # every frozen operand is evaluated first, children first, left to
+    # right; then the outermost failing node, before the ones inside it,
+    # and of two the leftmost
+    cases = (
+        ("x' = a/b + (c/d)*x", {"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
+         ErrorKind.DIVISION_BY_ZERO, "a/b"),
+        ("x' = (c/d)*x + a/b", {"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
+         ErrorKind.DIVISION_BY_ZERO, "c/d"),
+        ("x' = x/c + x*x", {"c": 0.0}, ErrorKind.DIVISION_BY_ZERO, "x/c"),
+        ("x' = x*x + x/c", {"c": 0.0}, ErrorKind.NON_LINEAR_ODE, "x*x"),
+        ("x' = (x*x)/c", {"c": 0.0}, ErrorKind.DIVISION_BY_ZERO, "(x*x)/c"),
+        ("x' = (x*x)/c", {"c": 2.0}, ErrorKind.NON_LINEAR_ODE, "x*x"),
+        ("x' = q + x*x", {}, ErrorKind.UNINITIALIZED_VARIABLE, "q"),
+        ("x' = (x*x)/y, y' = 1", {}, ErrorKind.NON_LINEAR_ODE, "(x*x)/y"),
+        ("x' = x*x + sqrt(x)", {}, ErrorKind.NON_LINEAR_ODE, "x*x"),
+    )
+    for text, env, kind, blamed in cases:
         with pytest.raises(HybridError) as exc:
-            to_affine(_diff(text), {})
-        assert exc.value.info.kind == ErrorKind.NON_LINEAR_ODE
-        assert exc.value.info.src == blamed
+            to_affine(_diff(text + " for 1"), env)
+        assert (exc.value.info.kind, exc.value.info.src) == (kind, blamed), text
 
 
 def test_to_affine_constant_rate():
@@ -126,6 +242,17 @@ def test_to_affine_non_finite_coefficient_blames_the_statement():
     assert info.kind == ErrorKind.DOMAIN_ERROR
     assert info.src == "x' = 1e+308 * x + 1e+308 * x for 1.0"
     assert (info.line, info.col) == (0, 0)
+
+
+def test_a_node_with_no_source_is_blamed_as_built():
+    # pretty-printed as built, its frozen parts not folded to constants
+    rhs = Apply("/", (Apply("-", (Var("x"), Apply("*", (Var("a"), Var("a"))))),
+                      Const(0.0)))
+    with pytest.raises(HybridError) as exc:
+        to_affine(Diff((("x", rhs),), Const(1.0)), {"a": 3.0})
+    info = exc.value.info
+    assert info.kind == ErrorKind.DIVISION_BY_ZERO
+    assert info.src == pretty(rhs) == "(x - a * a) / 0.0"
 
 
 def test_to_affine_division_by_nonzero_constant():
@@ -324,16 +451,11 @@ def _built(build, diff, env) -> tuple:
 
 
 def _agree(diff, env) -> bool:
-    """The compiled form builds what `fold_constants` + `_decompose` build,
-    and `_linearize` raises their error; True when the system was built."""
-    want = _built(linearize._folded_system, diff, env)
+    """The compiled form builds what the tree path builds, or raises its
+    error; True when the system was built."""
+    want = _built(_folded_system, diff, env)
     assert _built(linearize._linearize, diff, env) == want
-    compiled = linearize._compiled_system(diff, env)
-    if want[0] == "err":
-        assert compiled is None
-        return False
-    assert _built(lambda d, e: compiled, diff, env) == want
-    return True
+    return want[0] != "err"
 
 
 # values a frozen variable takes in the perturbed environments (the zeros
@@ -446,10 +568,15 @@ def test_the_compiled_form_lives_on_the_statement():
     to_affine(a, {"k": 2.0})
     assert a._code
     assert pickle.loads(pickle.dumps(a))._code is None
+    # a rejected statement keeps its compiled form too, whose check fails
     rejected = _diff("x' = x*x for 1")
     with pytest.raises(HybridError):
         to_affine(rejected, {})
-    assert rejected._code == ()
+    code = rejected._code
+    assert code
+    with pytest.raises(HybridError):
+        to_affine(rejected, {})
+    assert rejected._code is code
 
 
 def test_a_long_right_hand_side_linearizes_without_deep_recursion():
