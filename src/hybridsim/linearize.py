@@ -78,7 +78,8 @@ class AffineSystem:
     Plain data: the augmented matrix M = [[A, b], [0, 0]] on which both
     solvers act, a copy of the arrays it is given, with A and b read-only
     views of it, and whether the flow has a constant rate (`closed_form`:
-    A == 0).  Compared and hashed by identity (`eq=False`), so `odesolve`
+    A == 0), whose rates b are then kept as Python floats too (`rate`, else
+    None).  Compared and hashed by identity (`eq=False`), so `odesolve`
     keys its flow maps on the system."""
 
     vars: tuple
@@ -87,6 +88,7 @@ class AffineSystem:
     M: np.ndarray = field(init=False, repr=False)
     dim: int = field(init=False, repr=False)
     closed_form: bool = field(init=False, repr=False)
+    rate: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.b)
@@ -103,7 +105,8 @@ def _hold(system: AffineSystem, M: np.ndarray, closed_form: bool):
     M.flags.writeable = False
     n = len(M) - 1
     system.__dict__.update(A=M[:n, :n], b=M[:n, n], M=M, dim=len(system.vars),
-                           closed_form=closed_form)
+                           closed_form=closed_form,
+                           rate=tuple(M[:n, n].tolist()) if closed_form else None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,14 @@ exactly the linear map R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
 so n = ceil(t/h) steps, the last cut short to tau = t - (n-1) h, are
 R(tau M) R(hM)^(n-1), whose power takes O(log n) matrix products.
 Constant-rate flows (A == 0) take the exact closed form x0 + b t in both
-modes, on which RK4 is exact too.  Overflow is checked once, on the state
-returned: a non-finite entry of the map makes the state non-finite
-(0 * inf = nan).
+modes, on which RK4 is exact too.
+
+States are computed in one place, `Solution.state`, as Python floats, as
+environments hold them: x0 + b t over the rates the system keeps as floats
+(numpy's IEEE multiply and add), or E x0 + c under one `np.errstate`, which
+also covers building any map it needs.  Overflow is checked once, on the
+floats: a non-finite entry of the map makes the state non-finite (0 * inf
+= nan).  `Solution.at` is its checking wrapper, returning an array.
 
 Flow maps are memoised in one process-wide cache, `_flow`: the blocks
 (E, c) of expm(t M) under the key (system, None, t), and those of the RK4
@@ -22,12 +27,7 @@ computation returns.  It keeps the FLOW_CACHE_SIZE most recently used
 entries.  Systems are keyed by identity and held by the cache, so an `id`
 is never reused while its entries live; they come shared from
 `linearize.to_affine`, so an entry serves every Solution of a system, on
-any thread.  A Solution holds no mutable state.  On vectors this short
-numpy's fixed costs dominate, so the finiteness checks run over Python
-floats (`tolist()`), a constant-rate state x0 + b t is computed over Python
-floats too (the same IEEE multiply and add, so bit-identical), and
-`np.errstate` is entered once per state of any other flow, around the flow
-arithmetic and the building of any map it needs.
+any thread.  A Solution holds no mutable state.
 """
 from __future__ import annotations
 
@@ -147,8 +147,8 @@ class Solution:
     __slots__ = ("system", "x0", "mode", "step")
 
     def __init__(self, system: AffineSystem, x0, mode: SolverMode,
-                 duration: float | None = None, *, checked: bool = False):
-        """`checked` says the caller read x0, a list of one finite float per
+                 duration: float | None = None, checked: bool = False):
+        """`checked` says the caller read x0, a list of one finite value per
         system variable, from an environment (whose values are finite), so
         it is kept as it is; an unchecked x0 is checked, then held so too."""
         self.system = system
@@ -171,15 +171,15 @@ class Solution:
         """A constant-rate flow (A == 0), solved as x0 + b t in both modes."""
         return self.system.closed_form
 
-    def at(self, t: float) -> np.ndarray:
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"time must be finite and non-negative, got {t}")
+    def state(self, t: float) -> list:
+        """The state at local time `t` (finite, >= 0: unchecked) as a list of
+        floats; NumericalOverflow when it is not finite."""
         if t == 0.0:
-            return np.array(self.x0, dtype=float)
+            return list(map(float, self.x0))  # an environment may hold ints
         sys = self.system
         # overflow surfaces as a non-finite state, reported below
         if sys.closed_form:
-            x = np.array([a + b * t for a, b in zip(self.x0, sys.b.tolist())])
+            x = [a + b * t for a, b in zip(self.x0, sys.rate)]
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.step is None:
@@ -187,6 +187,12 @@ class Solution:
                     x = e @ self.x0 + c
                 else:
                     x = _rk4_step(_flow(sys, self.step, t), self.x0)
-        if not all(map(math.isfinite, x.tolist())):
+            x = x.tolist()
+        if not all(map(math.isfinite, x)):
             raise NumericalOverflow(f"non-finite state at t={t}")
         return x
+
+    def at(self, t: float) -> np.ndarray:
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"time must be finite and non-negative, got {t}")
+        return np.array(self.state(t))

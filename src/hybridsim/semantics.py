@@ -33,8 +33,8 @@ error.  Assignments consume no time.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import FrozenInstanceError, dataclass
+from sys import float_info
 from typing import NamedTuple
 
 from ._eval import Env, eval_bool, eval_expr
@@ -176,6 +176,10 @@ class TSkip(NamedTuple):
     residual: float
 
 
+# _tskip(TSkip, (env, t)) is TSkip(env, t), past the Python-level __new__
+_tskip = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Atomic statements (shared by both semantics)
 
@@ -198,7 +202,7 @@ def _diff_enter(a: Diff, env: Env, mode: SolverMode) -> tuple:
                 loc = a.loc and Loc(a.loc.line, a.loc.col, 0, len(name), name)
                 blamed = Var(name, loc=loc)
                 raise fail(ErrorKind.UNINITIALIZED_VARIABLE, blamed, env) from None
-    return d, Solution(system, x0, mode, duration=d, checked=True)
+    return d, Solution(system, x0, mode, d, True)  # checked, passed by position
 
 
 def flow_env(sol: Solution, env: Env, tau: float) -> Env:
@@ -220,12 +224,14 @@ def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
             return Err(ex.info), "asg-err", None
         out = dict(env)
         out[a.var] = v
-        return TSkip(out, t), "asg", (a.var, env.get(a.var), v)  # no time consumed
+        return _tskip(TSkip, (out, t)), "asg", (a.var, env.get(a.var), v)  # no time consumed
     try:
         d, sol = _diff_enter(a, env, mode)
+        out = dict(env)  # flow_env past `at`'s array (flow_env keeps it: bench/spans.py times it)
+        out.update(zip(sol.system.vars, sol.state(t if d > t else d)))
         if d > t:
-            return Stop(flow_env(sol, env, t)), "diff-stop", (sol, t)
-        return TSkip(flow_env(sol, env, d), t - d), "diff-skip", (sol, d)
+            return Stop(out), "diff-stop", (sol, t)
+        return _tskip(TSkip, (out, t - d)), "diff-skip", (sol, d)
     except HybridError as ex:
         return Err(ex.info), "diff-err", None
     except NumericalOverflow:
@@ -271,7 +277,7 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits):
                 p = p.body
                 continue
         if pending is None:  # the last statement skipped
-            return TSkip(env, t)
+            return _tskip(TSkip, (env, t))
         p, pending = pending  # (seq-skip)
 
 
@@ -289,13 +295,15 @@ def _outcome(r, t0: float) -> Outcome:
 
 def _check_start(env: Env, t: float):
     """Refuse a run that cannot start: a time that is negative or not
-    finite, or a non-finite initial value, which no evaluation could have
-    produced."""
-    if not (math.isfinite(t) and t >= 0):
+    finite, or a non-finite initial value (an int beyond float range
+    included), which no evaluation could have produced."""
+    within = float_info.max.__ge__  # |v| within it: finite, and no int beyond it
+    if not 0.0 <= t <= float_info.max:
         raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
-    if not all(map(math.isfinite, env.values())):
-        name, v = next((k, v) for k, v in env.items() if not math.isfinite(v))
-        raise ValueError(f"initial value of {name} must be finite, got {v!r}")
+    if not all(map(within, map(abs, env.values()))):
+        name, v = next((k, v) for k, v in env.items() if not within(abs(v)))
+        shown = f"an int of {v.bit_length()} bits" if isinstance(v, int) else repr(v)
+        raise ValueError(f"initial value of {name} must be finite, got {shown}")
 
 
 def big_step(p: Program, env: Env, t: float, mode: SolverMode,
@@ -342,7 +350,7 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
             return Err(ex.info), "wh-err", None
         if g:
             return _config(p.body, (p, stack), env, t), "wh-true", None
-        r, rule, det = TSkip(env, t), "wh-false", None
+        r, rule, det = _tskip(TSkip, (env, t)), "wh-false", None
     if stack is None or not isinstance(r, TSkip):
         return r, rule, det
     rest, stack = stack  # (seq-skip)

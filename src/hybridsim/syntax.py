@@ -58,7 +58,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, attrgetter, mul, sub, truediv
+from operator import add, attrgetter, is_, mul, sub, truediv
 
 __all__ = [
     "Loc", "Expr", "Var", "Const", "Apply",
@@ -753,19 +753,22 @@ def fold(root, combine):
 
 
 def _desugar(node, kids):
-    """`node` rebuilt over its desugared children, in the core language."""
+    """`node` in the core language, over its desugared children; itself when
+    it is core and they came back unchanged, so its caches stay valid."""
     t = type(node)
     if t is Var or t is Const or t is BTrue or t is BFalse:
+        return node
+    if t is Apply and node.fn == "-" and len(kids) == 1:
+        loc, arg = node.loc, kids[0]
+        if type(arg) is Const:
+            return Const(-arg.value, loc=loc)
+        return Apply("-", (Const(0.0, loc=loc), arg), loc=loc)
+    if t is not Cmp and all(map(is_, kids, children(node))):
         return node
     if t is tuple:
         return node[0], kids[0]
     loc = node.loc
     if t is Apply:
-        if node.fn == "-" and len(kids) == 1:
-            arg = kids[0]
-            if type(arg) is Const:
-                return Const(-arg.value, loc=loc)
-            return Apply("-", (Const(0.0, loc=loc), arg), loc=loc)
         return Apply(node.fn, tuple(kids), loc=loc)
     if t is Cmp:
         lhs, rhs = kids

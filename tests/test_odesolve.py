@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybridsim import odesolve
+from hybridsim import odesolve, randprog
 from hybridsim.cli import cli_main
 from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import (FLOW_CACHE_SIZE, Exact, NumericalOverflow, RK4,
                                 Solution, default_rk4_step, solve_exact, solve_rk4)
-from hybridsim.semantics import Config, Err, Limits, big_step, outcome_bits, run_to_terminal
+from hybridsim.semantics import (Config, Err, Limits, big_step, machine, outcome_bits,
+                                 run_to_terminal)
 from hybridsim.syntax import desugar, parse
-from hybridsim.trajectory import Continuous, simulate
+from hybridsim.trajectory import Continuous, expand_variability, simulate
 from conftest import load_corpus
 
 
@@ -542,3 +543,115 @@ def test_exact_vs_rk4_on_corpus_segments():
                 assert np.max(np.abs(a - r)) <= 1e-6
                 checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# Solution's public contract, and the float state `at` wraps
+
+CLOSED = _sys([[0.0, 0.0], [0.0, 0.0]], [1.5, -2.0])
+KINDS = {  # an exact, an RK4 and a constant-rate flow
+    "exact": (OSC, Exact()),
+    "rk4": (OSC, RK4(0.01)),
+    "constant-rate-exact": (CLOSED, Exact()),
+    "constant-rate-rk4": (CLOSED, RK4()),
+}
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_at_returns_a_fresh_float_array_of_the_system_dimension(kind):
+    sys, mode = KINDS[kind]
+    sol = Solution(sys, [1.0, 0.5], mode)
+    for t in (0.0, 0.3, 2.0):
+        x = sol.at(t)
+        assert type(x) is np.ndarray and x.dtype == np.float64
+        assert x.shape == (sys.dim,) and x.flags.writeable
+        want = x.copy()
+        x[:] = 99.0  # the caller owns it: nothing the Solution keeps changes
+        assert np.array_equal(sol.at(t), want)
+        assert sol.at(t) is not sol.at(t)
+    assert sol.x0 == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_at_zero_is_x0_bit_for_bit(kind):
+    sys, mode = KINDS[kind]
+    x0 = [-0.0, 5e-324]  # a flow map would turn -0.0 + 0.0 into 0.0
+    assert _bits(Solution(sys, x0, mode).at(0.0)) == _bits(x0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t", [-1e-300, -1.0, math.inf, -math.inf, math.nan])
+def test_at_refuses_a_negative_or_non_finite_time(kind, t):
+    sys, mode = KINDS[kind]
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Solution(sys, [1.0, 0.5], mode).at(t)
+
+
+@pytest.mark.parametrize("sys, x0, mode, t", [
+    (_sys([[50.0]], [0.0]), [1.0], Exact(), 50.0),
+    (_sys([[50.0]], [0.0]), [1.0], RK4(0.5), 50.0),
+    (_sys([[0.0]], [1e308]), [1e308], Exact(), 1.0),
+    (_sys([[0.0]], [1e308]), [1e308], RK4(), 1.0),
+], ids=["exact", "rk4", "constant-rate-exact", "constant-rate-rk4"])
+def test_an_overflowing_flow_raises_without_a_runtime_warning(sys, x0, mode, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalOverflow):
+            Solution(sys, x0, mode).at(t)
+
+
+def _entered_solutions(program, env: dict, t: float, mode) -> list:
+    """(solution, local time followed) of each differential step a run of
+    the machine takes."""
+    steps = machine(Config(program, dict(env), t), mode)
+    return [det for _, _, rule, det in steps if rule in ("diff-skip", "diff-stop")]
+
+
+def _assert_state_is_at(sol, t: float):
+    """`state(t)` is `at(t).tolist()` bit for bit, or both overflow."""
+    try:
+        want = sol.at(t).tolist()
+    except NumericalOverflow:
+        with pytest.raises(NumericalOverflow):
+            sol.state(t)
+        return
+    got = sol.state(t)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])
+def test_the_float_state_is_at_bit_for_bit_on_corpus_and_random_systems(mode):
+    runs = []
+    for name in ("eq1", "eq2", "ex21", "zeno", "aeb", "aebom", "rlcs-under",
+                 "rlcs-over", "pursuit"):
+        unit = desugar(load_corpus(name))
+        runs += [(unit.body, env, 12.0) for env, _ in expand_variability(unit)]
+    for seed in range(300):
+        program, env = randprog.gen_program(seed)
+        runs += [(program, env, t) for t in randprog.gen_times(seed, 2)]
+    seen = {"closed": 0, "flow": 0}
+    for program, env, t in runs:
+        for sol, advanced in _entered_solutions(program, env, t, mode):
+            seen["closed" if sol.closed_form else "flow"] += 1
+            for tau in (0.0, advanced, advanced / 3.0, advanced * 1.5 + 0.25):
+                _assert_state_is_at(sol, tau)
+    assert seen["closed"] > 100 and seen["flow"] > 100
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("text, t", [("x' = 1 for 0", 0.5), ("x' = 1 for 1", 0.0),
+                                     ("x' = 1 for 1", 1.0)],
+                         ids=["duration-0", "residual-0", "whole-duration"])
+def test_an_int_initial_value_flows_into_a_float(text, t, mode):
+    """A Solution built from an environment keeps x0 as read, ints
+    included; the state it writes back is a float even at local time 0."""
+    program = desugar(parse(text)).body
+    for out in (big_step(program, {"x": 2}, t, mode),
+                run_to_terminal(Config(program, {"x": 2}, t), mode)):
+        assert type(out.env["x"]) is float
+        assert outcome_bits(out)  # every value has a .hex()

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from hybridsim.errors import ErrorKind, HybridError
+from hybridsim import semantics
 from hybridsim.odesolve import Exact, RK4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  Skip, Stop, TSkip,
@@ -193,6 +194,25 @@ def test_small_step_assignment_terminal():
     assert r == TSkip({"x": 2.0}, 0.0)
 
 
+def test_a_fast_built_tskip_is_a_tskip():
+    """TSkips built past the named tuple's `__new__` (an assignment, a
+    differential skip, a false loop guard, the end of a big-step run) are
+    the ones `TSkip(env, t)` builds."""
+    found = [semantics._atom(prog("x := 2").atomic, {}, 1.0, EXACT)[0],
+             semantics._atom(prog("x' = 1 for 0.5").atomic, {"x": 0.0}, 1.0, EXACT)[0],
+             small_step(Config(prog("while x <= 0 do { x := 1 }"), {"x": 1.0}, 1.0), EXACT),
+             semantics._big(prog("x := 2 ; x' = 1 for 0.5"), {}, 1.0, EXACT, Limits())]
+    for r in found:
+        twin = TSkip(r.env, r.residual)
+        assert type(r) is TSkip and r._fields == ("env", "residual")
+        assert (r.env, r.residual) == (r[0], r[1]) == tuple(twin)
+        assert r == twin and hash(r.residual) == hash(twin.residual)
+        assert repr(r) == repr(twin)
+        assert r._replace(residual=9.0) == twin._replace(residual=9.0)
+        assert type(r._replace(residual=9.0)) is TSkip
+        assert r._asdict() == twin._asdict()
+
+
 def test_small_step_diff_stop():
     r = small_step(Config(prog("x' = -1 for 1"), {"x": 1.0}, 0.3), EXACT)
     assert isinstance(r, Stop)
@@ -252,6 +272,23 @@ def test_non_finite_initial_value_is_refused_up_front(name, value):
         machine(Config(p, env, 0.5), RK4())
     with pytest.raises(ValueError, match=f"initial value of {name} must be finite"):
         run_to_terminal(Config(p, env, 0.5), EXACT)
+
+
+def test_an_int_beyond_float_range_is_refused_up_front():
+    """math.isfinite raises OverflowError on such an int; the refusal is
+    the documented ValueError, from every entry point."""
+    p = prog("x := 1 ; x' = a*x for 1")
+    env = {"a": 10**400}
+    with pytest.raises(ValueError, match="initial value of a must be finite"):
+        big_step(p, env, 0.5, EXACT)
+    with pytest.raises(ValueError, match="initial value of a must be finite"):
+        small_step(Config(p, env, 0.5), EXACT)
+    with pytest.raises(ValueError, match="initial value of a must be finite"):
+        machine(Config(p, env, 0.5), RK4())
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        big_step(p, {}, 10**400, EXACT)
+    # an int in float range still runs
+    assert isinstance(big_step(p, {"a": 2}, 0.5, EXACT), Stop)
 
 
 @pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])

@@ -331,6 +331,34 @@ def test_desugar_unit_idempotent():
     assert desugar(desugar(u)) == desugar(u)
 
 
+CORPUS = sorted(p.stem for p in corpus_path("eq1").parent.glob("*.lince"))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_desugaring_a_core_unit_again_returns_its_nodes(name):
+    """A second desugar builds nothing: the body comes back as the same
+    object, so what is cached on its nodes stays valid."""
+    u = desugar(parse(corpus_path(name).read_text(encoding="utf-8")))
+    again = desugar(u)
+    assert again.body is u.body
+    assert again.declarations is u.declarations
+
+
+def test_desugar_keeps_each_core_subtree_and_rebuilds_only_above_sugar():
+    from hybridsim.syntax import desugar_program
+    p = parse_program("x := 1 ; y' = -y, z' = 2 for 1 ; if x > 0 then z := -x else z := 1")
+    core = desugar_program(p)
+    first, rest = p.first, p.rest
+    assert core.first is first  # no sugar in `x := 1`
+    diff, cdiff = rest.first.atomic, core.rest.first.atomic
+    assert cdiff is not diff  # unary minus under the first pair
+    assert cdiff.pairs[1] is diff.pairs[1] and cdiff.duration is diff.duration
+    branch = rest.rest
+    assert core.rest.rest.orelse is branch.orelse
+    assert core.rest.rest.then is not branch.then  # unary minus again
+    assert core.rest.rest.cond is not branch.cond  # a surface comparison
+
+
 def test_ordered_vars_first_occurrence():
     u = parse("b := 1 ; a := b ; a' = c, c' = a for 1")
     assert ordered_vars(u) == ["b", "a", "c"]

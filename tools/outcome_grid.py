@@ -1,6 +1,8 @@
 """The outcome grid: the `repr` of `big_step` and of `run_to_terminal` on
 random programs, seeds 0..999, at 3 instants each, under both solvers:
-12 000 lines, one per run.
+12 000 lines, one per run.  Then the same on every corpus trajectory (one
+per initial environment) at 6 fixed instants: 408 lines, which cover the
+larger flows (up to 12 variables) the random programs do not build.
 
     python3 tools/outcome_grid.py OUT [ROOT]
 
@@ -14,6 +16,9 @@ import sys
 
 SEEDS = range(1000)
 INSTANTS = 3
+CORPUS = ("eq1", "eq2", "ex21", "zeno", "aeb", "aebom", "rlcs-under", "rlcs-over",
+          "pursuit")
+CORPUS_INSTANTS = (0.0, 0.37, 1.6, 3.05, 7.7, 13.3)
 
 
 def main(argv) -> int:
@@ -22,9 +27,10 @@ def main(argv) -> int:
         return 2
     root = argv[1] if len(argv) == 2 else os.path.join(os.path.dirname(__file__), "..")
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
-    from hybridsim import randprog
+    from hybridsim import corpus_path, desugar, parse, randprog
     from hybridsim.odesolve import RK4, Exact
     from hybridsim.semantics import Config, big_step, run_to_terminal
+    from hybridsim.trajectory import expand_variability
 
     with open(argv[0], "w", encoding="utf-8") as out:
         for seed in SEEDS:
@@ -35,6 +41,15 @@ def main(argv) -> int:
                     small = run_to_terminal(Config(program, dict(env), t), mode)
                     out.write(f"{seed} {t!r} {mode!r} big {big!r}\n")
                     out.write(f"{seed} {t!r} {mode!r} small {small!r}\n")
+        for name in CORPUS:
+            unit = desugar(parse(corpus_path(name).read_text(encoding="utf-8")))
+            for env, label in expand_variability(unit):
+                for t in CORPUS_INSTANTS:
+                    for mode in (Exact(), RK4()):
+                        big = big_step(unit.body, env, t, mode)
+                        small = run_to_terminal(Config(unit.body, dict(env), t), mode)
+                        out.write(f"{name} {label!r} {t!r} {mode!r} big {big!r}\n")
+                        out.write(f"{name} {label!r} {t!r} {mode!r} small {small!r}\n")
     return 0
 
 
