@@ -9,19 +9,20 @@ plot script targets gnuplot: one output block per axis group, every
 trajectory overlaid, and dedicated start/end markers.
 
 The writers work by record shape: consecutive samples with one key tuple
-are written, at most `_CHUNK` at a time, by one `%` call over a row template.
-JSON text is byte-identical to `json.dumps(doc, indent=2)`, whose pure-Python
-indenting encoder took as long as simulating; `_dumps` writes every value
-that is not a finite float.
+are written, at most `_CHUNK` at a time, by one `%` call over a row template
+that holds the text of the chunk's constant columns, so only the cells that
+vary are formatted.  JSON text is byte-identical to `json.dumps(doc,
+indent=2)`, whose pure-Python indenting encoder took as long as simulating;
+`_dumps` writes every value that is not a finite float.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _jstr
 from math import isfinite
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .errors import ErrorInfo
 from .odesolve import Exact, RK4, SolverMode
@@ -136,21 +137,38 @@ def make_plot_spec(axes, graph_type: str, variables: list,
 # ---------------------------------------------------------------------------
 # Samples by record shape
 
-# the most samples one `%` call formats, so a long run costs bounded memory
-_CHUNK = 1024
+# the most samples one `%` call formats, so a long run costs bounded memory;
+# short enough that most chunks hold some columns at one value
+_CHUNK = 128
 
 
 def _runs(samples: list):
-    """Yield (keys, times, envs) for each run of consecutive samples whose
-    environments share one key tuple, at most _CHUNK samples at a time."""
+    """Yield (keys, times, envs, const) for each run of consecutive samples
+    whose environments share one key tuple, at most _CHUNK samples at a time.
+    `const` maps each key that holds the same object in every env of the
+    chunk to that object: `is`, since `-0.0 == 0.0` and `1 == 1.0 == True`
+    are written differently."""
     for keys, run in groupby(samples, lambda s: tuple(s[1])):
         while chunk := list(islice(run, _CHUNK)):
-            yield keys, *zip(*chunk)
+            times, envs = zip(*chunk)
+            first = envs[0]
+            yield keys, times, envs, {
+                k: first[k] for k in keys
+                if all(map(is_, map(itemgetter(k), envs), repeat(first[k])))}
+
+
+def _cell(name: str, const: dict, slot: str, text) -> str:
+    """A row template's cell for a column: the text of its constant, each `%`
+    doubled, or `slot` when its values vary."""
+    return text(const[name]).replace("%", "%%") if name in const else slot
 
 
 def _flat(cols: list, envs, names) -> tuple:
     """Row by row: the values of `cols`, then each env's values at `names`."""
     return tuple(chain.from_iterable(zip(*cols, *[map(itemgetter(n), envs) for n in names])))
+
+
+_g17 = "%.17g".__mod__  # a number's CSV and plot text
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +179,13 @@ def export_csv(trajs: list, variables: list) -> bytes:
     """Header `label,time,<vars...>`; one row per sample, ordered by label
     then time; absent variables leave the cell empty."""
     parts = ["label,time," + ",".join(variables)]
-    rows = {}  # (label, keys) -> the row of a sample
     for traj in sorted(trajs, key=lambda tr: tr.label):
-        for keys, times, envs in _runs(traj.samples):
-            if (traj.label, keys) not in rows:
-                rows[traj.label, keys] = "\n" + traj.label.replace("%", "%%") + ",%.17g" + "".join(
-                    [",%.17g" if n in keys else "," for n in variables])
-            present = [n for n in variables if n in keys]
-            parts.append(rows[traj.label, keys] * len(times) % _flat([times], envs, present))
+        label = "\n" + traj.label.replace("%", "%%") + ",%.17g"
+        for keys, times, envs, const in _runs(traj.samples):
+            row = label + "".join(["," + _cell(n, const, "%.17g", _g17) if n in keys else ","
+                                   for n in variables])
+            varying = [n for n in variables if n in keys and n not in const]
+            parts.append(row * len(times) % _flat([times], envs, varying))
     parts.append("\n")
     return "".join(parts).encode("utf-8")
 
@@ -238,16 +255,17 @@ def _segments_json(segs: list, shapes: dict, out: list):
     out += ["[", _fill(",".join(parts), tuple(vals)), "\n      ]"] if parts else ["[]"]
 
 
-def _samples_json(samples: list, rows: dict, out: list):
+def _samples_json(samples: list, out: list):
     """Append a trajectory's `samples` list to `out`, each chunk of one key
     tuple filled by one `%` call."""
     first = len(out) + 1
     out.append("[")
-    for keys, times, envs in _runs(samples):
-        if keys not in rows:
-            env = "".join(["\n            " + _jstr(k).replace("%", "%%") + ": %s," for k in keys])
-            rows[keys] = _SAMPLE % ("{" + env[:-1] + "\n          }" if keys else "{}")
-        out.append(_fill(rows[keys] * len(times), _flat([times], envs, keys)))
+    for keys, times, envs, const in _runs(samples):
+        env = "".join(["\n            " + _jstr(k).replace("%", "%%") + ": "
+                       + _cell(k, const, "%s", _dumps) + "," for k in keys])
+        row = _SAMPLE % ("{" + env[:-1] + "\n          }" if keys else "{}")
+        varying = [k for k in keys if k not in const]
+        out.append(_fill(row * len(times), _flat([times], envs, varying)))
     if len(out) > first:
         out[first] = out[first][1:]  # no comma before the first sample
         out.append("\n      ")
@@ -268,13 +286,13 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
         "trajectories": [],
     })
     out = [head[:-len("[]\n}")]]  # the head ends with the empty trajectory list
-    shapes, rows = {}, {}
+    shapes = {}
     for i, traj in enumerate(trajs):
         out.append(("," if i else "[") + _TRAJ % (
             _jstr(traj.label), _dumps(_outcome_json(traj.outcome), "\n      ")))
         _segments_json(traj.segments, shapes, out)
         out.append(',\n      "samples": ')
-        _samples_json(traj.samples, rows, out)
+        _samples_json(traj.samples, out)
         out.append("\n    }")
     out.append("\n  ]\n}\n" if trajs else "[]\n}\n")
     text = "".join(out)
@@ -321,22 +339,25 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         "set key outside",
         "set grid",
     ]
-    # each trajectory's runs of one key tuple, with their times formatted once
-    runs = [[(keys, ("%.17g\n" * len(times) % times).splitlines(), envs)
-             for keys, times, envs in _runs(traj.samples)] for traj in trajs]
+    # each trajectory's chunks of one key tuple, with their times formatted once
+    runs = [[(keys, ("%.17g\n" * len(times) % times).splitlines(), envs, const)
+             for keys, times, envs, const in _runs(traj.samples)] for traj in trajs]
     plot_cmds = []
     for gi, g in enumerate(spec.axes, start=1):
         names = g.names
         cols = ("time",) + names if g.kind == "time" else names  # plotted columns
         timed = g.kind == "time"  # a row starts with its formatted time
-        row = "%s " * timed + " ".join(["%.17g"] * len(names)) + "\n"
         series = []
         starts, ends = [], []
         for ti, traj in enumerate(trajs):
             block = f"$g{gi}_t{ti}"
-            # the rows of each run that has the group's variables, one string a run
-            rows = [(row * len(envs) % _flat([stamps] * timed, envs, names))[:-1]
-                    for keys, stamps, envs in runs[ti] if set(names).issubset(keys)]
+            rows = []  # one string a chunk that has the group's variables
+            for keys, stamps, envs, const in runs[ti]:
+                if set(names).issubset(keys):
+                    row = "%s " * timed + " ".join([_cell(n, const, "%.17g", _g17) for n in names])
+                    varying = [n for n in names if n not in const]
+                    rows.append(((row + "\n") * len(envs)
+                                 % _flat([stamps] * timed, envs, varying))[:-1])
             lines.append(f"{block} << EOD")
             lines.extend(rows)
             lines.append("EOD")

@@ -13,6 +13,7 @@ for this segment-based sampler.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -119,19 +120,19 @@ def _push_sample(samples: list, t: float, env: Env):
 
 
 def _sample_continuous(traj: Trajectory, seg: Segment, dt: float, end: Env):
-    """Sample at t_start, t_start+dt, ..., and exactly t_end, where the
+    """Sample at t_start+dt, t_start+2dt, ..., and exactly t_end, where the
     state is `end`, the one the machine advanced to.  The state at t_start
-    is the one the segment starts from, which the flow leaves unchanged."""
+    is the one the segment starts from, which the step that led to it has
+    already sampled: the run's start, an assignment or the segment before."""
     sol: Solution = seg.kind.solution
     length = seg.kind.duration
-    k = 0
+    k = 1
     while True:
         tau = k * dt
         t_abs = seg.t_start + tau
         if tau >= length or t_abs >= seg.t_end:
             break
-        _push_sample(traj.samples, t_abs,
-                     flow_env(sol, seg.env_at_start, tau) if k else dict(seg.env_at_start))
+        _push_sample(traj.samples, t_abs, flow_env(sol, seg.env_at_start, tau))
         k += 1
     _push_sample(traj.samples, seg.t_end, dict(end))
 
@@ -187,8 +188,8 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
 def simulate(unit: SourceUnit, mode: SolverMode, limits: Limits, dt: float,
              cap: int = DEFAULT_VARIABILITY_CAP) -> list:
     """One Trajectory per initial-condition combination, in listing order."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # an infinite dt would time samples at 0 * inf, nan
+        raise ValueError("dt must be positive and finite")
     body = desugar(unit).body
     return [_run_one(body, env, label, mode, limits, dt)
             for env, label in expand_variability(unit, cap)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import load_core
 from hybridsim.errors import ErrorInfo, ErrorKind
-from hybridsim.export import (Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
+from hybridsim.export import (_CHUNK, Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
                               TripleAxis, UnknownVariable, _dumps, _runs,
                               emit_plot_script, export_csv, export_json,
                               make_plot_spec, parse_axes)
@@ -460,8 +460,11 @@ def _long_trajectory(n: int, names: list, label: str = "") -> Trajectory:
 def test_runs_longer_than_a_chunk_match_the_reference_writers():
     trajs = [_long_trajectory(2600, ["x", "y%", "z"], "a%b"), _long_trajectory(2500, ["x", "y%"])]
     trajs[1].samples[1300][1]["x"] = math.inf  # one chunk off the fast path
-    # a run is written at most 1024 samples at a time
-    assert [len(times) for _, times, _ in _runs(trajs[0].samples)] == [1024, 1024, 542, 10]
+    # a run of 2590 samples is written at most _CHUNK samples at a time
+    full, rest = divmod(2590, _CHUNK)
+    assert full >= 3  # several chunks long
+    assert [len(times) for _, times, _, _ in _runs(trajs[0].samples)] == (
+        [_CHUNK] * full + [rest] * (rest > 0) + [10])
     variables = ["x", "y%", "z"]
     spec = PlotSpec((Axis(("z",)), Axis(("x", "y%")), Axis(("x", "y%", "z"))), "scatter", 9e3, 10)
     limits = Limits(max_time=9e3, max_iterations=10)
@@ -469,6 +472,58 @@ def test_runs_longer_than_a_chunk_match_the_reference_writers():
     assert export_json(trajs, spec, Exact(), limits, variables) == _ref_json(
         trajs, spec, Exact(), limits, variables)
     assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
+
+
+# values whose text a template may bake in, each one object held by a column
+# through a run: -0.0 beside 0.0, and ints and a bool beside floats they equal
+_CONSTANTS = {"neg": -0.0, "zero": 0.0, "nan": math.nan, "inf%": math.inf,
+              "-inf": -math.inf, "int": 0, "bool": True, "big": 2**70}
+
+
+def _constant_trajectory(n: int, label: str) -> Trajectory:
+    """n samples whose columns hold one object each, but for `half`, which
+    holds one in the first and third chunks only; `%s`, whose equal values are
+    distinct objects; and `mixed`, which hides an equal value of another
+    text in the second chunk and the third."""
+    samples = []
+    for i in range(n):
+        env = dict(_CONSTANTS)
+        env["half"] = 0.5 if i // _CHUNK in (0, 2) else i / 7
+        env["%s"] = float("1.5")
+        env["mixed"] = {_CHUNK + 3: -0.0, 2 * _CHUNK + 1: 1}.get(i, 0.0)
+        samples.append((i / 3, env))
+    return Trajectory(label=label, samples=samples, outcome=Skip(samples[-1][1], n / 3, False))
+
+
+def test_constant_columns_match_the_reference_writers():
+    trajs = [_constant_trajectory(3 * _CHUNK + 5, "a%b"), _constant_trajectory(2 * _CHUNK, "%s %d")]
+    for i, (_, env) in enumerate(trajs[1].samples):  # a second run, with fewer columns
+        if i >= _CHUNK + 9:
+            del env["big"]
+    chunks = [const for _, _, _, const in _runs(trajs[0].samples)]
+    assert len(chunks) == 4
+    assert all(const.keys() >= _CONSTANTS.keys() for const in chunks)
+    assert [sorted(const.keys() - _CONSTANTS.keys()) for const in chunks] == [
+        ["half", "mixed"], [], ["half"], ["mixed"]]
+    variables = [*_CONSTANTS, "half", "%s", "mixed"]
+    spec = PlotSpec((Axis(("neg",)), Axis(("zero", "neg")), Axis(("nan", "inf%", "-inf")),
+                     Axis(("int", "bool", "big")), Axis(("half", "%s", "mixed")), Axis(("%s",))),
+                    "scatter", 9e3, 10)
+    limits = Limits(max_time=9e3, max_iterations=10)
+    assert export_csv(trajs, variables) == _ref_csv(trajs, variables)
+    assert export_json(trajs, spec, Exact(), limits, variables) == _ref_json(
+        trajs, spec, Exact(), limits, variables)
+    assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
+
+
+def test_json_doubles_each_percent_sign_of_a_baked_constant():
+    """No number's text holds a `%`, but a string's does, and JSON writes one."""
+    samples = [(i / 3, {"s": "5%", "x": i / 7}) for i in range(_CHUNK + 1)]
+    trajs = [Trajectory(label="", samples=samples, outcome=Stop({}))]
+    spec = PlotSpec((Axis(("x",)),), "scatter", 9e3, 10)
+    limits = Limits(max_time=9e3, max_iterations=10)
+    assert export_json(trajs, spec, Exact(), limits, ["s", "x"]) == _ref_json(
+        trajs, spec, Exact(), limits, ["s", "x"])
 
 
 @pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])

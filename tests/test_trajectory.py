@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hybridsim.odesolve import Exact, RK4
@@ -157,6 +159,30 @@ def test_single_trajectory_outcome_matches_run_to_terminal(name, mode):
             Config(unit.body, dict(traj.initial_env), limits.max_time),
             mode, limits)
         assert traj.outcome == direct, traj.label
+
+
+# off the dt grid, so most segments start between two grid instants; zeno's
+# last segments are too short to move the clock, and at an instant that
+# several steps share the latest state wins
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_continuous_segment_start_has_one_sample_of_its_start_state(name, mode):
+    for traj in simulate(load_core(name), mode, Limits(max_time=50.0), dt=0.0997):
+        for seg in traj.segments:
+            if isinstance(seg.kind, Continuous):
+                at_start = [env for t, env in traj.samples if t == seg.t_start]
+                assert len(at_start) == 1, (traj.label, seg.t_start)
+                if seg.t_end > seg.t_start:
+                    assert at_start == [seg.env_at_start], (traj.label, seg.t_start)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.5])
+def test_simulate_refuses_a_dt_that_is_not_positive_and_finite(eq1, dt):
+    limits = Limits(max_time=5.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        simulate(eq1, EXACT, limits, dt=dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        consistency_check(eq1, EXACT, limits, dt=dt, k=1)
 
 
 def test_interp_at_discrete_instant_reads_post_value():
