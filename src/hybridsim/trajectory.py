@@ -198,6 +198,8 @@ def simulate(unit: SourceUnit, mode: SolverMode, limits: Limits, dt: float,
 def interp_at(traj: Trajectory, t: float) -> Env:
     """Environment at time t as told by the segment table (the last segment
     containing t wins, so an instant with a jump reads post-assignment)."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     chosen = None
     for seg in traj.segments:
         if seg.t_start <= t <= seg.t_end:
@@ -235,6 +237,8 @@ def consistency_check(unit: SourceUnit, mode: SolverMode, limits: Limits,
     against a fresh big-step evaluation (1e-9 per variable in exact mode,
     1e-6 under RK4)."""
     from .odesolve import Exact
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     tol = 1e-9 if isinstance(mode, Exact) else 1e-6
     body = desugar(unit).body
     trajs = trajectories if trajectories is not None \

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -14,8 +15,9 @@ from hybridsim import odesolve, randprog
 from hybridsim.cli import cli_main
 from hybridsim.errors import ErrorKind
 from hybridsim.linearize import AffineSystem
-from hybridsim.odesolve import (FLOW_CACHE_SIZE, Exact, NumericalOverflow, RK4,
-                                Solution, default_rk4_step, solve_exact, solve_rk4)
+from hybridsim.odesolve import (FLOW_CACHE_SIZE, STATE_CACHE_SIZE, Exact,
+                                NumericalOverflow, RK4, Solution, default_rk4_step,
+                                solve_exact, solve_rk4)
 from hybridsim.semantics import (Config, Err, Limits, big_step, machine, outcome_bits,
                                  run_to_terminal)
 from hybridsim.syntax import desugar, parse
@@ -239,9 +241,11 @@ def test_expm_is_memoised_per_system_and_tau(monkeypatch):
 def test_flow_maps_are_read_only_and_bounded(monkeypatch):
     calls = _counting_expm(monkeypatch)
     sys = _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0])
+    fresh = itertools.count(1)
 
     def at(k):
-        Solution(sys, [1.0, 1.0], Exact()).at(0.01 * k)
+        # an x0 of its own each call, so the state memo misses and `_flow` is asked
+        Solution(sys, [1.0, float(next(fresh))], Exact()).at(0.01 * k)
         return len(calls)
 
     assert odesolve._flow.cache_info().maxsize == FLOW_CACHE_SIZE
@@ -395,8 +399,10 @@ def test_rk4_step_map_is_shared_across_solutions(monkeypatch):
         return rk4_step(parts, x0)
     monkeypatch.setattr(odesolve, "_rk4_step", step)
     sys = _sys([[-1.0]], [0.5])
-    a = Solution(sys, [1.0], RK4(0.01)).at(0.5)
-    b = Solution(sys, [1.0], RK4(0.01)).at(0.5)
+    # x0 of their own, so the state memo misses each time; E 0.0 + c and
+    # E (-0.0) + c are both c, so a and b still agree
+    a = Solution(sys, [0.0], RK4(0.01)).at(0.5)
+    b = Solution(sys, [-0.0], RK4(0.01)).at(0.5)
     Solution(sys, [2.0], RK4(0.01), duration=1.0).at(0.5)
     assert len(seen) == 3
     assert seen[0] is seen[1] is seen[2] is odesolve._flow(sys, 0.01, 0.5)
@@ -423,18 +429,21 @@ def test_rk4_propagators_are_memoised_read_only_and_bounded():
 
 
 def test_the_flow_cache_is_safe_to_share_across_threads():
-    """Four threads ask for overlapping (system, step, t) keys, exact and
-    RK4, from an empty cache: each state has the bits of a serial run."""
+    """Four threads ask for overlapping (system, step, t, x0) keys, exact and
+    RK4, from an empty flow cache and state memo: each state has the bits of
+    a serial run."""
     systems = (OSC, DOUBLE_INT, _sys([[-1.0, 0.5], [0.0, -2.0]], [1.0, 0.0]))
-    jobs = [(sys, mode, 0.05 * k) for sys in systems
-            for mode in (Exact(), RK4(0.01), RK4(0.003)) for k in range(1, 15)]
+    jobs = [(sys, mode, 0.05 * k, x0) for sys in systems
+            for mode in (Exact(), RK4(0.01), RK4(0.003)) for k in range(1, 15)
+            for x0 in ([1.0, -0.5], [-0.0, 0.0])]
 
     def run(order):
-        return {i: Solution(jobs[i][0], [1.0, -0.5], jobs[i][1]).at(jobs[i][2]).tobytes()
+        return {i: Solution(jobs[i][0], jobs[i][3], jobs[i][1]).at(jobs[i][2]).tobytes()
                 for i in order}
 
     serial = run(range(len(jobs)))
     odesolve._flow.cache_clear()
+    odesolve._state.cache_clear()
     results = [None] * 4
     start = threading.Barrier(4)
 
@@ -451,10 +460,68 @@ def test_the_flow_cache_is_safe_to_share_across_threads():
         for th in threads:
             th.start()
         for th in threads:
-            th.join()
+            th.join(timeout=60)
+            assert not th.is_alive()
     finally:
         setswitchinterval(interval)
     assert results == [serial] * 4
+
+
+def _memo_free(sol: Solution, t: float) -> tuple:
+    """The state as `_state` computes it on a miss, past the memo."""
+    return odesolve._state.__wrapped__(sol.system, sol.step, t, tuple(sol.x0), None)
+
+
+def _hex(x) -> list:
+    return [v.hex() for v in x]  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4(0.01)], ids=["exact", "rk4"])
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_the_state_memo_keeps_the_sign_of_a_zero(mode, first):
+    sys = _sys([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, 0.0]], [0.0, 0.0, -1.0])
+    before = odesolve._state.cache_info()
+    for zero in (first, -first, first):
+        sol = Solution(sys, [zero, 1.5, zero], mode)
+        assert _hex(sol.state(0.25)) == _hex(_memo_free(sol, 0.25))
+    after = odesolve._state.cache_info()
+    assert after.misses - before.misses == 2  # 0.0 and -0.0 are two keys
+    assert after.hits - before.hits == 1
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4(0.01)], ids=["exact", "rk4"])
+def test_an_overflowing_state_is_never_memoised(mode):
+    sol = Solution(_sys([[50.0]], [0.0]), [1.0], mode)
+    size = odesolve._state.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(NumericalOverflow):
+            sol.state(50.0)
+        assert odesolve._state.cache_info().currsize == size
+
+
+def test_each_state_is_a_fresh_list():
+    sol = Solution(OSC, [1.0, -0.5], Exact())
+    first = sol.state(0.3)
+    want = list(first)
+    first[0] = 99.0
+    again = sol.state(0.3)
+    assert again == want and again is not first
+    assert odesolve._state.cache_info().maxsize == STATE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("mode", [Exact(), RK4()], ids=["exact", "rk4"])
+def test_a_query_at_the_horizon_looks_up_the_states_a_run_computed(mode):
+    """A point query replays the run from t = 0: after `simulate`, every
+    entry but at most the last, partial one (the horizon is not a multiple
+    of the loop's period) has a state the run already computed."""
+    unit = desugar(load_corpus("rlcs-under"))
+    limits = Limits(max_time=4.97)
+    traj = simulate(unit, mode, limits, 0.1)[0]
+    before = odesolve._state.cache_info()
+    big_step(unit.body, traj.initial_env, traj.segments[-1].t_end, mode, limits)
+    after = odesolve._state.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits > 100
 
 
 def test_an_rk4_state_costs_about_the_same_whatever_the_step():
@@ -474,10 +541,10 @@ def test_default_step_rule():
 
 
 def test_rk4_step_validation():
-    with pytest.raises(ValueError):
-        RK4(0.0)
-    with pytest.raises(ValueError):
-        RK4(-1e-3)
+    # an infinite step would make every flow map nan: (n - 1) h = 0 * inf
+    for step in (0.0, -1e-3, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="RK4 step must be positive and finite"):
+            RK4(step)
 
 
 def test_solution_dimension_validation():

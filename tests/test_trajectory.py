@@ -192,6 +192,19 @@ def test_interp_at_discrete_instant_reads_post_value():
     assert env["x"] == 5.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+def test_interp_at_refuses_a_time_that_is_negative_or_not_finite(eq1, t):
+    traj = simulate(eq1, EXACT, Limits(max_time=2.0), dt=0.5)[0]
+    with pytest.raises(ValueError, match="time must be finite and non-negative"):
+        interp_at(traj, t)
+
+
+def test_consistency_check_refuses_a_negative_k(eq1):
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        consistency_check(eq1, EXACT, Limits(max_time=2.0), dt=0.5, k=-3)
+    assert consistency_check(eq1, EXACT, Limits(max_time=2.0), dt=0.5, k=0).checked == 0
+
+
 def test_consistency_check_passes(eq1):
     rep = consistency_check(eq1, EXACT, Limits(max_time=2.0), dt=0.5, k=100)
     assert rep.passed and rep.checked == 100

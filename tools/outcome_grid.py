@@ -10,6 +10,11 @@ ROOT is the checkout to run; it defaults to the one holding this script.
 Run it on two checkouts, then `diff` the two OUT files: empty output means
 both semantics reach the same outcomes, bit for bit in their printed
 floats, error environments included.
+
+Each pair of lines is computed twice in the same process, the second time
+at once, with every memo warm from the first (linearizations, flow maps and
+states); the script exits 1 if the two differ, since a memo must answer
+with the bits a fresh computation gives.  OUT holds the first computation.
 """
 import os
 import sys
@@ -32,25 +37,33 @@ def main(argv) -> int:
     from hybridsim.semantics import Config, big_step, run_to_terminal
     from hybridsim.trajectory import expand_variability
 
-    with open(argv[0], "w", encoding="utf-8") as out:
+    def lines(head, program, env, t, mode) -> str:
+        big = big_step(program, env, t, mode)
+        small = run_to_terminal(Config(program, dict(env), t), mode)
+        return f"{head} big {big!r}\n{head} small {small!r}\n"
+
+    def runs():
         for seed in SEEDS:
             program, env = randprog.gen_program(seed)
             for t in randprog.gen_times(seed, INSTANTS):
                 for mode in (Exact(), RK4()):
-                    big = big_step(program, env, t, mode)
-                    small = run_to_terminal(Config(program, dict(env), t), mode)
-                    out.write(f"{seed} {t!r} {mode!r} big {big!r}\n")
-                    out.write(f"{seed} {t!r} {mode!r} small {small!r}\n")
+                    yield f"{seed} {t!r} {mode!r}", program, env, t, mode
         for name in CORPUS:
             unit = desugar(parse(corpus_path(name).read_text(encoding="utf-8")))
             for env, label in expand_variability(unit):
                 for t in CORPUS_INSTANTS:
                     for mode in (Exact(), RK4()):
-                        big = big_step(unit.body, env, t, mode)
-                        small = run_to_terminal(Config(unit.body, dict(env), t), mode)
-                        out.write(f"{name} {label!r} {t!r} {mode!r} big {big!r}\n")
-                        out.write(f"{name} {label!r} {t!r} {mode!r} small {small!r}\n")
-    return 0
+                        yield f"{name} {label!r} {t!r} {mode!r}", unit.body, env, t, mode
+
+    differ = 0
+    with open(argv[0], "w", encoding="utf-8") as out:
+        for run in runs():
+            text = lines(*run)
+            out.write(text)
+            if lines(*run) != text:
+                differ += 1
+                print(f"differs with warm memos: {run[0]}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
