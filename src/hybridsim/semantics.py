@@ -33,9 +33,13 @@ error.  Assignments consume no time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import FrozenInstanceError, dataclass
+from numbers import Rational, Real
 from sys import float_info
 from typing import NamedTuple
+
+import numpy as np
 
 from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
@@ -100,19 +104,20 @@ Outcome = Skip | Stop | Err | BoundReached
 
 
 def outcome_bits(o: Outcome) -> tuple:
-    """Everything an Outcome says, each float as its exact bits
-    (`float.hex`): equal for two outcomes only when they agree bit for bit,
-    where `==` takes -0.0 for 0.0.  An error's environment is left out, as
-    `ErrorInfo` equality leaves it out."""
+    """Everything an Outcome says, the elapsed time and each float value as
+    exact bits (`float.hex`), any other value as its `repr`: equal only when
+    two outcomes agree bit for bit, where `==` takes -0.0 for 0.0 and 1 for
+    1.0.  An error's environment is left out, as `ErrorInfo` equality does."""
     if isinstance(o, Err):
         i = o.info
         return ("err", i.kind, i.message, i.src, i.line, i.col)
-    env = tuple(sorted((k, v.hex()) for k, v in o.env.items()))
+    env = tuple(sorted((k, v.hex() if isinstance(v, float) else repr(v))
+                       for k, v in o.env.items()))
     if isinstance(o, Stop):
         return ("stop", env)
     if isinstance(o, Skip):
-        return ("skip", env, o.elapsed.hex(), o.early)
-    return ("bound", o.kind, env, o.elapsed.hex())
+        return ("skip", env, float(o.elapsed).hex(), o.early)
+    return ("bound", o.kind, env, float(o.elapsed).hex())
 
 
 class Config:
@@ -295,15 +300,20 @@ def _outcome(r, t0: float) -> Outcome:
 
 def _check_start(env: Env, t: float):
     """Refuse a run that cannot start: a time that is negative or not
-    finite, or a non-finite initial value (an int beyond float range
-    included), which no evaluation could have produced."""
-    within = float_info.max.__ge__  # |v| within it: finite, and no int beyond it
+    finite, or an initial value that is not a finite real number (a numpy
+    real or bool scalar is one; an int beyond float range is not finite)."""
     if not 0.0 <= t <= float_info.max:
         raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
-    if not all(map(within, map(abs, env.values()))):
-        name, v = next((k, v) for k, v in env.items() if not within(abs(v)))
-        shown = f"an int of {v.bit_length()} bits" if isinstance(v, int) else repr(v)
-        raise ValueError(f"initial value of {name} must be finite, got {shown}")
+    values = env.values()  # finite floats pass by C-level sweeps alone
+    if all(map(float.__instancecheck__, values)) and all(
+            map(float_info.max.__ge__, map(abs, values))):
+        return
+    for name, v in env.items():
+        if not isinstance(v, (Real, np.bool_)):
+            raise ValueError(f"initial value of {name} must be a real number, got {v!r}")
+        if not (abs(v) <= float_info.max if isinstance(v, Rational) else math.isfinite(v)):
+            shown = f"an int of {v.bit_length()} bits" if isinstance(v, int) else repr(v)
+            raise ValueError(f"initial value of {name} must be finite, got {shown}")
 
 
 def big_step(p: Program, env: Env, t: float, mode: SolverMode,

@@ -6,9 +6,9 @@ environment, recording a Continuous segment per differential statement
 (clipped at the time horizon), a Discrete segment per assignment, and a
 Terminal segment carrying the outcome the machine returns.  After
 an early completion the final values are held constant up to the horizon so
-plots span the full time range.  `consistency_check` re-derives sampled
-points from the big-step semantics, which serves as the per-instant oracle
-for this segment-based sampler.
+plots span the full time range.  `interp_at` reads the table at an instant
+by big-step's own clock, and `consistency_check` compares it against fresh
+big-step evaluations, the per-instant oracle for this segment-based sampler.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
                         Stop, big_step, flow_env, machine)
 # unused here; kept because bench/spans.py patches trajectory._step
 from .semantics import _step  # noqa: F401
-from .odesolve import Solution, SolverMode
+from .odesolve import Exact, Solution, SolverMode
 from .syntax import Assign, SourceUnit, VarList, desugar
 
 __all__ = [
@@ -196,30 +196,21 @@ def simulate(unit: SourceUnit, mode: SolverMode, limits: Limits, dt: float,
 
 
 def interp_at(traj: Trajectory, t: float) -> Env:
-    """Environment at time t as told by the segment table (the last segment
-    containing t wins, so an instant with a jump reads post-assignment)."""
+    """Environment at time t as told by the segment table, read by big-step's
+    clock: each Continuous segment in turn holds t or has its duration
+    subtracted from it, as `_atom` does.  Assignments take no time."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and non-negative, got {t}")
-    chosen = None
+    residual = t
     for seg in traj.segments:
-        if seg.t_start <= t <= seg.t_end:
-            chosen = seg
-    if chosen is None:
-        if traj.segments and t > traj.segments[-1].t_end:
-            chosen = traj.segments[-1]
-        else:
-            raise ValueError(f"time {t} precedes the trajectory")
-    kind = chosen.kind
-    if isinstance(kind, Continuous):
-        return flow_env(kind.solution, chosen.env_at_start, t - chosen.t_start)
-    if isinstance(kind, Discrete):
-        env = dict(chosen.env_at_start)
-        env[kind.var] = kind.new
-        return env
-    out = kind.outcome
-    if isinstance(out, (Skip, Stop, BoundReached)):
-        return dict(out.env)
-    return dict(chosen.env_at_start)
+        kind = seg.kind
+        if isinstance(kind, Continuous):
+            if kind.duration > residual:
+                return flow_env(kind.solution, seg.env_at_start, residual)
+            residual -= kind.duration
+        elif isinstance(kind, TerminalMark):
+            return dict(seg.env_at_start if isinstance(kind.outcome, Err) else kind.outcome.env)
+    raise ValueError("the trajectory has no terminal segment")
 
 
 @dataclass
@@ -236,7 +227,6 @@ def consistency_check(unit: SourceUnit, mode: SolverMode, limits: Limits,
     """Draw k instants per trajectory and compare the segment-table value
     against a fresh big-step evaluation (1e-9 per variable in exact mode,
     1e-6 under RK4)."""
-    from .odesolve import Exact
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     tol = 1e-9 if isinstance(mode, Exact) else 1e-6
@@ -245,14 +235,12 @@ def consistency_check(unit: SourceUnit, mode: SolverMode, limits: Limits,
         else simulate(unit, mode, limits, dt)
     rng = random.Random(seed)
     worst = 0.0
-    checked = 0
     failures = []
     for traj in trajs:
         horizon = traj.segments[-1].t_end if traj.segments else 0.0
         for _ in range(k):
             t = rng.uniform(0.0, horizon)
             expected = big_step(body, traj.initial_env, t, mode, limits)
-            checked += 1
             if isinstance(expected, (Err, BoundReached)):
                 failures.append((traj.label, t, "oracle did not produce a state"))
                 continue
@@ -266,4 +254,4 @@ def consistency_check(unit: SourceUnit, mode: SolverMode, limits: Limits,
                 worst = max(worst, dev)
                 if dev > tol:
                     failures.append((traj.label, t, f"{name}: |{have} - {want}| = {dev}"))
-    return ConsistencyReport(not failures, worst, checked, failures)
+    return ConsistencyReport(not failures, worst, k * len(trajs), failures)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from hybridsim.errors import ErrorKind, HybridError
@@ -260,7 +261,7 @@ def test_terminated_early_reports_elapsed():
     assert big == out
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf")])
 @pytest.mark.parametrize("name", ["x", "k"])  # a bound and a frozen variable
 def test_non_finite_initial_value_is_refused_up_front(name, value):
     p = prog("y := 2 ; x' = k*x for 1")
@@ -310,6 +311,40 @@ def test_outcome_bits_tell_the_sign_of_zero():
             != outcome_bits(Skip({"x": 1.0}, elapsed=0.0)))
     assert outcome_bits(Skip({"x": 1.0}, 2.0, True)) == outcome_bits(Skip({"x": 1.0}, 2.0, True))
     assert outcome_bits(Skip({"x": 1.0})) != outcome_bits(Stop({"x": 1.0}))
+
+
+def test_outcome_bits_write_ints_and_bools_apart_from_floats():
+    """A value a run never rewrote keeps the type it started with."""
+    p = prog("y := 2")
+    assert len({outcome_bits(big_step(p, {"x": x}, 0.0, EXACT)) for x in (1, 1.0, True)}) == 3
+    assert ("x", "1") in outcome_bits(big_step(p, {"x": 1}, 0.0, EXACT))[1]
+    # an instant given as an int is a time like any other
+    assert outcome_bits(big_step(p, {"x": True}, 0, EXACT)) == (
+        "skip", (("x", "True"), ("y", "0x1.0000000000000p+1")), "0x0.0p+0", False)
+    assert outcome_bits(BoundReached(BoundKind.MAX_ITERATIONS, {"x": 2}, 1)) == (
+        "bound", BoundKind.MAX_ITERATIONS, (("x", "2"),), "0x1.0000000000000p+0")
+
+
+@pytest.mark.parametrize("value", [1j, complex(2.0, 0.0), np.complex128(1.0), "1.0", None,
+                                   [1.0], np.array([1.0])])
+def test_an_initial_value_that_is_not_a_real_number_is_refused_up_front(value):
+    p = prog("x' = 1 for 1")
+    env = {"x": value}
+    with pytest.raises(ValueError, match="initial value of x must be a real number"):
+        big_step(p, env, 0.5, EXACT)
+    with pytest.raises(ValueError, match="initial value of x must be a real number"):
+        small_step(Config(p, env, 0.5), EXACT)
+    with pytest.raises(ValueError, match="initial value of x must be a real number"):
+        machine(Config(p, env, 0.5), RK4())
+
+
+@pytest.mark.parametrize("value", [2, True, 2.0, np.float64(2.0), np.float32(2.0),
+                                   np.int64(2), np.bool_(True)])
+def test_a_real_initial_value_of_any_numeric_type_still_runs(value):
+    p = prog("x' = 1 for 1")
+    out = big_step(p, {"x": value}, 0.5, EXACT)
+    assert isinstance(out, Stop) and out.env["x"] == float(value) + 0.5
+    assert outcome_bits(out) == outcome_bits(run_to_terminal(Config(p, {"x": value}, 0.5), EXACT))
 
 
 def test_outcome_bits_compare_errors_without_their_environment():

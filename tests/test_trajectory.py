@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from hybridsim.odesolve import Exact, RK4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
-                                 Skip, Stop, run_to_terminal)
+                                 Skip, Stop, big_step, outcome_bits, run_to_terminal)
 from hybridsim.syntax import parse
 from hybridsim.trajectory import (Continuous, Discrete, TerminalMark,
                                   VariabilityCapExceeded, consistency_check,
@@ -244,3 +245,40 @@ def test_consistency_check_detects_corruption(eq1):
                             trajectories=trajs)
     assert not rep.passed
     assert rep.failures
+
+
+# the segment table places segments end to end on the time axis; interp_at
+# no longer reads that placement, so it is pinned here on its own (dt only
+# thins the samples, which this does not look at)
+@pytest.mark.parametrize("max_time", [50.0, 7.3])
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_segments_tile_the_time_axis(name, mode, max_time):
+    for traj in simulate(load_core(name), mode, Limits(max_time=max_time), dt=max_time):
+        segs = traj.segments
+        assert segs[0].t_start == 0.0, traj.label
+        for before, seg in zip(segs, segs[1:]):
+            assert seg.t_start == before.t_end, (traj.label, before, seg)
+        marks = [i for i, seg in enumerate(segs) if isinstance(seg.kind, TerminalMark)]
+        assert marks == [len(segs) - 1], traj.label
+        if isinstance(traj.outcome, (Skip, Stop)):
+            assert segs[-1].t_end == max_time, traj.label
+
+
+# interp_at replays big-step's clock over the table, so it reaches each
+# segment at the local time big-step reaches and reads the same bits
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_interp_at_equals_big_step_bit_for_bit(name, mode):
+    unit = load_core(name)
+    limits = Limits(max_time=1.0)
+    rng = random.Random(name)
+    for traj in simulate(unit, mode, limits, dt=0.1):
+        instants = sorted({seg.t_start for seg in traj.segments})
+        instants += [rng.uniform(0.0, limits.max_time) for _ in range(20)]
+        for t in instants:
+            want = big_step(unit.body, traj.initial_env, t, mode, limits)
+            if isinstance(want, (Stop, Skip)):
+                got = interp_at(traj, t)
+                assert outcome_bits(Stop(got)) == outcome_bits(Stop(want.env)), \
+                    (traj.label, t)
