@@ -12,11 +12,13 @@ The writers work by record shape: consecutive samples with one key tuple
 are written, at most `_CHUNK` at a time, by one `%` call over a row template
 that holds the text of the chunk's constant columns, so only the cells that
 vary are formatted.  JSON text is byte-identical to `json.dumps(doc,
-indent=2)`, whose pure-Python indenting encoder took as long as simulating;
-`_dumps` writes every value that is not a finite float.
+indent=2)`; its pure-Python indenting encoder, which took as long as
+simulating on the whole document, writes only what the templates leave:
+the head, outcomes, terminal segments, vars, and constant or non-finite cells.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
@@ -301,29 +303,11 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
 
 
 def _dumps(o, indent: str = "\n") -> str:
-    """`json.dumps(o, indent=2)`, byte for byte, for str-keyed documents;
-    `indent` is a newline and the spaces of the depth `o` is written at."""
-    if isinstance(o, str):
-        return _jstr(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-    inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + ",".join([inner + _dumps(v, inner) for v in o]) + indent + "]"
-    if not isinstance(o, dict):
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if not o:
-        return "{}"
-    return "{" + ",".join([inner + _jstr(k) + ": " + _dumps(v, inner)
-                           for k, v in o.items()]) + indent + "}"
+    """`json.dumps(o, indent=2)` at the depth whose newline and spaces are
+    `indent`: JSON escapes each newline in a string, so none of those moves."""
+    if isinstance(o, (list, tuple, dict)):
+        return json.dumps(o, indent=2).replace("\n", indent)
+    return json.dumps(o)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ kept on the statement under `_code`, as `_eval` keeps an expression's:
   evaluation runs (children first, left to right): a literal's value, or
   the subtree for `eval_expr`;
 - a flat postfix program over the bound variables, the frozen operands
-  (taken by index) and the affine combinators;
+  (taken in order, one `_LEAF` each) and the affine combinators;
 - its checks, in pre-order: a node of no accepted shape, which always
   fails, and a `/` over a bound variable, which fails when its divisor
   is zero.
@@ -115,28 +115,25 @@ def _hold(system: AffineSystem, M: np.ndarray, closed_form: bool):
 # Instructions are pairs (opcode, operand), run over a stack of
 # (coefficient per column, constant term).
 _VAR = 0   # (_VAR, j): push ({j: 1.0}, 0.0)
-_LEAF = 1  # (_LEAF, w): push ({}, the value of the frozen operand w)
+_LEAF = 1  # (_LEAF, None): push ({}, the value of the next frozen operand)
 _NEG = 2   # (_NEG, None): negate the top
 _ADD = 3   # (_ADD, sign): pop b, pop a, push a + sign * b
-_SWAP = 4  # (_SWAP, None): swap the top two
-_MUL = 5   # (_MUL, None): pop the scalar, scale the top by it
-_DIV = 6   # (_DIV, None): pop the divisor, divide the top by it
+_MUL = 4   # (_MUL, None): pop two, scale the one with coefficients by the other
+_DIV = 5   # (_DIV, None): pop the divisor, divide the top by it
 
-# (operator, which operands are over a bound variable) -> the instructions
-# that follow the push of the frozen operand, if there is one: the shapes an
-# affine form accepts.  A frozen left operand of + or - is pushed last, so it
-# is swapped below the other; '*' scales by its scalar on either side.
+# (operator, which operands are over a bound variable) -> its instruction:
+# the shapes an affine form accepts
 _SHAPES = {
-    ("+", (True, True)): ((_ADD, 1.0),),
-    ("+", (True, False)): ((_ADD, 1.0),),
-    ("+", (False, True)): ((_SWAP, None), (_ADD, 1.0)),
-    ("-", (True, True)): ((_ADD, -1.0),),
-    ("-", (True, False)): ((_ADD, -1.0),),
-    ("-", (False, True)): ((_SWAP, None), (_ADD, -1.0)),
-    ("-", (True,)): ((_NEG, None),),
-    ("*", (True, False)): ((_MUL, None),),
-    ("*", (False, True)): ((_MUL, None),),
-    ("/", (True, False)): ((_DIV, None),),
+    ("+", (True, True)): (_ADD, 1.0),
+    ("+", (True, False)): (_ADD, 1.0),
+    ("+", (False, True)): (_ADD, 1.0),
+    ("-", (True, True)): (_ADD, -1.0),
+    ("-", (True, False)): (_ADD, -1.0),
+    ("-", (False, True)): (_ADD, -1.0),
+    ("-", (True,)): (_NEG, None),
+    ("*", (True, False)): (_MUL, None),
+    ("*", (False, True)): (_MUL, None),
+    ("/", (True, False)): (_DIV, None),
 }
 
 
@@ -146,9 +143,10 @@ def _compile(diff: Diff) -> tuple:
     None, else as a division by zero when the frozen operand w is zero.
 
     One `fold` per right-hand side, whose `combine` runs children first,
-    left to right: a node over a bound variable appends its instructions,
-    so the program comes out in postfix order, and returns None; a frozen
-    node returns the index of its operand, which stands for its children's."""
+    left to right, so the program comes out in postfix order: a node over
+    a bound variable appends its instruction and returns None; a frozen
+    node takes back its children's operands and `_LEAF`s, appends its own
+    and returns True."""
     bound = tuple(x for x, _ in diff.pairs)
     cols = {x: bound.index(x) for x in bound}
     operands, code, checks = [], [], []
@@ -160,29 +158,29 @@ def _compile(diff: Diff) -> tuple:
             return None
         if t is Const or t is Var or None not in kids:  # frozen
             del operands[len(operands) - len(kids):]
+            del code[len(code) - len(kids):]
             literal = t is Const and type(node.value) is float
             operands.append(node.value if literal else node)
-            return len(operands) - 1
-        ops = _SHAPES.get((node.fn, tuple(k is None for k in kids)))
-        if ops is None:
+            code.append((_LEAF, None))
+            return True
+        op = _SHAPES.get((node.fn, tuple(k is None for k in kids)))
+        if op is None:
             checks.append((node, None))
             return None
-        if node.fn == "/":
-            checks.append((node, kids[1]))
-        code.extend((_LEAF, k) for k in kids if k is not None)
-        code.extend(ops)
+        if node.fn == "/":  # the divisor is the last operand met
+            checks.append((node, len(operands) - 1))
+        code.append(op)
         return None
 
     compiled = []
     for _, rhs in diff.pairs:
-        top = fold(rhs, combine)
-        program = tuple(code) if top is None else ((_LEAF, top),)
+        fold(rhs, combine)
         # into pre-order: a node met twice has one check, as it fails alike
         by_node = {id(check[0]): check for check in checks}
         ordered = [by_node.pop(id(node)) for node in nodes(rhs) if id(node) in by_node]
         # nothing after a check that always fails is ever reached
         cut = next((i + 1 for i, c in enumerate(ordered) if c[1] is None), None)
-        compiled.append((tuple(operands), program, tuple(ordered[:cut])))
+        compiled.append((tuple(operands), tuple(code), tuple(ordered[:cut])))
         operands.clear()
         code.clear()
         checks.clear()
@@ -200,13 +198,14 @@ def _run(rhs: tuple, env: Env) -> tuple:
             raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
         if values[w] == 0.0:
             raise fail(ErrorKind.DIVISION_BY_ZERO, node, env)
+    leaves = iter(values)
     stack = []
     push, pop = stack.append, stack.pop
     for op, arg in program:
         if op == _VAR:
             push(({arg: 1.0}, 0.0))
         elif op == _LEAF:
-            push(({}, values[arg]))
+            push(({}, next(leaves)))
         elif op == _NEG:
             c, k = pop()
             push(({j: -v for j, v in c.items()}, -k))
@@ -217,11 +216,9 @@ def _run(rhs: tuple, env: Env) -> tuple:
                 for j, v in c2.items():
                     c1[j] = c1.get(j, 0.0) + arg * v
                 push((c1, k1 + arg * k2))
-            elif op == _SWAP:
-                push((c2, k2))
-                push((c1, k1))
-            elif op == _MUL:
-                push(({j: k2 * v for j, v in c1.items()}, k2 * k1))
+            elif op == _MUL:  # the scalar is the side with no coefficients
+                c, k, scalar = (c1, k1, k2) if c1 else (c2, k2, k1)
+                push(({j: scalar * v for j, v in c.items()}, scalar * k))
             else:  # _DIV, by a divisor its check found non-zero
                 push(({j: v / k2 for j, v in c1.items()}, k1 / k2))
     return stack[0]

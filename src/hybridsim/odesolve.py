@@ -12,12 +12,12 @@ Constant-rate flows (A == 0) take the exact closed form x0 + b t in both
 modes, on which RK4 is exact too.
 
 States are computed in one place, `Solution.state`, as Python floats, as
-environments hold them: x0 + b t over the rates the system keeps as floats
-(numpy's IEEE multiply and add), or E x0 + c under one `np.errstate` in
-`_state`, which also covers building any map it needs.  Overflow is checked
-once, on the floats: a non-finite entry of the map makes the state
-non-finite (0 * inf = nan).  `Solution.at` is its checking wrapper,
-returning an array.
+environments hold them: x0 + b t over x0 and the rates the system keeps,
+both as floats (numpy's IEEE multiply and add), or E x0 + c under one
+`np.errstate` in `_state`, which also covers building any map it needs.
+Overflow is checked once, on the floats: a non-finite entry of the map
+makes the state non-finite (0 * inf = nan).  `Solution.at` is its
+checking wrapper, returning an array.
 
 Flow maps are memoised in one process-wide cache, `_flow`: the blocks
 (E, c) of expm(t M) under the key (system, None, t), and those of the RK4
@@ -53,6 +53,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -83,6 +85,12 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 class NumericalOverflow(Exception):
     """A solver produced a non-finite state."""
+
+
+def check_time(t) -> None:
+    """Refuse a time that is not a finite, non-negative real number."""
+    if not ((type(t) is float or isinstance(t, Real)) and 0.0 <= t <= float_info.max):
+        raise ValueError(f"time must be finite and non-negative, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -231,9 +239,8 @@ class Solution:
                                          for v in x0])
             return list(_state(sys, self.step, t, tuple(x0), signs))
         # overflow surfaces as a non-finite state
-        return _finite([a + b * t for a, b in zip(x0, sys.rate)], t)
+        return _finite([a + b * t for a, b in zip(map(float, x0), sys.rate)], t)
 
     def at(self, t: float) -> np.ndarray:
-        if not (math.isfinite(t) and t >= 0):
-            raise ValueError(f"time must be finite and non-negative, got {t}")
+        check_time(t)
         return np.array(self.state(t))

@@ -44,7 +44,7 @@ import numpy as np
 from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
 from .linearize import to_affine
-from .odesolve import NumericalOverflow, Solution, SolverMode
+from .odesolve import NumericalOverflow, Solution, SolverMode, check_time
 from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var
 
 __all__ = [
@@ -299,11 +299,10 @@ def _outcome(r, t0: float) -> Outcome:
 
 
 def _check_start(env: Env, t: float):
-    """Refuse a run that cannot start: a time that is negative or not
-    finite, or an initial value that is not a finite real number (a numpy
-    real or bool scalar is one; an int beyond float range is not finite)."""
-    if not 0.0 <= t <= float_info.max:
-        raise ValueError(f"time instant must be finite and non-negative, got {t!r}")
+    """Refuse a run that cannot start: a time that `check_time` refuses, or
+    an initial value that is not a finite real number (a numpy real or bool
+    scalar is one; an int beyond float range is not finite)."""
+    check_time(t)
     values = env.values()  # finite floats pass by C-level sweeps alone
     if all(map(float.__instancecheck__, values)) and all(
             map(float_info.max.__ge__, map(abs, values))):

@@ -16,12 +16,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
                         Stop, big_step, flow_env, machine)
 # unused here; kept because bench/spans.py patches trajectory._step
 from .semantics import _step  # noqa: F401
-from .odesolve import Exact, Solution, SolverMode
+from .odesolve import Exact, Solution, SolverMode, check_time
 from .syntax import Assign, SourceUnit, VarList, desugar
 
 __all__ = [
@@ -91,15 +92,12 @@ def expand_variability(unit: SourceUnit,
     variability listings, merged with the scalar declarations; product order
     follows declaration order."""
     grid = var_grid(unit)
-    size = 1
-    for _, values in grid:
-        size *= len(values)
+    size = math.prod(len(values) for _, values in grid)
     if size > cap:
         raise VariabilityCapExceeded(
             f"{size} initial-condition combinations exceed the cap of {cap}")
     out = []
-    pools = [values for _, values in grid]
-    for combo in itertools.product(*pools) if pools else [()]:
+    for combo in itertools.product(*(values for _, values in grid)):
         chosen = dict(zip((name for name, _ in grid), combo))
         env: Env = {}
         for d in unit.declarations:
@@ -119,22 +117,21 @@ def _push_sample(samples: list, t: float, env: Env):
         samples.append((t, env))
 
 
-def _sample_continuous(traj: Trajectory, seg: Segment, dt: float, end: Env):
-    """Sample at t_start+dt, t_start+2dt, ..., and exactly t_end, where the
-    state is `end`, the one the machine advanced to.  The state at t_start
-    is the one the segment starts from, which the step that led to it has
-    already sampled: the run's start, an assignment or the segment before."""
-    sol: Solution = seg.kind.solution
-    length = seg.kind.duration
+def _sample(samples: list, t_start: float, t_end: float, length: float,
+            dt: float, at, end: Env):
+    """Sample at(tau) at t_start + tau, tau = dt, 2dt, ... short of `length`
+    and of t_end, then `end` at exactly t_end: a flow's states, ending in the
+    one the machine advanced to, or the held final state after an early
+    skip.  The step that led to t_start has already sampled it."""
     k = 1
     while True:
         tau = k * dt
-        t_abs = seg.t_start + tau
-        if tau >= length or t_abs >= seg.t_end:
+        t_abs = t_start + tau
+        if tau >= length or t_abs >= t_end:
             break
-        _push_sample(traj.samples, t_abs, flow_env(sol, seg.env_at_start, tau))
+        _push_sample(samples, t_abs, at(tau))
         k += 1
-    _push_sample(traj.samples, seg.t_end, dict(end))
+    _push_sample(samples, t_end, dict(end))
 
 
 def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
@@ -160,10 +157,10 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
         elif rule in ("diff-skip", "diff-stop"):
             sol, advanced = det
             # the residual the step left: for a stop, it is 0.0
-            seg = Segment(now, horizon - (cfg.residual - advanced),
-                          Continuous(sol, advanced), cfg.env)
-            traj.segments.append(seg)
-            _sample_continuous(traj, seg, dt, r.env)
+            end = horizon - (cfg.residual - advanced)
+            traj.segments.append(Segment(now, end, Continuous(sol, advanced), cfg.env))
+            _sample(traj.samples, now, end, advanced, dt,
+                    partial(flow_env, sol, cfg.env), r.env)
     traj.outcome = outcome
     if isinstance(outcome, Skip):
         # hold the final values constant up to the horizon
@@ -171,11 +168,8 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
         traj.segments.append(
             Segment(elapsed, horizon, TerminalMark(outcome), outcome.env))
         if outcome.early:
-            k = 1
-            while elapsed + k * dt < horizon:
-                _push_sample(traj.samples, elapsed + k * dt, dict(outcome.env))
-                k += 1
-            _push_sample(traj.samples, horizon, dict(outcome.env))
+            _sample(traj.samples, elapsed, horizon, math.inf, dt,
+                    lambda tau: dict(outcome.env), outcome.env)
     elif isinstance(outcome, Stop):
         traj.segments.append(
             Segment(horizon, horizon, TerminalMark(outcome), outcome.env))
@@ -199,8 +193,7 @@ def interp_at(traj: Trajectory, t: float) -> Env:
     """Environment at time t as told by the segment table, read by big-step's
     clock: each Continuous segment in turn holds t or has its duration
     subtracted from it, as `_atom` does.  Assignments take no time."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and non-negative, got {t}")
+    check_time(t)
     residual = t
     for seg in traj.segments:
         kind = seg.kind

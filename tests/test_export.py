@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_core
+from hybridsim import corpus_path
+from hybridsim.cli import cli_main
 from hybridsim.errors import ErrorInfo, ErrorKind
 from hybridsim.export import (_CHUNK, Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
                               TripleAxis, UnknownVariable, _dumps, _runs,
@@ -53,9 +55,33 @@ def test_parse_axes_errors():
         parse_axes("[]")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[(x,y]", "unclosed '\\('"), ("[(x,1y)]", "bad axis group"),
+    ("[1x]", "bad axis variable")])
+def test_parse_axes_names_what_is_wrong(text, message):
+    with pytest.raises(AxisSyntaxError, match=message):
+        parse_axes(text)
+
+
+def test_an_axis_group_has_one_to_three_names():
+    for names in ((), ("a", "b", "c", "d")):
+        with pytest.raises(AxisSyntaxError, match=f"1 to 3 variables, got {len(names)}"):
+            Axis(names)
+
+
+def test_a_bad_axis_list_is_a_usage_error(tmp_path, capsys):
+    code = cli_main(["simulate", str(corpus_path("eq1")), "--axes", "[1x]",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "bad axis variable '1x'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_plot_spec_validation():
     limits = Limits()
     variables = ["x", "y", "z"]
+    with pytest.raises(AxisSyntaxError, match="unknown graph type 'bar'"):
+        make_plot_spec([TimeAxis("x")], "bar", variables, limits)
     with pytest.raises(AxisSyntaxError):
         make_plot_spec([TripleAxis("x", "y", "z")], "scatter", variables, limits)
     with pytest.raises(AxisSyntaxError):
@@ -265,11 +291,15 @@ _JSON = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(_JSON)
+@example({"k": {"x": 1.0, 1: 2.0}})  # an int key, which json writes as "1"
 def test_json_writer_matches_json_dumps(o):
     assert _dumps(o) == json.dumps(o, indent=2)
+    # and at a depth: a newline inside a string is escaped, so never moved
+    assert (json.dumps({"d": [o]}, indent=2)
+            == '{\n  "d": [\n    ' + _dumps(o, "\n    ") + "\n  ]\n}")
 
 
-@pytest.mark.parametrize("o", [{1, 2}, {"a": object()}, [1j], {"k": {"x": 1.0, 1: 2.0}}])
+@pytest.mark.parametrize("o", [{1, 2}, {"a": object()}, [1j]])
 def test_json_writer_rejects_what_it_cannot_write(o):
     with pytest.raises(TypeError):
         _dumps(o)

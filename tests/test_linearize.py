@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsim.errors import ErrorKind, HybridError, fail
-from hybridsim import corpus_path, linearize, parse, randprog, semantics
+from hybridsim import corpus_path, desugar, linearize, parse, randprog, semantics
 from hybridsim._eval import apply_fn
 from hybridsim.linearize import AFFINE_CACHE_SIZE, AffineSystem, to_affine
 from hybridsim.odesolve import RK4, Exact
@@ -552,6 +552,33 @@ def test_compiled_form_matches_the_tree_path_on_the_corpus():
             assert _agree(diff, env)
             _agree(diff, _perturbed(rng, diff.frozen, env))
     assert len(seen) > 20
+
+
+def _leaves_per_operand(diff) -> int:
+    """Assert that each compiled right-hand side that can run (no check of
+    it always fails) has one `_LEAF` per frozen operand, which `_run` feeds
+    in order; the number of right-hand sides checked."""
+    checked = 0
+    for operands, program, checks in linearize._compile(diff)[1]:
+        if all(w is not None for _, w in checks):
+            assert [op for op, _ in program].count(linearize._LEAF) == len(operands)
+            checked += 1
+    return checked
+
+
+def test_each_frozen_operand_has_one_leaf():
+    shapes = 0
+    for seed in range(2000):  # the statements of the every-shape test
+        rng = random.Random(seed)
+        bound = ["x", "y", "z"][: rng.randrange(1, 4)]
+        diff = Diff(tuple((x, _gen_rhs(rng, bound, ["a", "b"], 4)) for x in bound),
+                    Const(1.0))
+        shapes += _leaves_per_operand(diff)
+    corpus = 0
+    for path in sorted(corpus_path("eq1").parent.glob("*.lince")):
+        body = desugar(parse(path.read_text())).body
+        corpus += sum(_leaves_per_operand(d) for d in nodes(body) if type(d) is Diff)
+    assert shapes > 2000 and corpus > 40
 
 
 def test_a_numpy_zero_divisor_is_a_division_by_zero_with_no_warning():

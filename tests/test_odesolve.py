@@ -651,7 +651,10 @@ def test_at_zero_is_x0_bit_for_bit(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("t", [-1e-300, -1.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("t", [
+    -1e-300, -1.0, math.inf, -math.inf, math.nan,
+    pytest.param(1j, id="complex"), pytest.param("1", id="str"), pytest.param(None, id="None"),
+    pytest.param([1.0], id="list"), pytest.param(10**400, id="int-beyond-float")])
 def test_at_refuses_a_negative_or_non_finite_time(kind, t):
     sys, mode = KINDS[kind]
     with pytest.raises(ValueError, match="finite and non-negative"):

@@ -292,15 +292,29 @@ def test_an_int_beyond_float_range_is_refused_up_front():
     assert isinstance(big_step(p, {"a": 2}, 0.5, EXACT), Stop)
 
 
-@pytest.mark.parametrize("t", [-0.5, math.inf, math.nan])
+@pytest.mark.parametrize("t", [
+    -0.5, math.inf, math.nan,
+    pytest.param(1j, id="complex"), pytest.param("1", id="str"), pytest.param(None, id="None"),
+    pytest.param([1.0], id="list"), pytest.param(10**400, id="int-beyond-float")])
 def test_a_negative_or_non_finite_time_is_refused_up_front(t):
     """An infinite instant used to run to completion and report
-    `elapsed=nan`."""
+    `elapsed=nan`; a time that is not a real number is refused alike."""
     p = prog("x' = -x for 1")
     with pytest.raises(ValueError, match="finite and non-negative"):
         machine(Config(p, {"x": 1.0}, t), EXACT)
     with pytest.raises(ValueError, match="finite and non-negative"):
         big_step(p, {"x": 1.0}, t, EXACT)
+    with pytest.raises(ValueError, match="time must be finite and non-negative"):
+        small_step(Config(p, {"x": 1.0}, t), EXACT)
+
+
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+def test_a_constant_rate_flow_runs_in_double_precision_from_a_float32_start(mode):
+    """`np.float32 == float` compares in single precision, so the type and
+    the bits are checked."""
+    x = big_step(prog("x' = 1 for 1"), {"x": np.float32(0.1)}, 0.3, mode).env["x"]
+    assert type(x) is float
+    assert x.hex() == (float(np.float32(0.1)) + 0.3).hex()
 
 
 def test_outcome_bits_tell_the_sign_of_zero():

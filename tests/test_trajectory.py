@@ -193,11 +193,46 @@ def test_interp_at_discrete_instant_reads_post_value():
     assert env["x"] == 5.0
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("t", [
+    math.nan, math.inf, -math.inf, -0.5,
+    pytest.param(1j, id="complex"), pytest.param("1", id="str"), pytest.param(None, id="None"),
+    pytest.param([1.0], id="list"), pytest.param(10**400, id="int-beyond-float")])
 def test_interp_at_refuses_a_time_that_is_negative_or_not_finite(eq1, t):
     traj = simulate(eq1, EXACT, Limits(max_time=2.0), dt=0.5)[0]
     with pytest.raises(ValueError, match="time must be finite and non-negative"):
         interp_at(traj, t)
+
+
+def test_interp_at_refuses_a_table_with_no_terminal_segment():
+    traj = simulate(parse("x := 0 ; x' = 1 for 1"), EXACT, Limits(max_time=2.0), dt=0.5)[0]
+    assert isinstance(traj.segments.pop().kind, TerminalMark)
+    assert interp_at(traj, 0.5)["x"] == 0.5
+    with pytest.raises(ValueError, match="the trajectory has no terminal segment"):
+        interp_at(traj, 1.5)
+
+
+def test_consistency_check_flags_instants_past_where_the_oracle_has_a_state():
+    u = parse("x := 1 ; y := 0 ; x' = 1 for 1 ; x := x / y")
+    limits = Limits(max_time=2.0)
+    trajs = simulate(u, EXACT, limits, dt=0.5)
+    end = trajs[0].segments[-1]
+    assert isinstance(end.kind.outcome, Err) and end.t_end == 1.0
+    end.t_end = 2.0  # the table now runs past the error
+    rep = consistency_check(u, EXACT, limits, dt=0.5, k=40, trajectories=trajs)
+    assert not rep.passed and rep.checked == 40
+    assert rep.failures and all(why == "oracle did not produce a state" and t >= 1.0
+                                for _, t, why in rep.failures)
+
+
+def test_consistency_check_flags_a_variable_the_table_lacks():
+    u = parse("x := 0 ; y := 1 ; x' = 1 for 10")
+    limits = Limits(max_time=2.0)
+    trajs = simulate(u, EXACT, limits, dt=0.5)
+    for seg in trajs[0].segments:  # drop y
+        seg.env_at_start = {k: v for k, v in seg.env_at_start.items() if k != "y"}
+    rep = consistency_check(u, EXACT, limits, dt=0.5, k=10, trajectories=trajs)
+    assert not rep.passed and rep.worst == 0.0
+    assert [why for _, _, why in rep.failures] == ["y missing"] * 10
 
 
 def test_consistency_check_refuses_a_negative_k(eq1):
