@@ -299,7 +299,9 @@ def test_json_writer_matches_json_dumps(o):
             == '{\n  "d": [\n    ' + _dumps(o, "\n    ") + "\n  ]\n}")
 
 
-@pytest.mark.parametrize("o", [{1, 2}, {"a": object()}, [1j]])
+# the last: a key json cannot write, nested where the fast path looks first
+@pytest.mark.parametrize("o", [{1, 2}, {"a": object()}, [1j],
+                               {"k": {"x": 1.0, (1, 2): 2.0}}])
 def test_json_writer_rejects_what_it_cannot_write(o):
     with pytest.raises(TypeError):
         _dumps(o)
