@@ -35,26 +35,27 @@ scalars over the sum, in one fixed order, so A and b come out bit for bit
 from run to run, -0.0 included, in one augmented matrix M, with A and b
 read-only views of it.
 
-`to_affine` memoises its successful results.  The key is the statement's
-identity together with its frozen variables' values, compared as floats,
-or by their exact bit patterns (`float.hex`) when one of them is zero, so
--0.0 and 0.0 are different keys; the result never depends on anything else
-in the environment.  The statement knows its frozen variables' names
-(`Diff.frozen`, computed once), so a hit is one tuple of values, one dict
-lookup and one move to the recent end.  The cache holds the `Diff` itself
-in each entry, so its `id` cannot be reused while the entry lives, and
-keeps the AFFINE_CACHE_SIZE most recently used systems.  Failures are
-never cached (their error carries the environment), nor are calls whose
-frozen values are missing or not plain floats.  A cached system is shared
-by every caller, threads included, so its arrays are read-only.  Only a
-miss locks: each `OrderedDict` call of a hit is atomic, and an entry
-evicted between its lookup and its move is still a correct answer.
+`to_affine` memoises its successful results on the statement, under
+`_systems`, as `_code` is kept.  The key is the frozen variables' values,
+compared as floats, or by their exact bit patterns (`float.hex`) when one
+of them is zero, so -0.0 and 0.0 are different keys; the result never
+depends on anything else in the environment.  The statement knows its
+frozen variables' names (`Diff.frozen`, computed once), so a hit is one
+tuple of values and one dict lookup.  A statement keeps at most
+SYSTEMS_PER_STATEMENT systems: a miss into a full memo drops its oldest
+entry.  So a statement's systems live as long as the statement does (and
+as any flow map or state `odesolve` keeps of them), however many other
+statements are linearized meanwhile, and a statement no longer referenced
+is freed with them.  Failures are never memoised (their error carries the
+environment), nor are calls whose frozen values are missing or not plain
+floats.  A memoised system is shared by every caller, threads included,
+so its arrays are read-only.  Nothing locks: each dict operation is
+atomic, two threads that miss on one key build equal systems and either
+may be kept, and a drop forgives a drop made meanwhile on another thread.
 """
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +64,11 @@ from ._eval import Env, eval_expr
 from .errors import ErrorKind, fail
 from .syntax import Const, Diff, Expr, Var, fold, nodes
 
-__all__ = ["AffineSystem", "to_affine", "AFFINE_CACHE_SIZE"]
+__all__ = ["AffineSystem", "to_affine", "SYSTEMS_PER_STATEMENT"]
 
-# The largest per-operation working set measured on the benchmark workloads
-# is 11 distinct (statement, frozen values) pairs (a selftest program), and
-# a whole point-query round over the corpus touches 30.
-AFFINE_CACHE_SIZE = 64
+# Over four rounds of each benchmark workload, no statement was entered with
+# more than 8 distinct frozen values; twice that leaves headroom.
+SYSTEMS_PER_STATEMENT = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,35 +224,25 @@ def _run(rhs: tuple, env: Env) -> tuple:
     return stack[0]
 
 
-# (id(diff), frozen values) -> (diff, system), least recently used first
-_systems: OrderedDict = OrderedDict()
-_lock = threading.Lock()
-
-
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
     """The affine system of a differential statement's right-hand sides.
 
     Deterministic, and independent of the values the bound variables may
     have in `env` (they are never read).  Memoised: see the module notes."""
     values = tuple(map(env.get, diff.frozen))
-    key = None
-    if tuple(map(type, values)) == (float,) * len(values):
-        if 0.0 in values:  # equal to -0.0 as well: key on the bits
-            values = tuple(map(float.hex, values))
-        key = id(diff), values
-        hit = _systems.get(key)
-        if hit is not None:
-            try:
-                _systems.move_to_end(key)
-            except KeyError:  # evicted since, by a miss on another thread
+    if tuple(map(type, values)) != (float,) * len(values):
+        return _linearize(diff, env)
+    if 0.0 in values:  # equal to -0.0 as well: key on the bits
+        values = tuple(map(float.hex, values))
+    memo = diff._systems
+    system = memo.get(values)
+    if system is None:
+        system = memo[values] = _linearize(diff, env)
+        while len(memo) > SYSTEMS_PER_STATEMENT:
+            try:  # drop the oldest entry
+                del memo[next(iter(memo))]
+            except (KeyError, RuntimeError):  # changed meanwhile, on another thread
                 pass
-            return hit[1]
-    system = _linearize(diff, env)
-    if key is not None:
-        with _lock:
-            _systems[key] = (diff, system)
-            if len(_systems) > AFFINE_CACHE_SIZE:
-                _systems.popitem(last=False)
     return system
 
 

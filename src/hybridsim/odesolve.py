@@ -26,9 +26,11 @@ steps are positive and finite, so float equality is bit identity, and each
 entry is a function of M and its key alone, bit-identical to what a fresh
 computation returns.  It keeps the FLOW_CACHE_SIZE most recently used
 entries.  Systems are keyed by identity and held by the cache, so an `id`
-is never reused while its entries live; they come shared from
-`linearize.to_affine`, so an entry serves every Solution of a system, on
-any thread.  A Solution holds no mutable state.
+is never reused while its entries live.  They come shared from
+`linearize.to_affine`, which keeps each on its statement for as long as
+the statement lives, so an entry serves every Solution of a system, on any
+thread, while its program is held; a dropped program's entries hold only
+its systems, until they are pushed out.  A Solution holds no mutable state.
 
 States of the other flows are memoised as well, in `_state`: E x0 + c as a
 tuple, under the key (system, step, t, x0, zero signs), x0 as a tuple and
@@ -87,10 +89,16 @@ class NumericalOverflow(Exception):
     """A solver produced a non-finite state."""
 
 
-def check_time(t) -> None:
-    """Refuse a time that is not a finite, non-negative real number."""
-    if not ((type(t) is float or isinstance(t, Real)) and 0.0 <= t <= float_info.max):
+def check_time(t) -> float:
+    """`t` as a Python float, so that a numpy scalar runs in double
+    precision; ValueError unless it is a finite, non-negative real number."""
+    try:
+        f = float(t) if type(t) is float or isinstance(t, Real) else math.nan
+    except OverflowError:  # an int beyond float range
+        f = math.inf
+    if not 0.0 <= f <= float_info.max:
         raise ValueError(f"time must be finite and non-negative, got {t!r}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -242,5 +250,4 @@ class Solution:
         return _finite([a + b * t for a, b in zip(map(float, x0), sys.rate)], t)
 
     def at(self, t: float) -> np.ndarray:
-        check_time(t)
-        return np.array(self.state(t))
+        return np.array(self.state(check_time(t)))

@@ -298,21 +298,23 @@ def _outcome(r, t0: float) -> Outcome:
     return r  # Stop or Err: the terminal is the outcome
 
 
-def _check_start(env: Env, t: float):
-    """Refuse a run that cannot start: a time that `check_time` refuses, or
+def _check_start(env: Env, t: float) -> float:
+    """The float a run starts on, the time as `check_time` returns it.
+    Refuse a run that cannot start: a time that `check_time` refuses, or
     an initial value that is not a finite real number (a numpy real or bool
     scalar is one; an int beyond float range is not finite)."""
-    check_time(t)
+    t = check_time(t)
     values = env.values()  # finite floats pass by C-level sweeps alone
     if all(map(float.__instancecheck__, values)) and all(
             map(float_info.max.__ge__, map(abs, values))):
-        return
+        return t
     for name, v in env.items():
         if not isinstance(v, (Real, np.bool_)):
             raise ValueError(f"initial value of {name} must be a real number, got {v!r}")
         if not (abs(v) <= float_info.max if isinstance(v, Rational) else math.isfinite(v)):
             shown = f"an int of {v.bit_length()} bits" if isinstance(v, int) else repr(v)
             raise ValueError(f"initial value of {name} must be finite, got {shown}")
+    return t
 
 
 def big_step(p: Program, env: Env, t: float, mode: SolverMode,
@@ -321,7 +323,7 @@ def big_step(p: Program, env: Env, t: float, mode: SolverMode,
     program error: every failure is folded into the Outcome.  A `t` that is
     negative or not finite, or a non-finite value in `env`, is refused up
     front with ValueError."""
-    _check_start(env, t)
+    t = _check_start(env, t)
     return _outcome(_big(p, dict(env), t, mode, limits), t)
 
 
@@ -369,8 +371,8 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
 def small_step(cfg: Config, mode: SolverMode):
     """Apply the unique applicable rule; returns a Config or a terminal.
     Refuses `cfg` up front, as `machine` does."""
-    _check_start(cfg.env, cfg.residual)
-    return _step(cfg, mode)[0]
+    t = _check_start(cfg.env, cfg.residual)
+    return _step(_config(cfg.focus, cfg.stack, cfg.env, t), mode)[0]
 
 
 def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
@@ -382,8 +384,8 @@ def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
     step's detail is (solution, advanced), the local time it followed the
     flow; an assignment's is (var, old, new).  Refuses `cfg` up front,
     before any step, as `big_step` refuses its arguments."""
-    _check_start(cfg.env, cfg.residual)
-    return _machine(cfg, mode, limits)
+    t = _check_start(cfg.env, cfg.residual)
+    return _machine(_config(cfg.focus, cfg.stack, cfg.env, t), mode, limits)
 
 
 def _machine(cfg: Config, mode: SolverMode, limits: Limits):

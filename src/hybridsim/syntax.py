@@ -120,11 +120,13 @@ class _Node:
     _code = None
 
     def __getstate__(self):
-        """Pickles and copies hold the fields, never compiled code, which a
-        copy rebuilds on its first evaluation: a pickle then names none of
-        the evaluator's private functions."""
+        """Pickles and copies hold the fields, never compiled code or a
+        statement's linearizations, which a copy rebuilds on its first
+        evaluation: a pickle then names none of the evaluator's private
+        functions."""
         state = self.__dict__.copy()
         state.pop("_code", None)
+        state.pop("_systems", None)
         return state
 
 
@@ -212,6 +214,11 @@ class Diff(_Node):
         not bind, sorted: constants for its duration."""
         read = set().union(*(expr_vars(e) for _, e in self.pairs))
         return tuple(sorted(read - {x for x, _ in self.pairs}))
+
+    @cached_property
+    def _systems(self) -> dict:
+        """`linearize.to_affine`'s memo: frozen values -> system."""
+        return {}
 
 
 Atomic = Assign | Diff

@@ -193,8 +193,7 @@ def interp_at(traj: Trajectory, t: float) -> Env:
     """Environment at time t as told by the segment table, read by big-step's
     clock: each Continuous segment in turn holds t or has its duration
     subtracted from it, as `_atom` does.  Assignments take no time."""
-    check_time(t)
-    residual = t
+    residual = check_time(t)
     for seg in traj.segments:
         kind = seg.kind
         if isinstance(kind, Continuous):

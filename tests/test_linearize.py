@@ -1,8 +1,10 @@
+import copy
 import gc
 import math
 import pickle
 import random
 import sys
+import threading
 import warnings
 import weakref
 from unittest import mock
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hybridsim.errors import ErrorKind, HybridError, fail
 from hybridsim import corpus_path, desugar, linearize, parse, randprog, semantics
 from hybridsim._eval import apply_fn
-from hybridsim.linearize import AFFINE_CACHE_SIZE, AffineSystem, to_affine
+from hybridsim.linearize import AffineSystem, to_affine
 from hybridsim.odesolve import RK4, Exact
 from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_vars,
                               fold, nodes, parse_expression, parse_program, pretty)
@@ -333,31 +335,85 @@ def test_shared_system_is_read_only():
 
 
 def test_cache_size_stays_at_its_bound():
-    linearize._systems.clear()
+    cap = linearize.SYSTEMS_PER_STATEMENT
     a = _diff("x' = k*x for 1")
-    made = [to_affine(a, {"k": float(i)}) for i in range(AFFINE_CACHE_SIZE + 10)]
-    assert len(linearize._systems) == AFFINE_CACHE_SIZE
-    # least recently used goes first: a hit on k = 10 makes k = 11 the oldest
+    made = [to_affine(a, {"k": float(i)}) for i in range(cap + 10)]
+    assert len(a._systems) == cap
+    # each miss into a full memo dropped its oldest entry; a hit moves none
+    assert list(a._systems) == [(float(i),) for i in range(10, cap + 10)]
     assert to_affine(a, {"k": 10.0}) is made[10]
     to_affine(a, {"k": -1.0})
-    assert len(linearize._systems) == AFFINE_CACHE_SIZE
-    assert to_affine(a, {"k": 10.0}) is made[10]
-    assert to_affine(a, {"k": 11.0}) is not made[11]
-    for _ in range(AFFINE_CACHE_SIZE + 10):
-        to_affine(_diff("x' = k*x for 1"), {"k": 1.0})
-    assert len(linearize._systems) == AFFINE_CACHE_SIZE
-    # the cache pins a statement (and so its id) while it holds the entry,
-    # and nothing outlives the entry: an evicted statement is freed
-    first = _diff("x' = k*x for 1")
-    gone = weakref.ref(first)
-    to_affine(first, {"k": 1.0})
-    del first
+    assert len(a._systems) == cap
+    assert (10.0,) not in a._systems
+    assert to_affine(a, {"k": 11.0}) is made[11]
+    assert to_affine(a, {"k": 10.0}) is not made[10]
+    assert len(a._systems) == cap
+
+
+def test_a_held_statement_keeps_its_system_through_other_statements_misses():
+    held = _diff("x' = k*x for 1")
+    first = to_affine(held, {"k": 2.0})
+    for i in range(100):
+        to_affine(_diff("x' = k*x + 1 for 1"), {"k": float(i)})
+    assert to_affine(held, {"k": 2.0}) is first
+
+
+def test_a_dropped_statement_is_freed_with_its_systems():
+    a = _diff("x' = k*x for 1")
+    gone, system_gone = weakref.ref(a), weakref.ref(to_affine(a, {"k": 2.0}))
+    del a
     gc.collect()
-    assert gone() is not None
-    for _ in range(AFFINE_CACHE_SIZE):
-        to_affine(_diff("x' = k*x for 1"), {"k": 1.0})
-    gc.collect()
-    assert gone() is None
+    assert gone() is None and system_gone() is None
+
+
+def test_the_memo_is_safe_to_share_across_threads():
+    """Four threads linearize one statement under three times as many
+    distinct frozen values as its memo keeps, -0.0 among them: each system
+    has the bits of a serial run's, and once each round's misses are done
+    the memo holds no more than its bound."""
+    text = "x' = k*x + c, y' = x / k - c*y for 1"
+    cap = linearize.SYSTEMS_PER_STATEMENT
+    envs = [{"k": i + 0.5, "c": (0.0, -0.0, i / 8)[i % 3]}
+            for i in range(3 * cap)]
+    serial = [to_affine(_diff(text), env).M.tobytes() for env in envs]
+    shared = _diff(text)
+    rounds = 20
+    results = [[] for _ in range(4)]
+    sizes = []
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def worker(n):
+        rng = random.Random(n)
+        try:
+            for _ in range(rounds):
+                order = list(range(len(envs)))
+                rng.shuffle(order)
+                barrier.wait()
+                results[n] += [(i, to_affine(shared, envs[i]).M.tobytes()) for i in order]
+                barrier.wait()
+                if n == 0:
+                    sizes.append(len(shared._systems))
+        except Exception as ex:  # noqa: BLE001 -- reported below
+            errors.append(ex)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(sizes) == rounds and max(sizes) <= cap
+    for got in results:
+        assert len(got) == rounds * len(envs)
+        assert all(m == serial[i] for i, m in got)
 
 
 def test_cache_keys_tell_zeros_apart_among_other_values():
@@ -597,6 +653,13 @@ def test_the_compiled_form_lives_on_the_statement():
     to_affine(a, {"k": 2.0})
     assert a._code
     assert pickle.loads(pickle.dumps(a))._code is None
+    # nor do its linearizations, which a copy builds again, bit for bit
+    for env in ({"k": 2.0}, {"k": -1.5}):
+        to_affine(a, env)
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert copied._systems == {}
+        for env in ({"k": 2.0}, {"k": -1.5}):
+            assert to_affine(copied, env).M.tobytes() == to_affine(a, env).M.tobytes()
     # a rejected statement keeps its compiled form too, whose check fails
     rejected = _diff("x' = x*x for 1")
     with pytest.raises(HybridError):

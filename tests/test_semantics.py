@@ -1,21 +1,22 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from hybridsim.errors import ErrorKind, HybridError
 from hybridsim import semantics
-from hybridsim.odesolve import Exact, RK4
+from hybridsim.odesolve import RK4, Exact, Solution, check_time
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  Skip, Stop, TSkip,
                                  applicable_rules, big_step, eval_bool,
                                  eval_expr, machine, outcome_bits,
                                  run_to_terminal, small_step)
-from hybridsim.syntax import (desugar_bool, desugar_program, parse_boolean,
+from hybridsim.syntax import (desugar_bool, desugar_program, parse, parse_boolean,
                               parse_expression, parse_program)
-from hybridsim.trajectory import expand_variability
+from hybridsim.trajectory import Continuous, expand_variability, interp_at, simulate
 from conftest import load_core
 
 EXACT = Exact()
@@ -315,6 +316,26 @@ def test_a_constant_rate_flow_runs_in_double_precision_from_a_float32_start(mode
     x = big_step(prog("x' = 1 for 1"), {"x": np.float32(0.1)}, 0.3, mode).env["x"]
     assert type(x) is float
     assert x.hex() == (float(np.float32(0.1)) + 0.3).hex()
+
+
+def test_a_float32_instant_runs_in_double_precision_with_no_warning():
+    """A numpy float32 instant used to be compared with float_info.max in
+    single precision (an overflow warning), and the run went on in float32."""
+    t = np.float32(0.3)
+    want = (0.1 + float(t)).hex()
+    p = prog("x' = 1 for 1")
+    traj = simulate(parse("x := 0.1 ; x' = 1 for 1"), EXACT, Limits(max_time=2.0), dt=0.5)[0]
+    flow = next(s.kind.solution for s in traj.segments if isinstance(s.kind, Continuous))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert check_time(t) == float(t) and type(check_time(t)) is float
+        xs = [big_step(p, {"x": 0.1}, t, EXACT).env["x"],
+              small_step(Config(p, {"x": 0.1}, t), EXACT).env["x"],
+              run_to_terminal(Config(p, {"x": 0.1}, t), EXACT).env["x"],
+              Solution(flow.system, [0.1], EXACT).at(t)[0].item(),
+              interp_at(traj, t)["x"]]
+    assert [type(x) for x in xs] == [float] * 5
+    assert [x.hex() for x in xs] == [want] * 5
 
 
 def test_outcome_bits_tell_the_sign_of_zero():

@@ -4,7 +4,7 @@ same bytes and outcomes as the first, cold one."""
 import pytest
 
 import hybridsim as hs
-from hybridsim import linearize, odesolve, randprog
+from hybridsim import odesolve, randprog
 from hybridsim.export import TimeAxis
 from hybridsim.semantics import Limits, big_step
 from conftest import load_core
@@ -15,9 +15,9 @@ LIMITS = Limits(max_time=10.0)
 
 
 def _cold():
-    """Empty every memo, so the next run computes each system, flow map and
-    state afresh."""
-    linearize._systems.clear()
+    """Empty the flow-map and state memos, so the next run, on freshly
+    parsed statements (which hold no systems), computes each system, flow
+    map and state afresh."""
     odesolve._flow.cache_clear()
     odesolve._state.cache_clear()
 

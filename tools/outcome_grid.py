@@ -13,8 +13,11 @@ floats, error environments included.
 
 Each pair of lines is computed twice in the same process, the second time
 at once, with every memo warm from the first (linearizations, flow maps and
-states); the script exits 1 if the two differ, since a memo must answer
-with the bits a fresh computation gives.  OUT holds the first computation.
+states).  After the grid, every 10th random-program run is computed a third
+time, when thousands of other programs' runs have been through the memos
+since.  The script exits 1 if any repeat differs from the first, since a
+memo must answer with the bits a fresh computation gives.  OUT holds the
+first computation.
 """
 import os
 import sys
@@ -56,13 +59,20 @@ def main(argv) -> int:
                         yield f"{name} {label!r} {t!r} {mode!r}", unit.body, env, t, mode
 
     differ = 0
+    late = []  # every 10th random-program run, with its first lines
     with open(argv[0], "w", encoding="utf-8") as out:
-        for run in runs():
+        for i, run in enumerate(runs()):
             text = lines(*run)
             out.write(text)
             if lines(*run) != text:
                 differ += 1
                 print(f"differs with warm memos: {run[0]}", file=sys.stderr)
+            if i % 10 == 0 and i < len(SEEDS) * INSTANTS * 2:
+                late.append((run, text))
+    for run, text in late:
+        if lines(*run) != text:
+            differ += 1
+            print(f"differs on a late repeat: {run[0]}", file=sys.stderr)
     return 1 if differ else 0
 
 
