@@ -22,7 +22,8 @@ blames, is passed in a tuple of slots, so no program text reaches `exec`.
 A bounded memo compiles each distinct text once, and a node keeps only
 (function, slots) under `_code`: found by node identity, so an equal
 subtree at another `loc` blames its own node, and left out of pickles and
-copies by `_Node.__getstate__`.  Trees of one shape share one function.
+copies, which `_Node.__reduce__` builds from the fields alone.  Trees of
+one shape share one function.
 """
 from __future__ import annotations
 

@@ -280,7 +280,7 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
         "schema_version": "1",
         "solver": ({"mode": "exact"} if isinstance(mode, Exact)
                    else {"mode": "rk4", "step": mode.step}),
-        "limits": {"max_time": limits.max_time,
+        "limits": {"max_time": float(limits.max_time),
                    "max_iterations": limits.max_iterations},
         "plot": {"graph_type": spec.graph_type,
                  "axes": [[g.kind, *g.names] for g in spec.axes]},

@@ -114,9 +114,12 @@ class RK4:
     step: float | None = None
 
     def __post_init__(self):
-        # an infinite step makes every flow map's (n - 1) h = 0 * inf = nan
-        if self.step is not None and not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError("RK4 step must be positive and finite")
+        if self.step is not None:
+            # an infinite step makes every flow map's (n - 1) h = 0 * inf = nan
+            if not (self.step > 0 and math.isfinite(self.step)):
+                raise ValueError("RK4 step must be positive and finite")
+            # a Python float, so that a numpy scalar steps in double precision
+            object.__setattr__(self, "step", float(self.step))
 
 
 SolverMode = Exact | RK4

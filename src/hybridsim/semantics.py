@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from numbers import Rational, Real
 from sys import float_info
 from typing import NamedTuple
@@ -45,7 +45,7 @@ from ._eval import Env, eval_bool, eval_expr
 from .errors import ErrorInfo, ErrorKind, HybridError, fail
 from .linearize import to_affine
 from .odesolve import NumericalOverflow, Solution, SolverMode, check_time
-from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var
+from .syntax import Assign, Atom, Diff, If, Loc, Program, Seq, Var, _Frozen
 
 __all__ = [
     "Env", "eval_expr", "eval_bool", "Limits", "BoundKind",
@@ -120,7 +120,7 @@ def outcome_bits(o: Outcome) -> tuple:
     return ("bound", o.kind, env, float(o.elapsed).hex())
 
 
-class Config:
+class Config(_Frozen):
     """A machine configuration (program, env, residual time), held
     refocused: the statement in `focus` and a `stack` of the `rest`
     programs pending after it, as persistent cons cells (rest, below) or
@@ -128,6 +128,8 @@ class Config:
     compared and shown by (program, env, residual), as a frozen dataclass."""
 
     __slots__ = ("focus", "stack", "env", "residual")
+    _fields = ("program", "env", "residual")
+    __hash__ = None
 
     def __new__(cls, program: Program, env: Env, residual: float):
         return _config(program, None, env, residual)
@@ -139,27 +141,6 @@ class Config:
             rest, below = below
             p = Seq(p, rest)
         return p
-
-    def _key(self) -> tuple:
-        return self.program, self.env, self.residual
-
-    def __eq__(self, other):
-        if not isinstance(other, Config):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"Config(program={self.program!r}, env={self.env!r}, "
-                f"residual={self.residual!r})")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Config, self._key()
 
 
 _put_focus, _put_stack, _put_env, _put_residual = (

@@ -30,6 +30,14 @@ every pass over the tree (desugaring, pretty-printing, the variable
 inventory, the linearizer's folds) is a `fold` or a filter over `nodes`,
 which walk an explicit stack instead of recursing.
 
+A node is a frozen value (`_Frozen`, which `semantics.Config` shares): its
+class names its fields in `_fields`, and it is built from them by position,
+a parsed node's span `loc` by keyword.  `==`, `hash`, `repr` (a dataclass's
+text, `Var(name='x')`) and pickling all go through one pre-order walk on an
+explicit stack, `_walk`, so they need no recursion either; a pickle or a
+copy holds the tree flat, spans included, and never its compiled code or
+linearizations.
+
 The tokenizer is one `finditer` scan that skips whitespace and `//`
 comments without building tokens for them (comments are tried before
 operators, or `//` would scan as two `/`), counts lines at each newline, and
@@ -56,7 +64,7 @@ import math
 import re
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from operator import add, attrgetter, is_, mul, sub, truediv
 
@@ -109,84 +117,140 @@ class Loc:
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class _Node:
-    """A syntax node: its span in the parsed text, if it was parsed, is
-    neither compared nor shown, and is passed by keyword only."""
+class _Frozen:
+    """Immutable, and compared, shown and pickled by the fields `_fields`
+    names, as a frozen dataclass is, through one walk on an explicit stack
+    (`_walk`), so that a value of any depth needs no recursion."""
 
-    loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = ()
+    _fields = ()
 
-    # an evaluated expression's or condition's compiled code (`_eval`)
-    _code = None
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __getstate__(self):
-        """Pickles and copies hold the fields, never compiled code or a
-        statement's linearizations, which a copy rebuilds on its first
-        evaluation: a pickle then names none of the evaluator's private
-        functions."""
-        state = self.__dict__.copy()
-        state.pop("_code", None)
-        state.pop("_systems", None)
-        return state
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return _walk(self) == _walk(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        """The dataclass text: each open value keeps, last first, what is
+        written before each of its parts, above what closes it."""
+        out, frames, items = [], [], iter(_walk(self))
+        for item in items:
+            if frames:
+                out.append(frames[-1].pop())
+            if item is tuple or isinstance(item, type):  # a value opens
+                labels = [""] * next(items) if item is tuple else [f"{f}=" for f in item._fields]
+                out.append("(" if item is tuple else item.__qualname__ + "(")
+                close = ",)" if labels == [""] else ")"
+                frames.append([close, *[", " + s for s in labels[:0:-1]], *labels[:1]])
+            else:
+                out.append(repr(item))
+            while frames and len(frames[-1]) == 1:
+                out.append(frames.pop()[0])
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-@dataclass(frozen=True)
+class _Node(_Frozen):
+    """A syntax node, built from its fields in order; its span in the parsed
+    text, if it was parsed, is passed by keyword and neither compared nor shown."""
+
+    _code = None  # an evaluated expression's or condition's compiled code (`_eval`)
+
+    def __init__(self, *values, loc: Loc | None = None):
+        fields, put = self._fields, object.__setattr__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} field(s)")
+        for i, name in enumerate(fields):
+            put(self, name, values[i])
+        put(self, "loc", loc)
+
+    def __hash__(self):
+        return hash(tuple(_walk(self)))
+
+    def __reduce__(self):
+        """The tree flat, with its spans, for `_rebuild`: pickles and copies
+        never hold compiled code or a statement's linearizations."""
+        return _rebuild, (_walk(self, spans=True),)
+
+
+def _walk(root, spans: bool = False) -> list:
+    """`root` flat, in pre-order: a frozen value as its type (and, with
+    `spans`, its `loc`), then its fields; a tuple as `tuple`, its length,
+    then its items; anything else as itself."""
+    out, todo = [], [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Frozen):
+            out += (type(item), item.loc) if spans else (type(item),)
+            todo += [getattr(item, f) for f in reversed(item._fields)]
+        elif type(item) is tuple:
+            out += (tuple, len(item))
+            todo += reversed(item)
+        else:
+            out.append(item)
+    return out
+
+
+def _rebuild(items: list):
+    """The tree that `_walk(root, spans=True)` flattened, built bottom-up."""
+    values = []
+    for item in reversed(items):
+        if item is tuple:
+            item = tuple([values.pop() for _ in range(values.pop())])
+        elif isinstance(item, type):
+            loc = values.pop()
+            item = item(*[values.pop() for _ in item._fields], loc=loc)
+        values.append(item)
+    return values[0]
+
+
 class Var(_Node):
-    name: str
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Const(_Node):
-    value: float
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class Apply(_Node):
-    fn: str
-    args: tuple
+    _fields = ("fn", "args")  # a function symbol and a tuple of Exprs
 
 
 Expr = Var | Const | Apply
 
 
-@dataclass(frozen=True)
 class Leq(_Node):
-    lhs: Expr
-    rhs: Expr
+    _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Cmp(_Node):
     """Surface comparison ('<', '>', '>=', '==', '!='); removed by desugar."""
 
-    op: str
-    lhs: Expr
-    rhs: Expr
+    _fields = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    lhs: "BoolExpr"
-    rhs: "BoolExpr"
+    _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Or(_Node):
-    lhs: "BoolExpr"
-    rhs: "BoolExpr"
+    _fields = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Not(_Node):
-    arg: "BoolExpr"
+    _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class BTrue(_Node):
     """`tt`, the condition that always holds."""
 
 
-@dataclass(frozen=True)
 class BFalse(_Node):
     """`ff`, the condition that never holds."""
 
@@ -194,19 +258,15 @@ class BFalse(_Node):
 BoolExpr = Leq | Cmp | And | Or | Not | BTrue | BFalse
 
 
-@dataclass(frozen=True)
 class Assign(_Node):
-    var: str
-    expr: Expr
+    _fields = ("var", "expr")
 
 
-@dataclass(frozen=True)
 class Diff(_Node):
     """Differential statement: pairs of (variable, right-hand side), run
     for the duration given by `duration` (evaluated once, at entry)."""
 
-    pairs: tuple  # tuple[(str, Expr), ...]
-    duration: Expr
+    _fields = ("pairs", "duration")  # pairs: tuple[(str, Expr), ...]
 
     @cached_property
     def frozen(self) -> tuple:
@@ -224,55 +284,29 @@ class Diff(_Node):
 Atomic = Assign | Diff
 
 
-@dataclass(frozen=True)
 class Atom(_Node):
-    atomic: Atomic
+    _fields = ("atomic",)
 
 
-@dataclass(frozen=True)
 class Seq(_Node):
-    first: "Program"
-    rest: "Program"
-
-    def __repr__(self):
-        """The dataclass repr, built over an explicit stack, so a sequence
-        nested either way is shown however long it is."""
-        out = []
-        todo = [self]
-        while todo:
-            item = todo.pop()
-            if type(item) is str:
-                out.append(item)
-            elif type(item) is Seq:
-                out.append("Seq(first=")
-                todo += (")", item.rest, ", rest=", item.first)
-            else:
-                out.append(repr(item))
-        return "".join(out)
+    _fields = ("first", "rest")
 
 
-@dataclass(frozen=True)
 class If(_Node):
-    cond: BoolExpr
-    then: "Program"
-    orelse: "Program"
+    _fields = ("cond", "then", "orelse")
 
 
-@dataclass(frozen=True)
 class While(_Node):
-    cond: BoolExpr
-    body: "Program"
+    _fields = ("cond", "body")
 
 
 Program = Atom | Seq | If | While
 
 
-@dataclass(frozen=True)
 class VarList(_Node):
     """Variability listing `x := {v1, v2, ...}` in the declaration section."""
 
-    var: str
-    values: tuple  # tuple[float, ...]
+    _fields = ("var", "values")  # values: tuple[float, ...]
 
 
 @dataclass(frozen=True)

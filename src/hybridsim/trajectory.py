@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
@@ -184,6 +184,8 @@ def simulate(unit: SourceUnit, mode: SolverMode, limits: Limits, dt: float,
     """One Trajectory per initial-condition combination, in listing order."""
     if not 0 < dt < math.inf:  # an infinite dt would time samples at 0 * inf, nan
         raise ValueError("dt must be positive and finite")
+    # Python floats, so that numpy scalars time samples and segments in double precision
+    dt, limits = float(dt), replace(limits, max_time=check_time(limits.max_time))
     body = desugar(unit).body
     return [_run_one(body, env, label, mode, limits, dt)
             for env, label in expand_variability(unit, cap)]

@@ -20,7 +20,8 @@ from hybridsim.export import (_CHUNK, Axis, AxisSyntaxError, PairAxis, PlotSpec,
                               make_plot_spec, parse_axes)
 from hybridsim.linearize import AffineSystem
 from hybridsim.odesolve import Exact, RK4, Solution, default_rk4_step
-from hybridsim.semantics import BoundKind, BoundReached, Err, Limits, Skip, Stop
+from hybridsim.semantics import (BoundKind, BoundReached, Err, Limits, Skip, Stop, big_step,
+                                 outcome_bits)
 from hybridsim.syntax import desugar, ordered_vars, parse
 from hybridsim.trajectory import (Continuous, Discrete, Segment, TerminalMark,
                                   Trajectory, simulate)
@@ -597,3 +598,50 @@ def test_export_memory_stays_within_the_reference_writers():
             assert _peak(new, *args) <= 1.1 * ref_peak, new.__name__
     finally:
         tracemalloc.stop()
+
+
+# -- numpy scalar settings run, and export, as the equal Python floats
+
+OSCILLATOR = "x := 1 ; v := 0 ; x' = v, v' = -x for 3.7"
+
+
+def _export_all(text, mode, limits, dt):
+    """Simulate `text` and write all three exports of it; the trajectories."""
+    unit = desugar(parse(text))
+    trajs = simulate(unit, mode, limits, dt)
+    variables = ordered_vars(unit)
+    spec = make_plot_spec([TimeAxis("x")], "scatter", variables, limits)
+    export_csv(trajs, variables)
+    json.loads(export_json(trajs, spec, mode, limits, variables))
+    emit_plot_script(trajs, spec)
+    return trajs
+
+
+@pytest.mark.parametrize("single_first", [True, False], ids=["float32-first", "float-first"])
+def test_a_float32_rk4_step_steps_in_double_precision(single_first):
+    steps = [np.float32(0.01), float(np.float32(0.01))]
+    if not single_first:
+        steps.reverse()
+    bits = []
+    for h in steps:  # two copies parsed apart, so that no memo is shared
+        unit = desugar(parse(OSCILLATOR))
+        bits.append(outcome_bits(big_step(unit.body, {}, 3.0, RK4(h))))
+    assert bits[0] == bits[1]
+    assert type(RK4(np.float32(0.01)).step) is float
+    _export_all(OSCILLATOR, RK4(np.float32(0.01)), Limits(max_time=5.0), 0.5)
+
+
+def _times(trajs):
+    return [([t for t, _ in traj.samples], [(s.t_start, s.t_end) for s in traj.segments])
+            for traj in trajs]
+
+
+@pytest.mark.parametrize("setting", ["dt", "max_time"])
+def test_a_float32_dt_or_max_time_times_samples_in_double_precision(setting):
+    def run(convert):
+        dt, max_time = (convert(0.1), 5.0) if setting == "dt" else (0.25, convert(4.9))
+        return _export_all(OSCILLATOR, Exact(), Limits(max_time=max_time), dt)
+
+    single, double = run(np.float32), run(lambda v: float(np.float32(v)))
+    assert _times(single) == _times(double)
+    assert all(type(t) is float for times, _ in _times(single) for t in times)

@@ -24,6 +24,9 @@ from hybridsim.syntax import (Apply, Const, Diff, Var, desugar_program, expr_var
 from hybridsim.semantics import Limits, eval_expr
 from hybridsim.trajectory import simulate
 
+# the affine grid's generator, in tools/ (on the test path)
+from affine_inputs import gen_rhs, perturbed, system_or_error
+
 
 def _diff(text):
     p = desugar_program(parse_program(text))
@@ -496,40 +499,12 @@ def test_fold_preserves_value(seed):
 # -- the compiled form against the tree path, bit for bit
 
 
-def _built(build, diff, env) -> tuple:
-    """What building the system gives: its vars, the bytes of A, b and M
-    and `closed_form`, or the error with the environment it carries."""
-    try:
-        s = build(diff, env)
-    except HybridError as ex:
-        return "err", ex.info, ex.info.env
-    return s.vars, s.A.tobytes(), s.b.tobytes(), s.M.tobytes(), s.closed_form
-
-
 def _agree(diff, env) -> bool:
     """The compiled form builds what the tree path builds, or raises its
     error; True when the system was built."""
-    want = _built(_folded_system, diff, env)
-    assert _built(linearize._linearize, diff, env) == want
+    want = system_or_error(_folded_system, diff, env)
+    assert system_or_error(linearize._linearize, diff, env) == want
     return want[0] != "err"
-
-
-# values a frozen variable takes in the perturbed environments (the zeros
-# twice, as they are the ones that tell -0.0 and zero divisors apart)
-_ODD_VALUES = (0.0, -0.0, 0.0, -0.0, 1e308, -1e308, 5e-324, 2, 2**70)
-
-
-def _perturbed(rng, frozen, base) -> dict:
-    env = dict(base)
-    for name in frozen:
-        r = rng.random()
-        if r < 0.05:
-            env.pop(name, None)
-        elif r < 0.4:
-            env[name] = rng.choice(_ODD_VALUES)
-        else:
-            env[name] = rng.randrange(-16, 17) / 4.0
-    return env
 
 
 def test_compiled_form_matches_the_tree_path_on_random_programs():
@@ -538,38 +513,9 @@ def test_compiled_form_matches_the_tree_path_on_random_programs():
         program, env = randprog.gen_program(seed)
         rng = random.Random(seed)
         for diff in (n for n in nodes(program) if type(n) is Diff):
-            for e in [env] + [_perturbed(rng, diff.frozen, env) for _ in range(3)]:
+            for e in [env] + [perturbed(rng, diff.frozen, env) for _ in range(3)]:
                 built += _agree(diff, e)
     assert built > 4000
-
-
-def _gen_rhs(rng, bound, frozen, depth):
-    """Right-hand sides of every shape the tree path accepts or rejects:
-    the affine combinators with frozen or bound operands on either side,
-    unary minus, frozen calls and divisors, and non-affine nodes."""
-    r = rng.random()
-    if depth <= 0 or r < 0.3:
-        w = rng.random()
-        if w < 0.4:
-            return Var(rng.choice(bound))
-        if w < 0.7:
-            return Var(rng.choice(frozen))
-        return Const(rng.choice((0.0, -0.0, 0.5, -3.0, 1e308)))
-
-    def sub():
-        return _gen_rhs(rng, bound, frozen, depth - 1)
-
-    if r < 0.45:
-        return Apply(rng.choice("+-"), (sub(), sub()))
-    if r < 0.55:
-        return Apply("-", (sub(),))
-    if r < 0.7:
-        return Apply("*", (sub(), sub()))
-    if r < 0.85:
-        return Apply("/", (sub(), sub()))
-    if r < 0.95:
-        return Apply(rng.choice(("sqrt", "sin", "exp")), (sub(),))
-    return Apply("min", (sub(), sub()))
 
 
 def test_compiled_form_matches_the_tree_path_on_every_shape():
@@ -578,10 +524,10 @@ def test_compiled_form_matches_the_tree_path_on_every_shape():
         rng = random.Random(seed)
         bound = ["x", "y", "z"][: rng.randrange(1, 4)]
         frozen = ["a", "b"]
-        diff = Diff(tuple((x, _gen_rhs(rng, bound, frozen, 4)) for x in bound),
+        diff = Diff(tuple((x, gen_rhs(rng, bound, frozen, 4)) for x in bound),
                     Const(1.0))
         for _ in range(3):
-            built += _agree(diff, _perturbed(rng, frozen, {}))
+            built += _agree(diff, perturbed(rng, frozen, {}))
     assert built > 500
 
 
@@ -606,7 +552,7 @@ def test_compiled_form_matches_the_tree_path_on_the_corpus():
         if key not in seen:
             seen.add(key)
             assert _agree(diff, env)
-            _agree(diff, _perturbed(rng, diff.frozen, env))
+            _agree(diff, perturbed(rng, diff.frozen, env))
     assert len(seen) > 20
 
 
@@ -627,7 +573,7 @@ def test_each_frozen_operand_has_one_leaf():
     for seed in range(2000):  # the statements of the every-shape test
         rng = random.Random(seed)
         bound = ["x", "y", "z"][: rng.randrange(1, 4)]
-        diff = Diff(tuple((x, _gen_rhs(rng, bound, ["a", "b"], 4)) for x in bound),
+        diff = Diff(tuple((x, gen_rhs(rng, bound, ["a", "b"], 4)) for x in bound),
                     Const(1.0))
         shapes += _leaves_per_operand(diff)
     corpus = 0
