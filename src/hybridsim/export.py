@@ -8,23 +8,24 @@ says how it was solved ("rk4" and the step used, or "closed-form").  The
 plot script targets gnuplot: one output block per axis group, every
 trajectory overlaid, and dedicated start/end markers.
 
-The writers work by record shape: consecutive samples with one key tuple
-are written, at most `_CHUNK` at a time, by one `%` call over a row template
-that holds the text of the chunk's constant columns, so only the cells that
-vary are formatted.  JSON text is byte-identical to `json.dumps(doc,
-indent=2)`; its pure-Python indenting encoder, which took as long as
-simulating on the whole document, writes only what the templates leave:
-the head, outcomes, terminal segments, vars, and constant or non-finite cells.
+The writers work by record shape: they read the chunks the sampler closed
+(`trajectory.Chunk`: consecutive samples with one key tuple, their times,
+one tuple of values per column, and the columns that hold one object) and
+write each by one `%` call over a row template that holds the text of the
+chunk's constant columns, so only the cells that vary are formatted.  JSON
+text is byte-identical to `json.dumps(doc, indent=2)`; its pure-Python
+indenting encoder, which took as long as simulating on the whole document,
+writes only what the templates leave: the head, outcomes, terminal
+segments, vars, and constant or non-finite cells.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _jstr
 from math import isfinite
-from operator import is_, itemgetter
 
 from .errors import ErrorInfo
 from .odesolve import Exact, RK4, SolverMode
@@ -139,25 +140,6 @@ def make_plot_spec(axes, graph_type: str, variables: list,
 # ---------------------------------------------------------------------------
 # Samples by record shape
 
-# the most samples one `%` call formats, so a long run costs bounded memory;
-# short enough that most chunks hold some columns at one value
-_CHUNK = 128
-
-
-def _runs(samples: list):
-    """Yield (keys, times, envs, const) for each run of consecutive samples
-    whose environments share one key tuple, at most _CHUNK samples at a time.
-    `const` maps each key that holds the same object in every env of the
-    chunk to that object: `is`, since `-0.0 == 0.0` and `1 == 1.0 == True`
-    are written differently."""
-    for keys, run in groupby(samples, lambda s: tuple(s[1])):
-        while chunk := list(islice(run, _CHUNK)):
-            times, envs = zip(*chunk)
-            first = envs[0]
-            yield keys, times, envs, {
-                k: first[k] for k in keys
-                if all(map(is_, map(itemgetter(k), envs), repeat(first[k])))}
-
 
 def _cell(name: str, const: dict, slot: str, text) -> str:
     """A row template's cell for a column: the text of its constant, each `%`
@@ -165,9 +147,9 @@ def _cell(name: str, const: dict, slot: str, text) -> str:
     return text(const[name]).replace("%", "%%") if name in const else slot
 
 
-def _flat(cols: list, envs, names) -> tuple:
-    """Row by row: the values of `cols`, then each env's values at `names`."""
-    return tuple(chain.from_iterable(zip(*cols, *[map(itemgetter(n), envs) for n in names])))
+def _flat(cols: list) -> tuple:
+    """The values of `cols`, row by row."""
+    return tuple(chain.from_iterable(zip(*cols)))
 
 
 _g17 = "%.17g".__mod__  # a number's CSV and plot text
@@ -183,11 +165,11 @@ def export_csv(trajs: list, variables: list) -> bytes:
     parts = ["label,time," + ",".join(variables)]
     for traj in sorted(trajs, key=lambda tr: tr.label):
         label = "\n" + traj.label.replace("%", "%%") + ",%.17g"
-        for keys, times, envs, const in _runs(traj.samples):
-            row = label + "".join(["," + _cell(n, const, "%.17g", _g17) if n in keys else ","
+        for times, columns, const in traj.chunks:
+            row = label + "".join(["," + _cell(n, const, "%.17g", _g17) if n in columns else ","
                                    for n in variables])
-            varying = [n for n in variables if n in keys and n not in const]
-            parts.append(row * len(times) % _flat([times], envs, varying))
+            varying = [columns[n] for n in variables if n in columns and n not in const]
+            parts.append(row * len(times) % _flat([times, *varying]))
     parts.append("\n")
     return "".join(parts).encode("utf-8")
 
@@ -257,17 +239,17 @@ def _segments_json(segs: list, shapes: dict, out: list):
     out += ["[", _fill(",".join(parts), tuple(vals)), "\n      ]"] if parts else ["[]"]
 
 
-def _samples_json(samples: list, out: list):
-    """Append a trajectory's `samples` list to `out`, each chunk of one key
-    tuple filled by one `%` call."""
+def _samples_json(chunks: list, out: list):
+    """Append a trajectory's `samples` list to `out`, each chunk filled by
+    one `%` call."""
     first = len(out) + 1
     out.append("[")
-    for keys, times, envs, const in _runs(samples):
+    for times, columns, const in chunks:
         env = "".join(["\n            " + _jstr(k).replace("%", "%%") + ": "
-                       + _cell(k, const, "%s", _dumps) + "," for k in keys])
-        row = _SAMPLE % ("{" + env[:-1] + "\n          }" if keys else "{}")
-        varying = [k for k in keys if k not in const]
-        out.append(_fill(row * len(times), _flat([times], envs, varying)))
+                       + _cell(k, const, "%s", _dumps) + "," for k in columns])
+        row = _SAMPLE % ("{" + env[:-1] + "\n          }" if columns else "{}")
+        varying = [col for k, col in columns.items() if k not in const]
+        out.append(_fill(row * len(times), _flat([times, *varying])))
     if len(out) > first:
         out[first] = out[first][1:]  # no comma before the first sample
         out.append("\n      ")
@@ -294,7 +276,7 @@ def export_json(trajs: list, spec: PlotSpec, mode: SolverMode,
             _jstr(traj.label), _dumps(_outcome_json(traj.outcome), "\n      ")))
         _segments_json(traj.segments, shapes, out)
         out.append(',\n      "samples": ')
-        _samples_json(traj.samples, out)
+        _samples_json(traj.chunks, out)
         out.append("\n    }")
     out.append("\n  ]\n}\n" if trajs else "[]\n}\n")
     text = "".join(out)
@@ -323,9 +305,9 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         "set key outside",
         "set grid",
     ]
-    # each trajectory's chunks of one key tuple, with their times formatted once
-    runs = [[(keys, ("%.17g\n" * len(times) % times).splitlines(), envs, const)
-             for keys, times, envs, const in _runs(traj.samples)] for traj in trajs]
+    # each trajectory's chunks, with their times formatted once
+    runs = [[(("%.17g\n" * len(times) % times).splitlines(), columns, const)
+             for times, columns, const in traj.chunks] for traj in trajs]
     plot_cmds = []
     for gi, g in enumerate(spec.axes, start=1):
         names = g.names
@@ -336,12 +318,12 @@ def emit_plot_script(trajs: list, spec: PlotSpec) -> str:
         for ti, traj in enumerate(trajs):
             block = f"$g{gi}_t{ti}"
             rows = []  # one string a chunk that has the group's variables
-            for keys, stamps, envs, const in runs[ti]:
-                if set(names).issubset(keys):
+            for stamps, columns, const in runs[ti]:
+                if set(names).issubset(columns):
                     row = "%s " * timed + " ".join([_cell(n, const, "%.17g", _g17) for n in names])
-                    varying = [n for n in names if n not in const]
-                    rows.append(((row + "\n") * len(envs)
-                                 % _flat([stamps] * timed, envs, varying))[:-1])
+                    varying = [columns[n] for n in names if n not in const]
+                    rows.append(((row + "\n") * len(stamps)
+                                 % _flat([stamps] * timed + varying))[:-1])
             lines.append(f"{block} << EOD")
             lines.extend(rows)
             lines.append("EOD")

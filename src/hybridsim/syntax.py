@@ -132,7 +132,26 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        return _walk(self) == _walk(other) if type(other) is type(self) else NotImplemented
+        """Both sides in lockstep on an explicit stack, past every pair whose
+        sides are one object, so that shared subtrees cost nothing."""
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Frozen):
+                if type(b) is not type(a):
+                    return False
+                todo += [(getattr(a, f), getattr(b, f)) for f in a._fields]
+            elif type(a) is tuple:
+                if type(b) is not tuple or len(b) != len(a):
+                    return False
+                todo += zip(a, b)
+            elif isinstance(b, _Frozen) or type(b) is tuple or not a == b:
+                return False
+        return True
 
     def __repr__(self):
         """The dataclass text: each open value keeps, last first, what is

@@ -9,14 +9,28 @@ an early completion the final values are held constant up to the horizon so
 plots span the full time range.  `interp_at` reads the table at an instant
 by big-step's own clock, and `consistency_check` compares it against fresh
 big-step evaluations, the per-instant oracle for this segment-based sampler.
+
+The sampler holds a trajectory's samples by record shape, as the writers of
+`export` read them: consecutive samples whose environments have one key
+tuple are closed, at most `_CHUNK` at a time, into a `Chunk` of their
+times, one tuple of values per column, and the columns that hold one object
+throughout.  A chunk is closed once, when a later instant arrives, when it
+is full, or when the run ends, since a later sample at the same instant
+replaces the earlier one.  `Trajectory.samples` is a read-only view of the
+chunks as `(t, env)` pairs, each env built afresh on every read, so writing
+into one changes nothing.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import is_
+from typing import NamedTuple
 
 from .semantics import (BoundReached, Config, Env, Err, Limits, Outcome, Skip,
                         Stop, big_step, flow_env, machine)
@@ -26,7 +40,7 @@ from .odesolve import Exact, Solution, SolverMode, check_time
 from .syntax import Assign, SourceUnit, VarList, desugar
 
 __all__ = [
-    "Continuous", "Discrete", "TerminalMark", "Segment", "Trajectory",
+    "Continuous", "Discrete", "TerminalMark", "Segment", "Trajectory", "Chunk",
     "VariabilityCapExceeded", "ConsistencyReport", "var_grid",
     "expand_variability", "simulate", "consistency_check", "interp_at",
     "DEFAULT_VARIABILITY_CAP",
@@ -72,13 +86,118 @@ class Segment:
     env_at_start: Env
 
 
-@dataclass
+# the most samples a chunk holds, so that a writer formats a bounded number
+# at once; short enough that most chunks hold some columns at one value
+_CHUNK = 128
+
+
+class Chunk(NamedTuple):
+    """Consecutive samples whose environments have one key tuple."""
+
+    times: tuple
+    columns: dict  # each key, in the environments' order, to its values in time order
+    const: dict  # each key whose values are one object (`is`) to that object
+
+
+def _chunk(keys: tuple, times: list, envs: list) -> Chunk:
+    """The chunk of `envs`, whose keys are `keys`, at `times`.  A column is
+    constant when it holds one object: `is`, since `-0.0 == 0.0` and
+    `1 == 1.0 == True` are written differently."""
+    columns = dict(zip(keys, zip(*[env.values() for env in envs])))
+    return Chunk(tuple(times), columns, {
+        k: col[0] for k, col in columns.items()
+        if all(map(is_, col, itertools.repeat(col[0])))})
+
+
+class _Chunker:
+    """Samples closed into chunks as they come.  `add` appends one; `push`
+    holds one until a later instant arrives, since the latest sample at an
+    instant wins; `close` ends the run and returns its chunks.  An env is
+    read when its chunk closes: nothing writes into an env once it is made."""
+
+    __slots__ = ("chunks", "keys", "times", "envs", "held")
+
+    def __init__(self):
+        self.chunks, self.keys, self.times, self.envs, self.held = [], None, [], [], None
+
+    def add(self, t, env: Env):
+        keys = tuple(env)
+        if keys != self.keys or len(self.times) == _CHUNK:
+            self._flush()
+            self.keys = keys
+        self.times.append(t)
+        self.envs.append(env)
+
+    def push(self, t, env: Env):
+        if self.held is not None and self.held[0] != t:
+            self.add(*self.held)
+        self.held = (t, env)
+
+    def close(self) -> list:
+        if self.held is not None:
+            self.add(*self.held)
+        self._flush()
+        return self.chunks
+
+    def _flush(self):
+        if self.times:
+            self.chunks.append(_chunk(self.keys, self.times, self.envs))
+            self.times, self.envs = [], []
+
+
+class Samples(Sequence):
+    """A trajectory's samples as (t, env) pairs, read from its chunks; each
+    env is built afresh, so writing into one changes nothing."""
+
+    __slots__ = ("_chunks", "_starts")
+
+    def __init__(self, chunks: list):
+        self._chunks = chunks
+        self._starts = list(itertools.accumulate((len(c.times) for c in chunks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # a negative index from the end; IndexError past it
+        c = bisect_right(self._starts, i) - 1
+        chunk, j = self._chunks[c], i - self._starts[c]
+        return chunk.times[j], {k: col[j] for k, col in chunk.columns.items()}
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            keys = tuple(chunk.columns)
+            rows = zip(*chunk.columns.values()) if keys else itertools.repeat(())
+            for t, row in zip(chunk.times, rows):
+                yield t, dict(zip(keys, row))
+
+
 class Trajectory:
-    label: str
-    segments: list = field(default_factory=list)
-    samples: list = field(default_factory=list)  # [(time, env), ...]
-    outcome: Outcome | None = None
-    initial_env: Env = field(default_factory=dict)
+    """One run: its segments, its samples as a list of `Chunk`s in time
+    order, and how it ended.  The samples may be given as (t, env) pairs;
+    they are chunked as they are."""
+
+    __slots__ = ("label", "segments", "chunks", "outcome", "initial_env")
+
+    def __init__(self, label: str, segments: list | None = None, samples=(),
+                 outcome: Outcome | None = None, initial_env: Env | None = None):
+        chunker = _Chunker()
+        for t, env in samples:
+            chunker.add(t, env)
+        self.label = label
+        self.segments = [] if segments is None else segments
+        self.chunks = chunker.close()
+        self.outcome = outcome
+        self.initial_env = {} if initial_env is None else initial_env
+
+    @property
+    def samples(self) -> Samples:
+        return Samples(self.chunks)
+
+    def __repr__(self):
+        return (f"Trajectory(label={self.label!r}, segments={self.segments!r}, "
+                f"samples={list(self.samples)!r}, outcome={self.outcome!r}, "
+                f"initial_env={self.initial_env!r})")
 
 
 def fmt_value(v: float) -> str:
@@ -110,14 +229,7 @@ def expand_variability(unit: SourceUnit,
     return out
 
 
-def _push_sample(samples: list, t: float, env: Env):
-    if samples and samples[-1][0] == t:
-        samples[-1] = (t, env)  # the latest value at an instant wins
-    else:
-        samples.append((t, env))
-
-
-def _sample(samples: list, t_start: float, t_end: float, length: float,
+def _sample(samples: _Chunker, t_start: float, t_end: float, length: float,
             dt: float, at, end: Env):
     """Sample at(tau) at t_start + tau, tau = dt, 2dt, ... short of `length`
     and of t_end, then `end` at exactly t_end: a flow's states, ending in the
@@ -129,16 +241,17 @@ def _sample(samples: list, t_start: float, t_end: float, length: float,
         t_abs = t_start + tau
         if tau >= length or t_abs >= t_end:
             break
-        _push_sample(samples, t_abs, at(tau))
+        samples.push(t_abs, at(tau))
         k += 1
-    _push_sample(samples, t_end, dict(end))
+    samples.push(t_end, end)
 
 
 def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
              dt: float) -> Trajectory:
     traj = Trajectory(label=label, initial_env=dict(env0))
     horizon = limits.max_time
-    _push_sample(traj.samples, 0.0, dict(env0))
+    samples = _Chunker()
+    samples.push(0.0, env0)
     steps = machine(Config(body, dict(env0), horizon), mode, limits)
     while True:
         try:
@@ -153,13 +266,13 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
             var, old, new = det
             traj.segments.append(
                 Segment(now, now, Discrete(var, old, new), cfg.env))
-            _push_sample(traj.samples, now, dict(r.env))
+            samples.push(now, r.env)
         elif rule in ("diff-skip", "diff-stop"):
             sol, advanced = det
             # the residual the step left: for a stop, it is 0.0
             end = horizon - (cfg.residual - advanced)
             traj.segments.append(Segment(now, end, Continuous(sol, advanced), cfg.env))
-            _sample(traj.samples, now, end, advanced, dt,
+            _sample(samples, now, end, advanced, dt,
                     partial(flow_env, sol, cfg.env), r.env)
     traj.outcome = outcome
     if isinstance(outcome, Skip):
@@ -168,14 +281,15 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
         traj.segments.append(
             Segment(elapsed, horizon, TerminalMark(outcome), outcome.env))
         if outcome.early:
-            _sample(traj.samples, elapsed, horizon, math.inf, dt,
-                    lambda tau: dict(outcome.env), outcome.env)
+            _sample(samples, elapsed, horizon, math.inf, dt,
+                    lambda tau: outcome.env, outcome.env)
     elif isinstance(outcome, Stop):
         traj.segments.append(
             Segment(horizon, horizon, TerminalMark(outcome), outcome.env))
     else:
         # an error or the iteration bound: marked where the last step began
         traj.segments.append(Segment(now, now, TerminalMark(outcome), cfg.env))
+    traj.chunks = samples.close()
     return traj
 
 

@@ -299,3 +299,17 @@ def test_nodes_compare_as_their_fields_and_kinds():
     a, b = Var("a"), Var("b")
     assert Leq(a, b) != And(a, b) and And(a, b) != Or(a, b)
     assert Leq(a, b) == Leq(Var("a"), Var("b")) and Leq(a, b) != Leq(b, a)
+
+
+def test_nodes_compare_their_parts_kind_by_kind_below_the_root():
+    a, b = Var("a"), Var("b")
+    shared = Leq(a, b)
+    assert Not(Leq(a, b)) != Not(And(a, b)) and Not(shared) == Not(Leq(Var("a"), Var("b")))
+    assert Not(And(shared, shared)) == Not(And(Leq(a, b), shared))
+    plus = Apply("+", (a, b))
+    assert plus != Apply("+", (a,)) and plus != Apply("+", (a, b, b))
+    assert plus != Apply("+", [a, b]) and Apply("+", [a, b]) != plus
+    assert Not(Var("x")) != Not(Const(0.0)) and Not(Const(0.0)) != Not(Var("x"))
+    assert Not(Const((0.0,))) != Not(Const(0.0)) and Not(Const(0.0)) != Not(Const((0.0,)))
+    assert Not(Const(0.0)) == Not(Const(-0.0)) and Not(Const(math.nan)) == Not(Const(math.nan))
+    assert Not(Const(float("nan"))) != Not(Const(float("nan")))  # two objects, as == on floats

@@ -3,7 +3,9 @@ import io
 import json
 import math
 import tracemalloc
+from operator import is_
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from conftest import load_core
 from hybridsim import corpus_path
 from hybridsim.cli import cli_main
 from hybridsim.errors import ErrorInfo, ErrorKind
-from hybridsim.export import (_CHUNK, Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
-                              TripleAxis, UnknownVariable, _dumps, _runs,
+from hybridsim.export import (Axis, AxisSyntaxError, PairAxis, PlotSpec, TimeAxis,
+                              TripleAxis, UnknownVariable, _dumps,
                               emit_plot_script, export_csv, export_json,
                               make_plot_spec, parse_axes)
 from hybridsim.linearize import AffineSystem
@@ -23,7 +25,7 @@ from hybridsim.odesolve import Exact, RK4, Solution, default_rk4_step
 from hybridsim.semantics import (BoundKind, BoundReached, Err, Limits, Skip, Stop, big_step,
                                  outcome_bits)
 from hybridsim.syntax import desugar, ordered_vars, parse
-from hybridsim.trajectory import (Continuous, Discrete, Segment, TerminalMark,
+from hybridsim.trajectory import (_CHUNK, Continuous, Discrete, Segment, TerminalMark,
                                   Trajectory, simulate)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -382,7 +384,7 @@ def _ref_json(trajs, spec, mode, limits, variables) -> bytes:
         "variables": list(variables),
         "trajectories": [{"label": traj.label, "outcome": _ref_outcome(traj.outcome),
                           "segments": [_ref_segment(s) for s in traj.segments],
-                          "samples": traj.samples} for traj in trajs],
+                          "samples": list(traj.samples)} for traj in trajs],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
@@ -454,6 +456,51 @@ def _samples(draw):
     return samples
 
 
+def _same(got, want) -> bool:
+    """Both lists of (t, env) pairs hold the same objects, keys in one order."""
+    return len(got) == len(want) and all(
+        t is t0 and list(env) == list(env0) and all(map(is_, env.values(), env0.values()))
+        for (t, env), (t0, env0) in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples())
+def test_a_trajectory_gives_back_the_samples_it_was_built_from(samples):
+    traj = Trajectory("", samples=samples)
+    view = traj.samples
+    n = len(samples)
+    assert len(view) == n
+    assert _same(list(view), samples)
+    assert _same([view[i] for i in range(n)], samples)
+    assert _same([view[i] for i in range(-n, 0)], samples)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    if samples:  # the view is read-only: writing into what it gives changes nothing
+        view[0][1]["new"] = 1.0
+        samples[0][1]["new"] = 1.0
+        assert "new" not in traj.samples[0][1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples())
+def test_chunks_are_runs_of_one_key_tuple_with_their_constant_columns(samples):
+    chunks = Trajectory("", samples=samples).chunks
+    start = 0
+    for chunk in chunks:
+        run = samples[start:start + len(chunk.times)]
+        start += len(chunk.times)
+        assert 0 < len(chunk.times) <= _CHUNK
+        assert all(list(env) == list(chunk.columns) for _, env in run)
+        assert all(len(col) == len(run) for col in chunk.columns.values())
+        assert chunk.const.keys() == {k for k, col in chunk.columns.items()
+                                      if all(v is col[0] for v in col)}
+        assert all(v is chunk.columns[k][0] for k, v in chunk.const.items())
+    assert start == len(samples)
+    for a, b in zip(chunks, chunks[1:]):  # a run is split only where it is full
+        assert list(a.columns) != list(b.columns) or len(a.times) == _CHUNK
+
+
 _ENV = st.dictionaries(_NAME, _VALUE, max_size=3)
 _OUTCOME = st.one_of(
     st.builds(Skip, _ENV, _VALUE, st.booleans()), st.builds(Stop, _ENV),
@@ -481,22 +528,32 @@ def test_writers_match_the_reference_writers(trajs, variables, mode):
     assert emit_plot_script(trajs, spec) == _ref_plot(trajs, spec)
 
 
-def _long_trajectory(n: int, names: list, label: str = "") -> Trajectory:
+def _trajectory(samples: list, label: str = "") -> Trajectory:
+    return Trajectory(label=label, samples=samples,
+                      outcome=Skip(samples[-1][1], len(samples) / 3, False))
+
+
+def _long_samples(n: int, names: list) -> list:
     """n samples over `names`, each value a distinct 17-digit float; the last
     ten lack `names[-1]`, so the first n - 10 make one run."""
-    samples = [(i / 3, {name: (i * 8 + j) / 7
-                        for j, name in enumerate(names[:-1] if i >= n - 10 else names)})
-               for i in range(n)]
-    return Trajectory(label=label, samples=samples, outcome=Skip(samples[-1][1], n / 3, False))
+    return [(i / 3, {name: (i * 8 + j) / 7
+                     for j, name in enumerate(names[:-1] if i >= n - 10 else names)})
+            for i in range(n)]
+
+
+def _long_trajectory(n: int, names: list, label: str = "") -> Trajectory:
+    return _trajectory(_long_samples(n, names), label)
 
 
 def test_runs_longer_than_a_chunk_match_the_reference_writers():
-    trajs = [_long_trajectory(2600, ["x", "y%", "z"], "a%b"), _long_trajectory(2500, ["x", "y%"])]
-    trajs[1].samples[1300][1]["x"] = math.inf  # one chunk off the fast path
-    # a run of 2590 samples is written at most _CHUNK samples at a time
+    samples = _long_samples(2500, ["x", "y%"])
+    samples[1300][1]["x"] = math.inf  # one chunk off the fast path
+    trajs = [_long_trajectory(2600, ["x", "y%", "z"], "a%b"), _trajectory(samples)]
+    assert trajs[1].samples[1300][1]["x"] == math.inf
+    # a run of 2590 samples is held, and written, at most _CHUNK samples at a time
     full, rest = divmod(2590, _CHUNK)
     assert full >= 3  # several chunks long
-    assert [len(times) for _, times, _, _ in _runs(trajs[0].samples)] == (
+    assert [len(chunk.times) for chunk in trajs[0].chunks] == (
         [_CHUNK] * full + [rest] * (rest > 0) + [10])
     variables = ["x", "y%", "z"]
     spec = PlotSpec((Axis(("z",)), Axis(("x", "y%")), Axis(("x", "y%", "z"))), "scatter", 9e3, 10)
@@ -513,7 +570,7 @@ _CONSTANTS = {"neg": -0.0, "zero": 0.0, "nan": math.nan, "inf%": math.inf,
               "-inf": -math.inf, "int": 0, "bool": True, "big": 2**70}
 
 
-def _constant_trajectory(n: int, label: str) -> Trajectory:
+def _constant_samples(n: int) -> list:
     """n samples whose columns hold one object each, but for `half`, which
     holds one in the first and third chunks only; `%s`, whose equal values are
     distinct objects; and `mixed`, which hides an equal value of another
@@ -525,15 +582,17 @@ def _constant_trajectory(n: int, label: str) -> Trajectory:
         env["%s"] = float("1.5")
         env["mixed"] = {_CHUNK + 3: -0.0, 2 * _CHUNK + 1: 1}.get(i, 0.0)
         samples.append((i / 3, env))
-    return Trajectory(label=label, samples=samples, outcome=Skip(samples[-1][1], n / 3, False))
+    return samples
 
 
 def test_constant_columns_match_the_reference_writers():
-    trajs = [_constant_trajectory(3 * _CHUNK + 5, "a%b"), _constant_trajectory(2 * _CHUNK, "%s %d")]
-    for i, (_, env) in enumerate(trajs[1].samples):  # a second run, with fewer columns
+    second = _constant_samples(2 * _CHUNK)
+    for i, (_, env) in enumerate(second):  # a second run, with fewer columns
         if i >= _CHUNK + 9:
             del env["big"]
-    chunks = [const for _, _, _, const in _runs(trajs[0].samples)]
+    trajs = [_trajectory(_constant_samples(3 * _CHUNK + 5), "a%b"), _trajectory(second, "%s %d")]
+    assert [len(chunk.times) for chunk in trajs[1].chunks] == [_CHUNK, 9, _CHUNK - 9]
+    chunks = [chunk.const for chunk in trajs[0].chunks]
     assert len(chunks) == 4
     assert all(const.keys() >= _CONSTANTS.keys() for const in chunks)
     assert [sorted(const.keys() - _CONSTANTS.keys()) for const in chunks] == [
@@ -583,19 +642,22 @@ def _peak(write, *args) -> int:
 
 
 def test_export_memory_stays_within_the_reference_writers():
-    """A trajectory ten chunks long costs each writer no more memory at its
-    peak than the reference writer for its format."""
+    """A trajectory many chunks long costs each writer no more memory at its
+    peak than the reference writer for its format, given the samples as a
+    list of pairs built beforehand."""
     names = [f"x{i}" for i in range(8)]
     trajs = [_long_trajectory(10_000, names)]
+    held = [SimpleNamespace(label=tr.label, segments=tr.segments, samples=list(tr.samples),
+                            outcome=tr.outcome) for tr in trajs]
     spec = PlotSpec((Axis(("x0",)), Axis(("x1", "x2"))), "scatter", 1e6, 10)
     limits = Limits(max_time=1e6, max_iterations=10)
     tracemalloc.start()
     try:
-        for new, ref, args in [(export_csv, _ref_csv, (trajs, names)),
-                               (export_json, _ref_json, (trajs, spec, Exact(), limits, names)),
-                               (emit_plot_script, _ref_plot, (trajs, spec))]:
-            ref_peak = _peak(ref, *args)
-            assert _peak(new, *args) <= 1.1 * ref_peak, new.__name__
+        for new, ref, args in [(export_csv, _ref_csv, (names,)),
+                               (export_json, _ref_json, (spec, Exact(), limits, names)),
+                               (emit_plot_script, _ref_plot, (spec,))]:
+            ref_peak = _peak(ref, held, *args)
+            assert _peak(new, trajs, *args) <= 1.1 * ref_peak, new.__name__
     finally:
         tracemalloc.stop()
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from hybridsim.odesolve import Exact, RK4
 from hybridsim.semantics import (BoundKind, BoundReached, Config, Err, Limits,
                                  Skip, Stop, big_step, outcome_bits, run_to_terminal)
 from hybridsim.syntax import parse
-from hybridsim.trajectory import (Continuous, Discrete, TerminalMark,
+from hybridsim.trajectory import (_CHUNK, Continuous, Discrete, TerminalMark, Trajectory,
                                   VariabilityCapExceeded, consistency_check,
                                   expand_variability, interp_at, simulate)
 from conftest import load_core, load_corpus
@@ -169,12 +170,46 @@ def test_single_trajectory_outcome_matches_run_to_terminal(name, mode):
 @pytest.mark.parametrize("name", CORPUS)
 def test_each_continuous_segment_start_has_one_sample_of_its_start_state(name, mode):
     for traj in simulate(load_core(name), mode, Limits(max_time=50.0), dt=0.0997):
+        samples = list(traj.samples)  # read once: each read of the view builds every env
         for seg in traj.segments:
             if isinstance(seg.kind, Continuous):
-                at_start = [env for t, env in traj.samples if t == seg.t_start]
+                at_start = [env for t, env in samples if t == seg.t_start]
                 assert len(at_start) == 1, (traj.label, seg.t_start)
                 if seg.t_end > seg.t_start:
                     assert at_start == [seg.env_at_start], (traj.label, seg.t_start)
+
+
+# a later sample at an instant replaces the one before it, also across a key
+# change (eq2's `t := sqrt(dist/a)` at t = 0), and is never doubled
+@pytest.mark.parametrize("dt", [0.1, 0.0997])
+@pytest.mark.parametrize("mode", [EXACT, RK4()], ids=["exact", "rk4"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_sample_times_rise_strictly_from_zero_to_the_trajectory_end(name, mode, dt):
+    for traj in simulate(load_core(name), mode, Limits(max_time=50.0), dt=dt):
+        times = [t for t, _ in traj.samples]
+        assert times[0] == 0.0 and times[-1] == traj.segments[-1].t_end, traj.label
+        assert all(a < b for a, b in zip(times, times[1:])), traj.label
+        assert all(0 < len(chunk.times) <= _CHUNK for chunk in traj.chunks), traj.label
+
+
+def test_chunks_hold_aebom_in_at_most_half_the_memory_of_pairs():
+    """The samples of aebom at dt = 0.01 (45 027 of them) as column chunks,
+    against the same samples as (t, dict) pairs; both hold the same value
+    objects, so only what holds them is counted."""
+    trajs = simulate(load_core("aebom"), EXACT, Limits(max_time=50.0), dt=0.01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = [list(traj.samples) for traj in trajs]
+        middle = tracemalloc.get_traced_memory()[0]
+        chunked = [Trajectory(traj.label, samples=held) for traj, held in zip(trajs, pairs)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, pairs)) == 45_027
+    assert [chunk.times for traj in chunked for chunk in traj.chunks] == [
+        chunk.times for traj in trajs for chunk in traj.chunks]
+    assert after - middle <= 0.5 * (middle - before)
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.5])

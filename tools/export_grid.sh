@@ -1,10 +1,11 @@
 #!/bin/sh
 # The export grid: every corpus program under both solvers in all three
-# formats at --dt 0.1, and in JSON at the off-grid --dt 0.0997, where most
-# samples fall inside segments: 72 runs.  Each run's files, its messages and
-# its exit code land under OUT/<solver>-<format>/ (OUT/<solver>-json-dt0.0997/
-# for the off-grid runs); each program's `hybridsim check` messages and exit
-# code land under OUT/check/.
+# formats at --dt 0.1, in JSON at the off-grid --dt 0.0997, where most
+# samples fall inside segments, and in CSV at --dt 0.01, where a trajectory
+# holds thousands of samples (about 40 chunks of them): 90 runs.  Each run's
+# files, its messages and its exit code land under OUT/<solver>-<format>/
+# (OUT/<solver>-<format>-dt<dt>/ for the runs at another --dt); each
+# program's `hybridsim check` messages and exit code land under OUT/check/.
 #
 #     tools/export_grid.sh OUT [ROOT]
 #
@@ -24,7 +25,7 @@ for p in eq1 eq2 ex21 zeno aeb aebom rlcs-under rlcs-over pursuit; do
         "$ROOT/src/hybridsim/corpus/$p.lince" > "$1/check/$p.stdout" 2>&1 || code=$?
     echo "exit=$code" >> "$1/check/$p.stdout"
     for s in exact rk4; do
-        for run in csv:0.1 json:0.1 plot:0.1 json:0.0997; do
+        for run in csv:0.1 json:0.1 plot:0.1 json:0.0997 csv:0.01; do
             f=${run%:*} dt=${run#*:}
             d=$1/$s-$f
             [ "$dt" = 0.1 ] || d=$d-dt$dt
