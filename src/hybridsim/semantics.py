@@ -27,6 +27,12 @@ functional correspondence between evaluators and abstract machines", PPDP
 2003).  Neither semantics recurses, so a program's length and nesting depth
 are bounded by memory, not by the recursion limit.
 
+A Config is the 4-tuple (focus, stack, env, residual), a layout internal to
+the package: `_step` unpacks its input and builds its successor in one
+`tuple.__new__`, and the trajectory driver unpacks the configs it reads.  Of the tuple it exposes `len`, iteration and indexing; it
+compares, prints and pickles by (program, env, residual), is unhashable and
+unordered, and never equals a plain tuple.
+
 Durations are evaluated once, at statement entry.  A negative duration is an
 error.  Assignments consume no time.
 """
@@ -36,6 +42,7 @@ import enum
 import math
 from dataclasses import dataclass
 from numbers import Rational, Real
+from operator import itemgetter
 from sys import float_info
 from typing import NamedTuple
 
@@ -120,19 +127,26 @@ def outcome_bits(o: Outcome) -> tuple:
     return ("bound", o.kind, env, float(o.elapsed).hex())
 
 
-class Config(_Frozen):
+class Config(_Frozen, tuple):
     """A machine configuration (program, env, residual time), held
-    refocused: the statement in `focus` and a `stack` of the `rest`
-    programs pending after it, as persistent cons cells (rest, below) or
-    None.  `program` rebuilds the nested `Seq`s when read.  Immutable, and
-    compared and shown by (program, env, residual), as a frozen dataclass."""
+    refocused as the 4-tuple (focus, stack, env, residual): the statement in
+    `focus` and a `stack` of the `rest` programs pending after it, as
+    persistent cons cells (rest, below) or None.  `program` rebuilds the
+    nested `Seq`s when read.  Immutable, and a value by (program, env,
+    residual), not by its tuple (see the module notes)."""
 
-    __slots__ = ("focus", "stack", "env", "residual")
+    __slots__ = ()
     _fields = ("program", "env", "residual")
     __hash__ = None
+    focus, stack, env, residual = map(property, map(itemgetter, range(4)))
 
     def __new__(cls, program: Program, env: Env, residual: float):
-        return _config(program, None, env, residual)
+        return _new(cls, (program, None, env, residual))
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def program(self) -> Program:
@@ -143,27 +157,14 @@ class Config(_Frozen):
         return p
 
 
-_put_focus, _put_stack, _put_env, _put_residual = (
-    Config.__dict__[name].__set__ for name in Config.__slots__)
-
-
-def _config(focus, stack, env: Env, residual: float) -> Config:
-    """A Config, its slots set past the frozen `__setattr__`."""
-    cfg = object.__new__(Config)
-    _put_focus(cfg, focus)
-    _put_stack(cfg, stack)
-    _put_env(cfg, env)
-    _put_residual(cfg, residual)
-    return cfg
-
-
 class TSkip(NamedTuple):
     env: Env
     residual: float
 
 
-# _tskip(TSkip, (env, t)) is TSkip(env, t), past the Python-level __new__
-_tskip = tuple.__new__
+# _new(T, (a, ...)) is T(a, ...) for a Config or a TSkip, in one C-level
+# allocation past the Python-level __new__
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +211,14 @@ def _atom(a, env: Env, t: float, mode: SolverMode) -> tuple:
             return Err(ex.info), "asg-err", None
         out = dict(env)
         out[a.var] = v
-        return _tskip(TSkip, (out, t)), "asg", (a.var, env.get(a.var), v)  # no time consumed
+        return _new(TSkip, (out, t)), "asg", (a.var, env.get(a.var), v)  # no time consumed
     try:
         d, sol = _diff_enter(a, env, mode)
         out = dict(env)  # flow_env past `at`'s array (flow_env keeps it: bench/spans.py times it)
         out.update(zip(sol.system.vars, sol.state(t if d > t else d)))
         if d > t:
             return Stop(out), "diff-stop", (sol, t)
-        return _tskip(TSkip, (out, t - d)), "diff-skip", (sol, d)
+        return _new(TSkip, (out, t - d)), "diff-skip", (sol, d)
     except HybridError as ex:
         return Err(ex.info), "diff-err", None
     except NumericalOverflow:
@@ -263,7 +264,7 @@ def _big(p: Program, env: Env, t: float, mode: SolverMode, limits: Limits):
                 p = p.body
                 continue
         if pending is None:  # the last statement skipped
-            return _tskip(TSkip, (env, t))
+            return _new(TSkip, (env, t))
         p, pending = pending  # (seq-skip)
 
 
@@ -321,7 +322,7 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
     (successor, leaf_rule, detail): successor is a Config or a terminal;
     leaf_rule names the innermost rule that fired; detail is `_atom`'s for
     an atomic step, else None."""
-    p, stack, env, t = cfg.focus, cfg.stack, cfg.env, cfg.residual
+    p, stack, env, t = cfg
     while isinstance(p, Seq):
         stack = (p.rest, stack)
         p = p.first
@@ -333,27 +334,28 @@ def _step(cfg: Config, mode: SolverMode) -> tuple:
         except HybridError as ex:
             return Err(ex.info), "if-err", None
         if g:
-            return _config(p.then, stack, env, t), "if-true", None
-        return _config(p.orelse, stack, env, t), "if-false", None
+            return _new(Config, (p.then, stack, env, t)), "if-true", None
+        return _new(Config, (p.orelse, stack, env, t)), "if-false", None
     else:  # While
         try:
             g = eval_bool(env, p.cond)
         except HybridError as ex:
             return Err(ex.info), "wh-err", None
         if g:
-            return _config(p.body, (p, stack), env, t), "wh-true", None
-        r, rule, det = _tskip(TSkip, (env, t)), "wh-false", None
+            return _new(Config, (p.body, (p, stack), env, t)), "wh-true", None
+        r, rule, det = _new(TSkip, (env, t)), "wh-false", None
     if stack is None or not isinstance(r, TSkip):
         return r, rule, det
     rest, stack = stack  # (seq-skip)
-    return _config(rest, stack, r.env, r.residual), rule, det
+    return _new(Config, (rest, stack, r.env, r.residual)), rule, det
 
 
 def small_step(cfg: Config, mode: SolverMode):
     """Apply the unique applicable rule; returns a Config or a terminal.
     Refuses `cfg` up front, as `machine` does."""
-    t = _check_start(cfg.env, cfg.residual)
-    return _step(_config(cfg.focus, cfg.stack, cfg.env, t), mode)[0]
+    focus, stack, env, t = cfg
+    t = _check_start(env, t)
+    return _step(_new(Config, (focus, stack, env, t)), mode)[0]
 
 
 def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
@@ -365,8 +367,9 @@ def machine(cfg: Config, mode: SolverMode, limits: Limits = Limits()):
     step's detail is (solution, advanced), the local time it followed the
     flow; an assignment's is (var, old, new).  Refuses `cfg` up front,
     before any step, as `big_step` refuses its arguments."""
-    t = _check_start(cfg.env, cfg.residual)
-    return _machine(_config(cfg.focus, cfg.stack, cfg.env, t), mode, limits)
+    focus, stack, env, t = cfg
+    t = _check_start(env, t)
+    return _machine(_new(Config, (focus, stack, env, t)), mode, limits)
 
 
 def _machine(cfg: Config, mode: SolverMode, limits: Limits):

@@ -36,7 +36,8 @@ a parsed node's span `loc` by keyword.  `==`, `hash`, `repr` (a dataclass's
 text, `Var(name='x')`) and pickling all go through one pre-order walk on an
 explicit stack, `_walk`, so they need no recursion either; a pickle or a
 copy holds the tree flat, spans included, and never its compiled code or
-linearizations.
+linearizations.  `!=` negates `==`, and a tuple never equals a frozen
+value, since a Config is a tuple underneath.
 
 The tokenizer is one `finditer` scan that skips whitespace and `//`
 comments without building tokens for them (comments are tried before
@@ -133,9 +134,11 @@ class _Frozen:
 
     def __eq__(self, other):
         """Both sides in lockstep on an explicit stack, past every pair whose
-        sides are one object, so that shared subtrees cost nothing."""
+        sides are one object, so that shared subtrees cost nothing.  A
+        tuple is unequal outright: it would compare a tuple-based value
+        (`semantics.Config`) item by item."""
         if type(other) is not type(self):
-            return NotImplemented
+            return False if isinstance(other, tuple) else NotImplemented
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -152,6 +155,10 @@ class _Frozen:
             elif isinstance(b, _Frozen) or type(b) is tuple or not a == b:
                 return False
         return True
+
+    def __ne__(self, other):  # not a tuple base's item-by-item `!=`
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __repr__(self):
         """The dataclass text: each open value keeps, last first, what is

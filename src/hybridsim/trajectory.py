@@ -14,11 +14,12 @@ The sampler holds a trajectory's samples by record shape, as the writers of
 `export` read them: consecutive samples whose environments have one key
 tuple are closed, at most `_CHUNK` at a time, into a `Chunk` of their
 times, one tuple of values per column, and the columns that hold one object
-throughout.  A chunk is closed once, when a later instant arrives, when it
-is full, or when the run ends, since a later sample at the same instant
-replaces the earlier one.  `Trajectory.samples` is a read-only view of the
-chunks as `(t, env)` pairs, each env built afresh on every read, so writing
-into one changes nothing.
+throughout.  A chunk is closed once, when a sample with other keys
+arrives, when one arrives after it is full, or when the run ends, and a
+later sample at the same instant replaces the one before it, so a sampled
+state costs one `_Chunker.push`.  `Trajectory.samples` is a read-only view
+of the chunks as `(t, env)` pairs, each env built afresh on every read, so
+writing into one changes nothing.
 """
 from __future__ import annotations
 
@@ -110,39 +111,43 @@ def _chunk(keys: tuple, times: list, envs: list) -> Chunk:
 
 
 class _Chunker:
-    """Samples closed into chunks as they come.  `add` appends one; `push`
-    holds one until a later instant arrives, since the latest sample at an
-    instant wins; `close` ends the run and returns its chunks.  An env is
-    read when its chunk closes: nothing writes into an env once it is made."""
+    """Samples closed into chunks as they come.  `push` appends one; with
+    `latest`, a sample at the instant of the one before it replaces that
+    one, since the latest sample at an instant wins, also across a key
+    change.  `close` ends the run and returns its chunks.  A chunk closes
+    when a sample with other keys comes, when one comes after it is full,
+    or when the run ends, so the last sample is still open to replacement
+    (a closed chunk is never reopened: in a run, environments only gain
+    keys).  An env is read when its chunk closes: nothing writes into an
+    env once it is made."""
 
-    __slots__ = ("chunks", "keys", "times", "envs", "held")
+    __slots__ = ("chunks", "keys", "times", "envs", "latest")
 
-    def __init__(self):
-        self.chunks, self.keys, self.times, self.envs, self.held = [], None, [], [], None
-
-    def add(self, t, env: Env):
-        keys = tuple(env)
-        if keys != self.keys or len(self.times) == _CHUNK:
-            self._flush()
-            self.keys = keys
-        self.times.append(t)
-        self.envs.append(env)
+    def __init__(self, latest: bool):
+        self.chunks, self.keys, self.times, self.envs = [], None, [], []
+        self.latest = latest
 
     def push(self, t, env: Env):
-        if self.held is not None and self.held[0] != t:
-            self.add(*self.held)
-        self.held = (t, env)
+        times, envs = self.times, self.envs
+        if self.latest and times and times[-1] == t:
+            times.pop()
+            envs.pop()
+        keys = tuple(env)
+        if keys != self.keys or len(times) == _CHUNK:
+            self._flush()
+            self.keys = keys
+        times.append(t)
+        envs.append(env)
 
     def close(self) -> list:
-        if self.held is not None:
-            self.add(*self.held)
         self._flush()
         return self.chunks
 
     def _flush(self):
         if self.times:
             self.chunks.append(_chunk(self.keys, self.times, self.envs))
-            self.times, self.envs = [], []
+            self.times.clear()
+            self.envs.clear()
 
 
 class Samples(Sequence):
@@ -181,9 +186,9 @@ class Trajectory:
 
     def __init__(self, label: str, segments: list | None = None, samples=(),
                  outcome: Outcome | None = None, initial_env: Env | None = None):
-        chunker = _Chunker()
+        chunker = _Chunker(latest=False)
         for t, env in samples:
-            chunker.add(t, env)
+            chunker.push(t, env)
         self.label = label
         self.segments = [] if segments is None else segments
         self.chunks = chunker.close()
@@ -250,7 +255,7 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
              dt: float) -> Trajectory:
     traj = Trajectory(label=label, initial_env=dict(env0))
     horizon = limits.max_time
-    samples = _Chunker()
+    samples = _Chunker(latest=True)
     samples.push(0.0, env0)
     steps = machine(Config(body, dict(env0), horizon), mode, limits)
     while True:
@@ -261,19 +266,20 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
             break
         # absolute position comes from the machine's residual clock, so the
         # final clipped segment lands exactly on the horizon
-        now = horizon - cfg.residual
+        _, _, env, residual = cfg
+        now = horizon - residual
         if rule == "asg":
             var, old, new = det
             traj.segments.append(
-                Segment(now, now, Discrete(var, old, new), cfg.env))
+                Segment(now, now, Discrete(var, old, new), env))
             samples.push(now, r.env)
         elif rule in ("diff-skip", "diff-stop"):
             sol, advanced = det
             # the residual the step left: for a stop, it is 0.0
-            end = horizon - (cfg.residual - advanced)
-            traj.segments.append(Segment(now, end, Continuous(sol, advanced), cfg.env))
+            end = horizon - (residual - advanced)
+            traj.segments.append(Segment(now, end, Continuous(sol, advanced), env))
             _sample(samples, now, end, advanced, dt,
-                    partial(flow_env, sol, cfg.env), r.env)
+                    partial(flow_env, sol, env), r.env)
     traj.outcome = outcome
     if isinstance(outcome, Skip):
         # hold the final values constant up to the horizon
@@ -288,7 +294,7 @@ def _run_one(body, env0: Env, label: str, mode: SolverMode, limits: Limits,
             Segment(horizon, horizon, TerminalMark(outcome), outcome.env))
     else:
         # an error or the iteration bound: marked where the last step began
-        traj.segments.append(Segment(now, now, TerminalMark(outcome), cfg.env))
+        traj.segments.append(Segment(now, now, TerminalMark(outcome), env))
     traj.chunks = samples.close()
     return traj
 

@@ -9,6 +9,7 @@ program, or the terminal's bits), and return the same Outcome.
 """
 import copy
 import dataclasses
+import operator
 import pickle
 from unittest import mock
 
@@ -151,6 +152,94 @@ def test_a_machine_config_is_a_hand_built_one():
     assert seen > 10
     assert Config(p, {}, 1.0) != Config(p, {}, 2.0)
     assert Config(p, {}, 1.0) != (p, {}, 1.0)
+
+
+# A Config is a 4-tuple (focus, stack, env, residual) underneath; each case
+# below pins one guard that keeps the tuple's own behaviour out of its value
+# semantics, on a config whose stack holds two pending programs.
+
+_LOOP = "x := 0 ; while x <= 1 do { x := x + 1 } ; y := 2"
+
+# the repr of the third config of _LOOP's run, as the frozen dataclass wrote it
+_STACKED_REPR = (
+    "Config(program=Seq(first=Seq(first=Atom(atomic=Assign(var='x', expr=Apply("
+    "fn='+', args=(Var(name='x'), Const(value=1.0))))), rest=While(cond=Leq(lhs=Var("
+    "name='x'), rhs=Const(value=1.0)), body=Atom(atomic=Assign(var='x', expr=Apply("
+    "fn='+', args=(Var(name='x'), Const(value=1.0))))))), rest=Atom(atomic=Assign("
+    "var='y', expr=Const(value=2.0)))), env={'x': 0.0}, residual=1.5)")
+
+
+def _stacked():
+    """The config in focus on the loop body, with the `while` and `y := 2`
+    pending; and its twin, built from its program with an empty stack."""
+    p = desugar_program(parse_program(_LOOP))
+    c = [cfg for cfg, *_ in machine(Config(p, {}, 1.5), EXACT)][2]
+    assert isinstance(c.focus, Atom) and c.stack is not None and c.stack[1] is not None
+    return c, Config(c.program, dict(c.env), c.residual)
+
+
+def _check_eq(c, twin):
+    assert c == twin and twin == c
+    assert not c == Config(c.program, c.env, 2.5)
+    # the same four items as a plain tuple are not the same value
+    assert not c == tuple(c) and not tuple(c) == c
+
+
+def _check_ne(c, twin):
+    assert not c != twin and not twin != c
+    assert c != Config(c.program, c.env, 2.5)
+    assert c != tuple(c) and tuple(c) != c
+
+
+def _check_order(c, twin):
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((c, twin), (c, c), (c, tuple(c)), (tuple(c), c)):
+            with pytest.raises(TypeError, match="Config values are not ordered"):
+                op(a, b)
+
+
+def _check_hash(c, twin):
+    for cfg in (c, twin):
+        with pytest.raises(TypeError, match="unhashable type: 'Config'"):
+            hash(cfg)
+
+
+def _check_frozen(c, twin):
+    for name in ("program", "env", "residual", "focus", "stack", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, name)
+    assert repr(c) == _STACKED_REPR  # nothing was written
+
+
+def _check_repr(c, twin):
+    assert repr(c) == repr(twin) == str(c) == _STACKED_REPR
+
+
+def _check_copies(c, twin):
+    copies = [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(6)]
+    copies += [copy.copy(c), copy.deepcopy(c)]
+    for other in copies:
+        assert type(other) is Config and other == c and repr(other) == _STACKED_REPR
+
+
+def _check_program(c, twin):
+    focus, (rest, (below, stack)) = c.focus, c.stack
+    assert stack is None
+    assert c.program == Seq(Seq(focus, rest), below)
+    assert c.program.first.first is focus and c.program.rest is below
+    assert twin.focus is twin.program and twin.stack is None
+    assert len(c) == 4 and list(c) == [c.focus, c.stack, c.env, c.residual]
+    assert c[2] is c.env and c[-1] == 1.5
+
+
+@pytest.mark.parametrize("check", [
+    _check_eq, _check_ne, _check_order, _check_hash, _check_frozen,
+    _check_repr, _check_copies, _check_program,
+], ids=lambda f: f.__name__[len("_check_"):])
+def test_a_config_keeps_tuple_behaviour_out_of_its_value(check):
+    check(*_stacked())
 
 
 # -- long programs

@@ -9,7 +9,10 @@ larger flows (up to 12 variables) the random programs do not build.
 ROOT is the checkout to run; it defaults to the one holding this script.
 Run it on two checkouts, then `diff` the two OUT files: empty output means
 both semantics reach the same outcomes, bit for bit in their printed
-floats, error environments included.
+floats, error environments included.  Each small-step line also gives the
+number of steps `semantics.machine` takes for that run and a short digest
+of the rule names it yields, so a change that keeps every outcome but takes
+other steps shows in the diff too.
 
 Each pair of lines is computed twice in the same process, the second time
 at once, with every memo warm from the first (linearizations, flow maps and
@@ -19,6 +22,7 @@ since.  The script exits 1 if any repeat differs from the first, since a
 memo must answer with the bits a fresh computation gives.  OUT holds the
 first computation.
 """
+import hashlib
 import os
 import sys
 
@@ -37,13 +41,16 @@ def main(argv) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     from hybridsim import corpus_path, desugar, parse, randprog
     from hybridsim.odesolve import RK4, Exact
-    from hybridsim.semantics import Config, big_step, run_to_terminal
+    from hybridsim.semantics import Config, big_step, machine, run_to_terminal
     from hybridsim.trajectory import expand_variability
 
     def lines(head, program, env, t, mode) -> str:
         big = big_step(program, env, t, mode)
         small = run_to_terminal(Config(program, dict(env), t), mode)
-        return f"{head} big {big!r}\n{head} small {small!r}\n"
+        rules = [rule for _, _, rule, _ in machine(Config(program, dict(env), t), mode)]
+        digest = hashlib.blake2b(" ".join(rules).encode(), digest_size=6).hexdigest()
+        return (f"{head} big {big!r}\n"
+                f"{head} small {small!r} steps={len(rules)} rules={digest}\n")
 
     def runs():
         for seed in SEEDS:
