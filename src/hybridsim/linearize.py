@@ -10,48 +10,46 @@ frozen scalar times an expression (on either side), and division by a
 frozen non-zero divisor.  Any other node over a bound variable is
 non-linear.
 
-Which subtrees of a right-hand side are frozen is fixed by the statement;
-only their values change from one entry to the next (the static/dynamic
-split of partial evaluation: N. D. Jones, C. K. Gomard and P. Sestoft,
-"Partial Evaluation and Automatic Program Generation", 1993).  So at its
-first linearization each right-hand side is compiled, by one `fold`, and
-kept on the statement under `_code`, as `_eval` keeps an expression's:
-- its frozen operands, the maximal frozen subtrees in the order their
-  evaluation runs (children first, left to right): a literal's value, or
-  the subtree for `eval_expr`;
-- a flat postfix program over the bound variables, the frozen operands
-  (taken in order, one `_LEAF` each) and the affine combinators;
-- its checks, in pre-order: a node of no accepted shape, which always
-  fails, and a `/` over a bound variable, which fails when its divisor
-  is zero.
-
-A linearization evaluates every frozen operand, raising the first
-evaluation error; then raises NON_LINEAR_ODE or DIVISION_BY_ZERO at the
-first failing check, so the outermost, leftmost culprit is the one blamed;
-then runs the program in one loop.  The right-hand sides go in binding
-order, and a non-finite coefficient among them all is a DOMAIN_ERROR on
-the statement.  The program does the IEEE operations of distributing
-scalars over the sum, in one fixed order, so A and b come out bit for bit
-from run to run, -0.0 included, in one augmented matrix M, with A and b
-read-only views of it.
+Each right-hand side is linearized by one `syntax.fold`, children first,
+left to right:
+- a frozen node folds to its value: a literal as it is, a frozen
+  variable by `eval_expr`, an operation on frozen operands alone by
+  `_eval.apply_fn`, so each frozen subtree is evaluated in the order, and
+  fails at the node, that evaluating it whole would;
+- a node over a bound variable, of an accepted shape, folds to its affine
+  parts: (coefficient per column, constant term);
+- a node of no accepted shape, or a division by a frozen zero, is recorded
+  and folds to None, as does every node above it.
+Once the fold is done, the first recorded node in pre-order is blamed, with
+NON_LINEAR_ODE or DIVISION_BY_ZERO.  So every frozen operand is evaluated
+first, and the first evaluation error raised; only then is the outermost,
+leftmost culprit blamed.  The right-hand sides go in binding order, and a
+non-finite coefficient among them all is a DOMAIN_ERROR on the statement.
+The fold does the IEEE operations of distributing scalars over the sum in
+one fixed order (`a - b` as `a + (-1.0) * b`, a product by its frozen side,
+a quotient by its frozen divisor), so A and b come out bit for bit from run
+to run, -0.0 included.  Nothing is compiled: since each statement keeps its
+own systems, a linearization runs on a memo miss alone, and misses are few
+(a selftest round of 8 000 semantics runs has about 350, all but a handful
+of them failures, which are never kept).
 
 `to_affine` memoises its successful results on the statement, under
-`_systems`, as `_code` is kept.  The key is the frozen variables' values,
-compared as floats, or by their exact bit patterns (`float.hex`) when one
-of them is zero, so -0.0 and 0.0 are different keys; the result never
-depends on anything else in the environment.  The statement knows its
-frozen variables' names (`Diff.frozen`, computed once), so a hit is one
-tuple of values and one dict lookup.  A statement keeps at most
-SYSTEMS_PER_STATEMENT systems: a miss into a full memo drops its oldest
-entry.  So a statement's systems live as long as the statement does (and
-as any flow map or state `odesolve` keeps of them), however many other
-statements are linearized meanwhile, and a statement no longer referenced
-is freed with them.  Failures are never memoised (their error carries the
-environment), nor are calls whose frozen values are missing or not plain
-floats.  A memoised system is shared by every caller, threads included,
-so its arrays are read-only.  Nothing locks: each dict operation is
-atomic, two threads that miss on one key build equal systems and either
-may be kept, and a drop forgives a drop made meanwhile on another thread.
+`_systems`.  The key is the frozen variables' values, compared as floats,
+or by their exact bit patterns (`float.hex`) when one of them is zero, so
+-0.0 and 0.0 are different keys; the result never depends on anything else
+in the environment.  The statement knows its frozen variables' names
+(`Diff.frozen`, computed once), so a hit is one tuple of values and one
+dict lookup.  A statement keeps at most SYSTEMS_PER_STATEMENT systems: a
+miss into a full memo drops its oldest entry.  So a statement's systems
+live as long as the statement does (and as any flow map or state
+`odesolve` keeps of them), however many other statements are linearized
+meanwhile, and a statement no longer referenced is freed with them.
+Failures are never memoised (their error carries the environment), nor are
+calls whose frozen values are missing or not plain floats.  A memoised
+system is shared by every caller, threads included, so its arrays are
+read-only.  Nothing locks: each dict operation is atomic, two threads that
+miss on one key build equal systems and either may be kept, and a drop
+forgives a drop made meanwhile on another thread.
 """
 from __future__ import annotations
 
@@ -60,9 +58,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._eval import Env, eval_expr
+from ._eval import Env, apply_fn, eval_expr
 from .errors import ErrorKind, fail
-from .syntax import Const, Diff, Expr, Var, fold, nodes
+from .syntax import Const, Diff, Var, fold, nodes
 
 __all__ = ["AffineSystem", "to_affine", "SYSTEMS_PER_STATEMENT"]
 
@@ -95,133 +93,25 @@ class AffineSystem:
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = self.A
         M[:n, n] = self.b
+        M.flags.writeable = False  # and so the views of it taken next
         # over Python floats: numpy reductions cost more on arrays this small
-        _hold(self, M, not any(M[:n, :n].ravel().tolist()))
+        closed_form = not any(M[:n, :n].ravel().tolist())
+        rate = tuple(M[:n, n].tolist()) if closed_form else None
+        for name, value in (("A", M[:n, :n]), ("b", M[:n, n]), ("M", M),
+                            ("dim", len(self.vars)), ("closed_form", closed_form),
+                            ("rate", rate)):
+            object.__setattr__(self, name, value)
 
 
-def _hold(system: AffineSystem, M: np.ndarray, closed_form: bool):
-    """Give `system` M, read-only, with A and b views of it, and the facts
-    worked out from it; through `__dict__`, past the frozen `__setattr__`."""
-    M.flags.writeable = False
-    n = len(M) - 1
-    system.__dict__.update(A=M[:n, :n], b=M[:n, n], M=M, dim=len(system.vars),
-                           closed_form=closed_form,
-                           rate=tuple(M[:n, n].tolist()) if closed_form else None)
-
-
-# ---------------------------------------------------------------------------
-# Compiled right-hand sides
-
-# Instructions are pairs (opcode, operand), run over a stack of
-# (coefficient per column, constant term).
-_VAR = 0   # (_VAR, j): push ({j: 1.0}, 0.0)
-_LEAF = 1  # (_LEAF, None): push ({}, the value of the next frozen operand)
-_NEG = 2   # (_NEG, None): negate the top
-_ADD = 3   # (_ADD, sign): pop b, pop a, push a + sign * b
-_MUL = 4   # (_MUL, None): pop two, scale the one with coefficients by the other
-_DIV = 5   # (_DIV, None): pop the divisor, divide the top by it
-
-# (operator, which operands are over a bound variable) -> its instruction:
-# the shapes an affine form accepts
+# (operator, which operands are over a bound variable): the shapes an affine
+# form accepts
 _SHAPES = {
-    ("+", (True, True)): (_ADD, 1.0),
-    ("+", (True, False)): (_ADD, 1.0),
-    ("+", (False, True)): (_ADD, 1.0),
-    ("-", (True, True)): (_ADD, -1.0),
-    ("-", (True, False)): (_ADD, -1.0),
-    ("-", (False, True)): (_ADD, -1.0),
-    ("-", (True,)): (_NEG, None),
-    ("*", (True, False)): (_MUL, None),
-    ("*", (False, True)): (_MUL, None),
-    ("/", (True, False)): (_DIV, None),
+    ("+", (True, True)), ("+", (True, False)), ("+", (False, True)),
+    ("-", (True, True)), ("-", (True, False)), ("-", (False, True)),
+    ("-", (True,)),
+    ("*", (True, False)), ("*", (False, True)),
+    ("/", (True, False)),
 }
-
-
-def _compile(diff: Diff) -> tuple:
-    """(bound variables, (frozen operands, program, checks) per right-hand
-    side).  A check is (node, w): the node fails as non-linear when w is
-    None, else as a division by zero when the frozen operand w is zero.
-
-    One `fold` per right-hand side, whose `combine` runs children first,
-    left to right, so the program comes out in postfix order: a node over
-    a bound variable appends its instruction and returns None; a frozen
-    node takes back its children's operands and `_LEAF`s, appends its own
-    and returns True."""
-    bound = tuple(x for x, _ in diff.pairs)
-    cols = {x: bound.index(x) for x in bound}
-    operands, code, checks = [], [], []
-
-    def combine(node: Expr, kids: list):
-        t = type(node)
-        if t is Var and node.name in cols:
-            code.append((_VAR, cols[node.name]))
-            return None
-        if t is Const or t is Var or None not in kids:  # frozen
-            del operands[len(operands) - len(kids):]
-            del code[len(code) - len(kids):]
-            literal = t is Const and type(node.value) is float
-            operands.append(node.value if literal else node)
-            code.append((_LEAF, None))
-            return True
-        op = _SHAPES.get((node.fn, tuple(k is None for k in kids)))
-        if op is None:
-            checks.append((node, None))
-            return None
-        if node.fn == "/":  # the divisor is the last operand met
-            checks.append((node, len(operands) - 1))
-        code.append(op)
-        return None
-
-    compiled = []
-    for _, rhs in diff.pairs:
-        fold(rhs, combine)
-        # into pre-order: a node met twice has one check, as it fails alike
-        by_node = {id(check[0]): check for check in checks}
-        ordered = [by_node.pop(id(node)) for node in nodes(rhs) if id(node) in by_node]
-        # nothing after a check that always fails is ever reached
-        cut = next((i + 1 for i, c in enumerate(ordered) if c[1] is None), None)
-        compiled.append((tuple(operands), tuple(code), tuple(ordered[:cut])))
-        operands.clear()
-        code.clear()
-        checks.clear()
-    return bound, tuple(compiled)
-
-
-def _run(rhs: tuple, env: Env) -> tuple:
-    """(coefficient per column, constant term) of one compiled right-hand
-    side.  Raises what evaluating a frozen operand raises, then the error
-    of the first failing check."""
-    operands, program, checks = rhs
-    values = [w if type(w) is float else eval_expr(env, w) for w in operands]
-    for node, w in checks:
-        if w is None:
-            raise fail(ErrorKind.NON_LINEAR_ODE, node, env)
-        if values[w] == 0.0:
-            raise fail(ErrorKind.DIVISION_BY_ZERO, node, env)
-    leaves = iter(values)
-    stack = []
-    push, pop = stack.append, stack.pop
-    for op, arg in program:
-        if op == _VAR:
-            push(({arg: 1.0}, 0.0))
-        elif op == _LEAF:
-            push(({}, next(leaves)))
-        elif op == _NEG:
-            c, k = pop()
-            push(({j: -v for j, v in c.items()}, -k))
-        else:
-            c2, k2 = pop()
-            c1, k1 = pop()
-            if op == _ADD:
-                for j, v in c2.items():
-                    c1[j] = c1.get(j, 0.0) + arg * v
-                push((c1, k1 + arg * k2))
-            elif op == _MUL:  # the scalar is the side with no coefficients
-                c, k, scalar = (c1, k1, k2) if c1 else (c2, k2, k1)
-                push(({j: scalar * v for j, v in c.items()}, scalar * k))
-            else:  # _DIV, by a divisor its check found non-zero
-                push(({j: v / k2 for j, v in c1.items()}, k1 / k2))
-    return stack[0]
 
 
 def to_affine(diff: Diff, env: Env) -> AffineSystem:
@@ -247,27 +137,60 @@ def to_affine(diff: Diff, env: Env) -> AffineSystem:
 
 
 def _linearize(diff: Diff, env: Env) -> AffineSystem:
-    """The system the statement's compiled right-hand sides build."""
-    code = diff._code
-    if code is None:
-        code = _compile(diff)
-        object.__setattr__(diff, "_code", code)
-    bound, compiled = code
+    """The system of the statement's right-hand sides: one fold each."""
+    bound = tuple(x for x, _ in diff.pairs)
+    cols = {x: bound.index(x) for x in bound}
+    rejected = {}  # id of a recorded node -> the ErrorKind it fails with
+
+    def combine(node, kids):
+        """The node's value when it is frozen; else its affine parts
+        (coefficient per column, constant term), or None when it or a node
+        under it is rejected."""
+        t = type(node)
+        if t is Var:
+            j = cols.get(node.name)
+            return eval_expr(env, node) if j is None else ({j: 1.0}, 0.0)
+        if t is Const:
+            return node.value
+        over = tuple([k is None or type(k) is tuple for k in kids])
+        if True not in over:
+            return apply_fn(env, node, kids)
+        fn = node.fn
+        if (fn, over) not in _SHAPES:
+            rejected[id(node)] = ErrorKind.NON_LINEAR_ODE
+            return None
+        if fn == "/" and kids[1] == 0.0:
+            rejected[id(node)] = ErrorKind.DIVISION_BY_ZERO
+            return None
+        if kids[0] is None or kids[-1] is None:
+            return None
+        if fn == "*":  # scale the side over a bound variable by the other
+            (c, k), scalar = kids if over[0] else kids[::-1]
+            return {j: scalar * v for j, v in c.items()}, scalar * k
+        if fn == "/":
+            (c, k), d = kids
+            return {j: v / d for j, v in c.items()}, k / d
+        if len(kids) == 1:  # unary minus
+            c, k = kids[0]
+            return {j: -v for j, v in c.items()}, -k
+        # a frozen operand has no coefficients
+        (c1, k1), (c2, k2) = [k if o else ({}, k) for k, o in zip(kids, over)]
+        sign = 1.0 if fn == "+" else -1.0
+        for j, v in c2.items():
+            c1[j] = c1.get(j, 0.0) + sign * v
+        return c1, k1 + sign * k2
+
     n = len(bound)
-    w = n + 1  # M's rows, flattened: [A_i, b_i] for each i, then zeros
-    flat = [0.0] * (w * w)
-    rate = False
-    for i, rhs in enumerate(compiled):
-        c, k = _run(rhs, env)
+    A = [[0.0] * n for _ in bound]
+    b = [0.0] * n
+    for i, (_, rhs) in enumerate(diff.pairs):
+        parts = fold(rhs, combine)
+        if rejected:
+            node = next(node for node in nodes(rhs) if id(node) in rejected)
+            raise fail(rejected[id(node)], node, env)
+        c, b[i] = parts if type(parts) is tuple else ({}, parts)
         for j, v in c.items():
-            flat[i * w + j] = v
-        flat[i * w + n] = k
-        rate = rate or any(c.values())
-    if not all(map(math.isfinite, flat)):
+            A[i][j] = v
+    if not all(map(math.isfinite, b + [v for row in A for v in row])):
         raise fail(ErrorKind.DOMAIN_ERROR, diff, env)
-    M = np.array(flat, dtype=float)
-    M.flags.writeable = False  # and so the view of it taken next
-    system = object.__new__(AffineSystem)  # past __init__: M needs no copy
-    system.__dict__["vars"] = bound
-    _hold(system, M.reshape(w, w), not rate)
-    return system
+    return AffineSystem(bound, A, b)

@@ -220,7 +220,10 @@ class Solution:
         it is kept as it is; an unchecked x0 is checked, then held so too."""
         self.system = system
         if not checked:
-            x0 = np.asarray(x0, dtype=float)
+            try:
+                x0 = np.asarray(x0, dtype=float)
+            except OverflowError:  # an int beyond float range
+                raise ValueError("x0 entries must be finite") from None
             if x0.shape != (system.dim,):
                 raise ValueError(f"x0 has shape {x0.shape}, system is {system.dim}-dimensional")
             x0 = x0.tolist()

@@ -76,7 +76,7 @@ __all__ = [
     "VarList", "SourceUnit", "ParseError", "ArityError",
     "parse", "parse_program", "parse_expression", "parse_boolean",
     "desugar", "desugar_program", "desugar_bool", "desugar_expr",
-    "pretty", "pretty_unit", "pretty_expr", "pretty_bool",
+    "pretty", "pretty_unit",
     "children", "nodes", "fold",
     "ordered_vars", "expr_vars", "FUNCTIONS", "MAX_NESTING",
 ]
@@ -933,9 +933,6 @@ def pretty(node) -> str:
     """Render a program, a statement, a condition or an expression;
     `parse_program(pretty(p)) == p` for canonical (right-nested) programs."""
     return fold(node, _pretty)[0]
-
-
-pretty_expr = pretty_bool = pretty
 
 
 def pretty_unit(unit: SourceUnit) -> str:

@@ -556,31 +556,56 @@ def test_compiled_form_matches_the_tree_path_on_the_corpus():
     assert len(seen) > 20
 
 
-def _leaves_per_operand(diff) -> int:
-    """Assert that each compiled right-hand side that can run (no check of
-    it always fails) has one `_LEAF` per frozen operand, which `_run` feeds
-    in order; the number of right-hand sides checked."""
-    checked = 0
-    for operands, program, checks in linearize._compile(diff)[1]:
-        if all(w is not None for _, w in checks):
-            assert [op for op, _ in program].count(linearize._LEAF) == len(operands)
-            checked += 1
-    return checked
+def _frozen_evaluated_once(diff, env) -> int | None:
+    """When the statement builds under `env`, assert that its linearization
+    evaluated each frozen node of its right-hand sides exactly once: each
+    variable it does not bind by `eval_expr`, each operation over frozen
+    operands alone by `apply_fn`.  The number of frozen nodes, or None when
+    the statement did not build."""
+    bound = {x for x, _ in diff.pairs}
+    below = [n for _, rhs in diff.pairs for n in nodes(rhs)]
+    want = {"eval_expr": [n for n in below if type(n) is Var and n.name not in bound],
+            "apply_fn": [n for n in below
+                         if type(n) is Apply and not expr_vars(n) & bound]}
+    seen = {name: [] for name in want}
+
+    def seeing(name):
+        real = getattr(linearize, name)
+
+        def wrapper(env, node, *args):
+            seen[name].append(node)
+            return real(env, node, *args)
+        return wrapper
+
+    with mock.patch.object(linearize, "eval_expr", seeing("eval_expr")), \
+            mock.patch.object(linearize, "apply_fn", seeing("apply_fn")):
+        try:
+            linearize._linearize(diff, env)
+        except HybridError:
+            return None
+    for name, nodes_wanted in want.items():
+        assert sorted(map(id, seen[name])) == sorted(map(id, nodes_wanted)), name
+        assert len(set(map(id, seen[name]))) == len(seen[name]), name
+    return sum(map(len, want.values()))
 
 
 def test_each_frozen_operand_has_one_leaf():
-    shapes = 0
+    shapes = built = 0
     for seed in range(2000):  # the statements of the every-shape test
         rng = random.Random(seed)
         bound = ["x", "y", "z"][: rng.randrange(1, 4)]
         diff = Diff(tuple((x, gen_rhs(rng, bound, ["a", "b"], 4)) for x in bound),
                     Const(1.0))
-        shapes += _leaves_per_operand(diff)
+        for _ in range(3):
+            count = _frozen_evaluated_once(diff, perturbed(rng, ["a", "b"], {}))
+            if count is not None:
+                shapes, built = shapes + count, built + 1
     corpus = 0
     for path in sorted(corpus_path("eq1").parent.glob("*.lince")):
         body = desugar(parse(path.read_text())).body
-        corpus += sum(_leaves_per_operand(d) for d in nodes(body) if type(d) is Diff)
-    assert shapes > 2000 and corpus > 40
+        for d in (d for d in nodes(body) if type(d) is Diff):
+            corpus += _frozen_evaluated_once(d, {v: 0.5 for v in d.frozen})
+    assert built > 1000 and shapes > 2000 and corpus > 40
 
 
 def test_a_numpy_zero_divisor_is_a_division_by_zero_with_no_warning():
@@ -595,26 +620,24 @@ def test_a_numpy_zero_divisor_is_a_division_by_zero_with_no_warning():
 
 def test_the_compiled_form_lives_on_the_statement():
     a = _diff("x' = k*x + 1, y' = x / k - y for 1")
-    assert a._code is None
+    fields = dict(vars(a), frozen=a.frozen)
     to_affine(a, {"k": 2.0})
-    assert a._code
-    assert pickle.loads(pickle.dumps(a))._code is None
-    # nor do its linearizations, which a copy builds again, bit for bit
+    # a linearization leaves nothing on the statement but its systems
+    assert vars(a) == dict(fields, _systems=a._systems)
+    # its linearizations stay out of pickles and copies, which build them
+    # again, bit for bit
     for env in ({"k": 2.0}, {"k": -1.5}):
         to_affine(a, env)
     for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert copied._systems == {}
         for env in ({"k": 2.0}, {"k": -1.5}):
             assert to_affine(copied, env).M.tobytes() == to_affine(a, env).M.tobytes()
-    # a rejected statement keeps its compiled form too, whose check fails
+    # a rejected statement raises again
     rejected = _diff("x' = x*x for 1")
     with pytest.raises(HybridError):
         to_affine(rejected, {})
-    code = rejected._code
-    assert code
     with pytest.raises(HybridError):
         to_affine(rejected, {})
-    assert rejected._code is code
 
 
 def test_a_long_right_hand_side_linearizes_without_deep_recursion():

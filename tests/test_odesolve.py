@@ -368,7 +368,7 @@ def test_states_near_the_largest_double_stay_exact():
 
 
 def test_solution_refuses_a_non_finite_x0_of_any_kind():
-    for bad in ([math.nan], [math.inf], np.array([-math.inf])):
+    for bad in ([math.nan], [math.inf], np.array([-math.inf]), [10**400]):
         with pytest.raises(ValueError, match="finite"):
             Solution(DECAY, bad, Exact())
 

@@ -14,6 +14,13 @@ and an error names its text as written.  Run it on
 two checkouts, then `diff` the two OUT files: empty output means both
 linearizers build the same systems, bit for bit, and blame the same node
 with the same error in the same environment.
+
+Each linearization is done twice in the same process, the second time at
+once, on the same statement, whose memo then holds the system if one was
+built.  After the grid, the statements of every 10th seed, held since, are
+linearized a third time in their 3 environments.  The script exits 1 if any
+repeat differs from the first, since a memo must answer with the bits a
+fresh linearization gives.  OUT holds the first linearization.
 """
 import os
 import random
@@ -33,6 +40,8 @@ def main(argv) -> int:
     from hybridsim.syntax import desugar_program, parse_program, pretty
     from affine_inputs import gen_rhs, perturbed, system_or_error
 
+    differ = 0
+    late = []  # every 10th seed's linearizations, with their first results
     with open(argv[0], "w", encoding="utf-8") as out:
         for seed in SEEDS:
             rng = random.Random(seed)
@@ -45,7 +54,16 @@ def main(argv) -> int:
                 env = perturbed(rng, frozen, {})
                 built = system_or_error(to_affine, diff, env)
                 out.write(f"{seed} {k} {text} {built!r}\n")
-    return 0
+                if system_or_error(to_affine, diff, env) != built:
+                    differ += 1
+                    print(f"differs at once: {seed} {k}", file=sys.stderr)
+                if seed % 10 == 0:
+                    late.append((seed, k, diff, env, built))
+    for seed, k, diff, env, built in late:
+        if system_or_error(to_affine, diff, env) != built:
+            differ += 1
+            print(f"differs on a late repeat: {seed} {k}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
