@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  check FILE      run the leading assignments from the declared values, then
-                  linearize every differential statement against their values;
-                  one reading an undeclared name set before it waits for a run
+  check FILE      from each start state, apply a run's atomic rule at t = 0 to
+                  the leading assignments and each differential statement; a
+                  failure waits for a run when it may hinge on a name set later
   run FILE        print the environment the program outputs at --time T
   simulate FILE   full pipeline: expand initial conditions, simulate,
                   export CSV/JSON/plot-script files
@@ -30,13 +30,12 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import HybridError
+from .errors import ErrorKind
 from .odesolve import Exact, RK4, default_rk4_step
-from .semantics import (BoundReached, Err, Limits, Skip, Stop, big_step,
-                        eval_expr, outcome_bits, run_to_terminal, Config)
-from .syntax import (Assign, Diff, If, ParseError, SourceUnit, VarList, While, desugar,
-                     nodes, ordered_vars, parse)
-from .linearize import to_affine
+from .semantics import (BoundReached, Err, Limits, Skip, Stop, _atom, big_step,
+                        outcome_bits, run_to_terminal, Config)
+from .syntax import (Assign, Diff, If, ParseError, SourceUnit, While, desugar,
+                     expr_vars, nodes, ordered_vars, parse)
 from .trajectory import (DEFAULT_VARIABILITY_CAP, VariabilityCapExceeded,
                          expand_variability, fmt_value, simulate)
 from .export import (AxisSyntaxError, TimeAxis, UnknownVariable, emit_plot_script,
@@ -73,9 +72,7 @@ _positive_count = _number(lambda v: v >= 1, "an integer >= 1", int)
 
 
 def _cap() -> int:
-    raw = os.environ.get("HYBRIDSIM_MAX_PRODUCT")
-    if raw is None:
-        return DEFAULT_VARIABILITY_CAP
+    raw = os.environ.get("HYBRIDSIM_MAX_PRODUCT", str(DEFAULT_VARIABILITY_CAP))
     if not (raw.isdecimal() and int(raw) > 0):
         raise argparse.ArgumentTypeError(
             f"HYBRIDSIM_MAX_PRODUCT must be a positive integer, got {raw!r}")
@@ -118,42 +115,39 @@ def _settings(args, time: float, dt: float | None = None) -> tuple:
 
 def cmd_check(args) -> int:
     unit = _load(args.file)
-    declared = {}
-    for d in unit.declarations:
-        declared[d.var] = d.values[0] if isinstance(d, VarList) else d.expr.value
-    env = dict(declared)  # then the values the leading assignments reach
-    leading = True  # no differential statement, `if` or `while` yet
-    set_before = set()  # names the body may have set, in program order
-    linearized = failures = deferred = 0
-    for node in nodes(unit.body):
-        t = type(node)
-        leading = leading and t not in (Diff, If, While)
-        if t is While:  # a later iteration sees every name the body sets
-            set_before.update(n.var if type(n) is Assign else n[0]
-                              for n in nodes(node.body) if type(n) in (Assign, tuple))
-        elif t is Assign:
-            set_before.add(node.var)
-            if leading:  # it takes no time, so every run performs it
-                try:
-                    env[node.var] = eval_expr(env, node.expr)
-                except HybridError as ex:
-                    print(ex.info.render())
-                    return EXIT_PROGRAM_ERROR
-        elif t is tuple:  # a differential statement's (variable, right-hand side)
-            set_before.add(node[0])
-        elif t is Diff and any(x in set_before and x not in declared for x in node.frozen):
-            deferred += 1  # a value it reads exists only at run time
-        elif t is Diff:
-            try:
-                to_affine(node, env)
-                linearized += 1
-            except HybridError as ex:
-                failures += 1
-                print(ex.info.render())
-    if failures:
+    envs = expand_variability(unit, _cap())
+    deferred = set()  # differential statements left to run time, by walk index
+    failed = False
+    for env, label in envs:
+        leading = True  # no differential statement, `if` or `while` yet
+        late = set()  # names the body may have set before, in program order
+        count = 0  # differential statements
+        for i, node in enumerate(nodes(unit.body)):
+            t = type(node)
+            leading = leading and t not in (Diff, If, While)
+            if t is While:  # a later iteration sees every name the body sets
+                late.update(n.var if type(n) is Assign else n[0]
+                            for n in nodes(node.body) if type(n) in (Assign, tuple))
+            elif t is tuple or t is Assign and not leading:  # set after the leading ones
+                late.add(node[0] if t is tuple else node.var)  # tuple: (variable, rhs)
+            elif t is Assign or t is Diff:  # a leading assignment, or an entry
+                count += t is Diff
+                out = _atom(node, env, 0.0, Exact())[0]
+                if type(out) is not Err:
+                    env = out.env if t is Assign else env
+                elif (t is Diff and out.info.kind is not ErrorKind.NON_LINEAR_ODE
+                      and not late.isdisjoint(expr_vars(node.duration).union(
+                          node.frozen, (x for x, _ in node.pairs)))):
+                    deferred.add(i)  # a value it reads may exist only at run time
+                else:  # every run that reaches the statement fails so
+                    failed = True
+                    print(f"[{label}] " * (len(envs) > 1) + out.info.render())
+                    if t is Assign:
+                        break
+    if failed:
         return EXIT_PROGRAM_ERROR
-    print(f"ok: {linearized} differential statement(s) linearized, "
-          f"{deferred} left to run time")
+    print(f"ok: {count - len(deferred)} differential statement(s) linearized, "
+          f"{len(deferred)} left to run time")
     return EXIT_OK
 
 

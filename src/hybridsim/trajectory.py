@@ -206,8 +206,13 @@ class Trajectory:
 
 
 def fmt_value(v: float) -> str:
-    """A value as labels and the command line print it: 12 significant digits."""
+    """A value as the command line prints it: 12 significant digits."""
     return format(v, ".12g")
+
+
+def _label_value(v: float) -> str:
+    """A listed value as labels print it: `fmt_value` when that gives it back."""
+    return fmt_value(v) if float(fmt_value(v)) == v else repr(v)
 
 
 def expand_variability(unit: SourceUnit,
@@ -229,7 +234,7 @@ def expand_variability(unit: SourceUnit,
                 env[d.var] = chosen[d.var]
             elif isinstance(d, Assign):
                 env[d.var] = d.expr.value
-        label = " ".join(f"{name}={fmt_value(chosen[name])}" for name, _ in grid)
+        label = " ".join(f"{name}={_label_value(chosen[name])}" for name, _ in grid)
         out.append((env, label))
     return out
 

@@ -91,21 +91,25 @@ def test_check_reports_nonlinear(tmp_path, capsys):
 
 
 def test_check_leaves_a_statement_reading_a_body_variable_to_run_time(tmp_path, capsys):
-    """`a` is set by the body before the statement, not declared: its value
-    exists only at run time, where the program runs."""
+    """A statement that fails on a value the body may set before it, after
+    the leading assignments, is left to run time, where the program runs.
+    Leading assignments set `a` in every run, so the first three programs
+    are linearized; `a` is set by an `if` branch, or by the enclosing loop's
+    body, in the last two."""
     f = tmp_path / "later.lince"
-    for text, linearized in (("x := 0 ; a := x + 1 ; x' = a for 1", 0),
-                             ("x := 0 ; a := x + 1 ; x' = a for 1 ; x' = -x for 1", 1),
-                             ("x := 0 ; a := x ; a' = 1 for 1 ; x' = a for 1", 1),
-                             ("x := 0 ; if x <= 1 then a := 1 else x := 2 ; x' = a for 1", 0),
-                             # set after the statement in the loop body, which
-                             # a later iteration sees
-                             ("x := 0 ; c := 0 ; while c <= 1 do { if 1 <= c then "
-                              "x' = a for 1 else c := c ; a := 1 ; c := c + 1 }", 0)):
+    for text, linearized, deferred in (
+            ("x := 0 ; a := x + 1 ; x' = a for 1", 1, 0),
+            ("x := 0 ; a := x + 1 ; x' = a for 1 ; x' = -x for 1", 2, 0),
+            ("x := 0 ; a := x ; a' = 1 for 1 ; x' = a for 1", 2, 0),
+            ("x := 0 ; if x <= 1 then a := 1 else x := 2 ; x' = a for 1", 0, 1),
+            # set after the statement in the loop body, which a later
+            # iteration sees
+            ("x := 0 ; c := 0 ; while c <= 1 do { if 1 <= c then "
+             "x' = a for 1 else c := c ; a := 1 ; c := c + 1 }", 0, 1)):
         f.write_text(text, encoding="utf-8")
         assert cli_main(["check", str(f)]) == 0
         assert capsys.readouterr().out == (f"ok: {linearized} differential statement(s) "
-                                           "linearized, 1 left to run time\n")
+                                           f"linearized, {deferred} left to run time\n")
         assert cli_main(["run", str(f), "--time", "1"]) == 0
         capsys.readouterr()
 
@@ -143,6 +147,68 @@ def test_check_reports_a_variable_nothing_declares_or_sets(tmp_path, capsys):
     f.write_text("x := 0 ; a := x + 1 ; x' = b for 1", encoding="utf-8")
     assert cli_main(["check", str(f)]) == 1
     assert "the variable 'b' is not initialised" in capsys.readouterr().out
+
+
+# (program, HYBRIDSIM_MAX_PRODUCT, `check` exit code, stdout, stderr): each
+# start state is checked, and a failure is the program's unless it may hinge
+# on a name set after the leading assignments
+CHECK_VERDICTS = {
+    "late-divisor": ("x := 0 ; x' = 1 for 1 ; y := 0 ; y' = 1 / x for 1", None, 0,
+                     "ok: 1 differential statement(s) linearized, 1 left to run time\n", ""),
+    "listed-divisor": ("a := {1, 0} ; x := 1 ; x' = x / a for 1", None, 1,
+                       "[a=0] Error: the divisor of the division 'x / a' is zero at 1:29\n",
+                       ""),
+    "non-linear": ("x := 0 ; a := x + 1 ; y := 0 ; y' = a * y * y for 1", None, 1,
+                   "Error: the ODEs contain non-linear expressions after de-sugaring: "
+                   "'a * y * y' at 1:37\n", ""),
+    "negative-duration": ("x := 1 ; x' = 1 for 0 - 1", None, 1,
+                          "Error: the duration '0 - 1' is negative at 1:21\n", ""),
+    "unset-start": ("y' = 1 for 1", None, 1,
+                    "Error: the variable 'y' is not initialised at 1:1\n", ""),
+    "leading-name": ("x := 0 ; a := x + 1 ; x' = a for 1", None, 0,
+                     "ok: 1 differential statement(s) linearized, 0 left to run time\n", ""),
+    "branch-start": ("if tt then y := 1 else y := 2 ; y' = 1 for 1", None, 0,
+                     "ok: 0 differential statement(s) linearized, 1 left to run time\n", ""),
+    "over-cap": (corpus_path("aebom").read_text(encoding="utf-8"), "2", 2, "",
+                 "error: 9 initial-condition combinations exceed the cap of 2\n"),
+}
+
+
+@pytest.mark.parametrize("case", CHECK_VERDICTS.values(), ids=CHECK_VERDICTS.keys())
+def test_check_verdicts(case, tmp_path, capsys, monkeypatch):
+    text, cap, code, out, err = case
+    if cap is not None:
+        monkeypatch.setenv("HYBRIDSIM_MAX_PRODUCT", cap)
+    f = tmp_path / "verdict.lince"
+    f.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(f)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_check_passes_a_statement_that_a_later_assignment_breaks(tmp_path, capsys):
+    """A limit of a static check: the start states say nothing of a value a
+    later statement changes, so `check` passes what a run then fails."""
+    f = tmp_path / "limit.lince"
+    f.write_text("a := 1 ; x := 1 ; x' = 1 for 1 ; a := a - 1 ; x' = x / a for 1",
+                 encoding="utf-8")
+    assert cli_main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == ("ok: 2 differential statement(s) linearized, "
+                                       "0 left to run time\n")
+    assert cli_main(["run", str(f), "--time", "2"]) == 1
+    assert "the divisor of the division 'x / a' is zero" in capsys.readouterr().out
+
+
+def test_labels_tell_close_listed_values_apart(tmp_path, capsys):
+    """Two listed values that agree to 12 significant digits get labels
+    that give each value back, in the report and in the CSV rows."""
+    f = tmp_path / "close.lince"
+    f.write_text("x := {0.1, 0.1000000000001} ; x' = 1 for 1", encoding="utf-8")
+    assert cli_main(["simulate", str(f), "--max-time", "1", "--dt", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ("x=0.1: completed at t=1\n"
+                                       "x=0.1000000000001: completed at t=1\n")
+    rows = (tmp_path / "close.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == ["x=0.1", "x=0.1000000000001"]
 
 
 def test_run_has_no_max_time_flag(capsys):
